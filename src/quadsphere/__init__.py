@@ -62,4 +62,27 @@ from .sphere import (
     spherical_gradient_q,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # certify
+    "Certificate", "Rule", "Status", "Verdict", "Witness", "WitnessKind",
+    "certify", "construct_diag_witness", "construct_threevec_witness",
+    "pair_violation_margin", "verify_witness",
+    # config
+    "Config",
+    # cones
+    "ParetoEigenpair", "ParetoSpectrum", "PerronPair", "check_kz_property",
+    "is_copositive", "is_irreducible", "is_z_matrix", "pareto_spectrum",
+    "perron_pair",
+    # genex
+    "make_diag_two_eig", "make_householder", "make_negative_positive",
+    "make_positive_basis", "make_three_eigenvalue",
+    # linalg
+    "ConvergenceError", "EigenStructure", "EigenSystem", "SymMatrix",
+    "cluster_eigenvalues", "eigen_decompose", "is_diagonal", "permute_similarity",
+    # probe
+    "MinMethod", "MinResult", "ProbeReport", "falsify", "local_global_check",
+    "minimize_orthant",
+    # sphere
+    "GeodesicSegment", "SpherePoint", "geodesic_eval", "intrinsic_distance",
+    "sample_orthant_sphere", "spherical_gradient_q",
+]

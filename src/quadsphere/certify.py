@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config, DEFAULT
-from .cones import is_copositive, pareto_spectrum
+from .cones import pareto_spectrum
 from .linalg import (
     SymMatrix,
     as_sym_matrix,
@@ -46,16 +46,12 @@ class Rule(enum.Enum):
     DIAGONAL_CHARACTERIZATION = "DiagonalCharacterization"
     TWO_EIGENVALUE_CHARACTERIZATION = "TwoEigenvalueCharacterization"
     COPOSITIVE_SUFFICIENCY = "CopositiveSufficiency"
-    Z_MATRIX_FAST_PATH_V = "ZMatrixFastPathV"
-    Z_MATRIX_FAST_PATH_VI = "ZMatrixFastPathVI"
     NEGATIVE_POSITIVE_MATRIX = "NegativePositiveMatrix"
 
 
 class WitnessKind(enum.Enum):
     PAIR_VIOLATION = "PairViolation"
     CONE_NONCONVEXITY = "ConeNonconvexity"
-    Z_VIOLATION = "ZViolation"
-    THREE_NONNEG_EIGENVECTORS = "ThreeNonnegEigenvectors"
 
 
 class Status(enum.Enum):
@@ -386,7 +382,7 @@ def _lambda1_orthant_vector(E, S, tol: float) -> np.ndarray | None:
 
 
 def _threevec_search(A: SymMatrix, E, config: Config) -> Witness | None:
-    from itertools import combinations
+    from itertools import combinations, islice
 
     cands = []
     for k in range(E.n):
@@ -406,7 +402,7 @@ def _threevec_search(A: SymMatrix, E, config: Config) -> Witness | None:
                 count += 1
         return count
 
-    triples = list(combinations(cands, 3))[:200]
+    triples = list(islice(combinations(cands, 3), 200))
     # prefer triples whose top two eigenvalues differ; the degenerate case
     # cannot yield a positive margin
     def top_gap(triple):

@@ -165,7 +165,9 @@ def make_negative_positive(n: int, seed: int, attempts: int = 100) -> SymMatrix:
         w = eigen_decompose(SymMatrix(a)).eigenvalues
         shift = 0.0
         if w[1] <= 0.0:
-            shift = -float(w[1]) + 0.05 * max(1.0, float(np.abs(w).max()))
+            # a margin from the Perron-like w[0] ~ -1.15 n would grow with n
+            # and push entries positive (every seed fails from n = 14)
+            shift = -float(w[1]) + 0.05 * max(1.0, abs(float(w[1])))
         shifted = a + shift * np.eye(n)
         if float(shifted.max()) >= 0.0:
             continue  # -A no longer positive after the shift

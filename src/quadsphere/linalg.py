@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra with deterministic, tolerance-driven behavior.
 
-The eigensolver is a cyclic Jacobi iteration rather than a LAPACK call so that
-identical input bits always produce identical output bits, which the rest of
-the package relies on for reproducible certificates and reports.
+The eigensolver is LAPACK ``eigh`` (through numpy) followed by a fixed sign
+normalization, so identical input bits give identical output bits on one
+installation; reproducible certificates and reports rely on that.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap without converging."""
+    """A numerical routine failed to converge."""
 
 
 class SymMatrix:
@@ -116,45 +116,18 @@ class EigenStructure:
     smallest_simple: bool
 
 
-_JACOBI_SWEEP_CAP = 100
-
-
 def eigen_decompose(A: SymMatrix) -> EigenSystem:
-    """Full eigendecomposition by cyclic Jacobi rotations.
+    """Full eigendecomposition by LAPACK ``eigh``, sign-normalized.
 
-    Sweeps run until every off-diagonal magnitude is at most
-    1e-12 * ||A||_F, capped at 100 sweeps.
+    Raises ConvergenceError when LAPACK reports non-convergence.
     """
     A = as_sym_matrix(A)
     n = A.n
-    a = A.a.copy()
-    v = np.eye(n)
-    fro = A.norm_fro()
-    off_tol = 1e-12 * fro
+    try:
+        w, v = np.linalg.eigh(A.a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
 
-    if n > 1:
-        converged = False
-        for _ in range(_JACOBI_SWEEP_CAP):
-            off = _max_offdiag(a)
-            if off <= off_tol:
-                converged = True
-                break
-            # rotations below this threshold cannot help convergence this sweep
-            skip = off_tol / max(1, n)
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    if abs(a[p, q]) <= skip:
-                        continue
-                    _jacobi_rotate(a, v, p, q)
-        else:
-            converged = False
-        if not converged and _max_offdiag(a) > off_tol:
-            raise ConvergenceError(
-                "Jacobi iteration did not converge in "
-                f"{_JACOBI_SWEEP_CAP} sweeps; input may be ill-conditioned"
-            )
-
-    w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -177,35 +150,6 @@ def _max_offdiag(a: np.ndarray) -> float:
         return 0.0
     mask = ~np.eye(n, dtype=bool)
     return float(np.abs(a[mask]).max())
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One symmetric Jacobi rotation annihilating a[p, q], in place."""
-    apq = a[p, q]
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-    if theta == 0.0:
-        t = 1.0
-    c = 1.0 / np.hypot(t, 1.0)
-    s = t * c
-
-    app, aqq = a[p, p], a[q, q]
-    a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-    a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-    a[p, q] = a[q, p] = 0.0
-
-    rows = [i for i in range(a.shape[0]) if i != p and i != q]
-    aip = a[rows, p].copy()
-    aiq = a[rows, q].copy()
-    a[rows, p] = c * aip - s * aiq
-    a[p, rows] = a[rows, p]
-    a[rows, q] = s * aip + c * aiq
-    a[q, rows] = a[rows, q]
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
 
 
 def cluster_eigenvalues(E: EigenSystem, tol: float | None = None) -> EigenStructure:

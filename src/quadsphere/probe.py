@@ -142,16 +142,25 @@ def _margin_of(a: np.ndarray, x: np.ndarray, y: np.ndarray, kind: str) -> float:
     if kind == "midpoint":
         s = x + y
         return float(s @ a @ s) - qmax * float(s @ s)
-    # geodesic: max over the sweep parameters
+    return _geodesic_best(a, x, y, qmax, ip)[0]
+
+
+def _geodesic_best(a, x, y, qmax: float, ip: float):
+    """Best geodesic-sweep margin and the sweep parameter t attaining it.
+
+    Returns (-inf, None) when x and y are (anti)parallel.
+    """
     d = float(np.arccos(ip))
     s = np.sqrt(max(1.0 - ip * ip, 0.0))
     if s <= 1e-9:
-        return -np.inf
-    best = -np.inf
+        return -np.inf, None
+    best_m, best_t = -np.inf, None
     for t in _GEODESIC_TS:
         g = (np.cos(t * d) - ip * np.sin(t * d) / s) * x + (np.sin(t * d) / s) * y
-        best = max(best, float(g @ a @ g) - qmax)
-    return best
+        m = float(g @ a @ g) - qmax
+        if m > best_m:
+            best_m, best_t = m, t
+    return best_m, best_t
 
 
 def _refine(a, x, y, kind, tol_margin, steps: int = 200):
@@ -216,16 +225,11 @@ def _build_witness(a, x, y, kind) -> Witness | None:
     # alpha x + beta y, so scaling the endpoints turns it into a sublevel-cone
     # witness with the same violation value
     ip = float(np.clip(x @ y, -1.0, 1.0))
+    best_m, best_t = _geodesic_best(a, x, y, qmax, ip)
+    if best_t is None:
+        return None
     d = float(np.arccos(ip))
     s = np.sqrt(max(1.0 - ip * ip, 0.0))
-    if s <= 1e-9:
-        return None
-    best_t, best_m = None, -np.inf
-    for t in _GEODESIC_TS:
-        g = (np.cos(t * d) - ip * np.sin(t * d) / s) * x + (np.sin(t * d) / s) * y
-        m = float(g @ a @ g) - qmax
-        if m > best_m:
-            best_m, best_t = m, t
     alpha = np.cos(best_t * d) - ip * np.sin(best_t * d) / s
     beta = np.sin(best_t * d) / s
     if alpha < 0.0 or beta < 0.0:

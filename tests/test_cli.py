@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadsphere
 from quadsphere.cli import main
+from quadsphere.genex import make_negative_positive
 from quadsphere.matrixdoc import MatrixDocument, dumps, loads
 from quadsphere.linalg import SymMatrix
 
@@ -158,6 +164,11 @@ class TestGenerate:
         )
         assert out1 == out2
 
+    def test_negative_positive_past_n13(self, capsys):
+        code, out, _ = run(capsys, "generate", "negative-positive", "--n", "14")
+        assert code == 0
+        assert json.loads(out)["n"] == 14
+
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "generate", "three-eig")
         assert code == 2
@@ -188,3 +199,53 @@ class TestExitCodes:
     def test_help(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+    def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it must not pass for an input error
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        path = write_doc(tmp_path, np.eye(2))
+        code, _, err = run(capsys, "analyze", path)
+        assert code == 3
+        assert "numerical failure" in err
+
+
+class TestFreshProcess:
+    """Report bytes must not depend on the process or the BLAS thread count."""
+
+    @staticmethod
+    def analyze_bytes(path, blas_threads):
+        env = dict(os.environ)
+        src = str(Path(quadsphere.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadsphere.cli", "analyze", path,
+             "--format", "structured", "--samples", "2000"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    @pytest.mark.parametrize("status", ["CertifiedQuasiconvex", "CertifiedNotQuasiconvex"])
+    def test_analyze_bytes_identical(self, tmp_path, status):
+        if status == "CertifiedQuasiconvex":
+            # copositive-sufficiency Yes: one eigenproblem per support
+            doc = dumps(make_negative_positive(6, 0))
+        else:
+            # three nonnegative eigenvectors: a No witness built from eigenvectors
+            a = np.diag([1.0, 1.4, 2.0, 3.0])
+            a[0, 1] = a[1, 0] = -0.3
+            doc = dumps(SymMatrix(a))
+        path = tmp_path / "m.json"
+        path.write_text(doc)
+        single = self.analyze_bytes(str(path), "1")
+        default = self.analyze_bytes(str(path), None)
+        assert single == default
+        assert json.loads(single)["verdict"]["status"] == status

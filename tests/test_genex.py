@@ -146,3 +146,24 @@ class TestNegativePositive:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             make_negative_positive(1, 0)
+
+    def test_property_up_to_n32(self):
+        # n >= 14 is where a shift margin scaled by the Perron-like
+        # eigenvalue (~ -1.15 n) turns entries positive
+        for n in range(2, 33):
+            for seed in range(10):
+                A = make_negative_positive(n, seed)
+                assert float(A.a.max()) < 0.0, (n, seed)
+                w = spectrum(A)
+                assert w[1] - w[0] > 1e-8, (n, seed)
+                assert w[1] > 0.0, (n, seed)
+                if n <= 9:
+                    # certify reaches Yes through the exact copositivity
+                    # enumeration, whose cost more than doubles per dimension
+                    v = certify(A, FAST)
+                    assert v.status is Status.CERTIFIED_QUASICONVEX, (n, seed)
+                elif n > FAST.max_exact_dim and seed < 2:
+                    # past the enumeration cap no rule decides the family,
+                    # but the verdict must never be a wrong No
+                    v = certify(A, FAST)
+                    assert v.status is not Status.CERTIFIED_NOT_QUASICONVEX
