@@ -321,13 +321,17 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # 5. copositivity sufficiency: a nonnegative smallest eigenvector plus
     # copositivity of (second smallest eigenvalue) I - A.  The second smallest
     # eigenvalue is counted with multiplicity; using the next cluster value
-    # instead would be unsound when the smallest eigenvalue repeats.
-    if n <= config.max_exact_dim:
-        cand = _lambda1_orthant_vector(E, S, config.tol_sign)
-        if cand is not None:
-            lam2 = float(E.eigenvalues[1])
-            shifted = SymMatrix(lam2 * np.eye(n) - a)
-            spectrum = pareto_spectrum(shifted, max_exact_dim=config.max_exact_dim)
+    # instead would be unsound when the smallest eigenvalue repeats.  Past
+    # the enumeration cap only the entrywise-nonnegative case of that
+    # copositivity is decided (negative-positive matrices).
+    cand = _lambda1_orthant_vector(E, S, config.tol_sign)
+    if cand is not None:
+        lam2 = float(E.eigenvalues[1])
+        shifted = lam2 * np.eye(n) - a
+        if n <= config.max_exact_dim:
+            spectrum = pareto_spectrum(
+                SymMatrix(shifted), max_exact_dim=config.max_exact_dim
+            )
             if spectrum.min_value >= -config.tol_slack:
                 return Verdict(
                     status=Status.CERTIFIED_QUASICONVEX,
@@ -340,6 +344,14 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
                         },
                     ),
                 )
+        elif float(shifted.min()) >= 0.0:
+            return Verdict(
+                status=Status.CERTIFIED_QUASICONVEX,
+                certificate=Certificate(
+                    Rule.NEGATIVE_POSITIVE_MATRIX,
+                    {"eigenvector": cand, "lambda2": lam2},
+                ),
+            )
 
     # 6. three pairwise-orthogonal nonnegative eigenvectors across at least
     # two distinct clusters obstruct quasi-convexity

@@ -1,12 +1,18 @@
 """Matrix-cone machinery for the nonnegative orthant: Z-pattern and
 irreducibility predicates, Perron dominant pairs, the full Pareto spectrum by
 support enumeration, and the copositivity verdict derived from it.
+
+The supports of one size are enumerated in chunks, each chunk's principal
+submatrices decomposed by one stacked LAPACK ``eigh`` call and its acceptance
+tests run on whole arrays.  Every submatrix is decomposed exactly as a lone
+``eigh`` call would decompose it, so the spectrum does not depend on the
+chunking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice, takewhile
 
 import numpy as np
 
@@ -36,6 +42,9 @@ _NONNEG_TOL = 1e-10
 # strict positivity floor inside the support (boundary vectors are covered by
 # smaller supports in the enumeration)
 _STRICT_TOL = 1e-12
+# supports per stacked eigh call: bounds memory at any max_exact_dim (4096
+# submatrices of size 16 take 8 MB)
+_CHUNK = 4096
 
 DEFAULT_MAX_EXACT_DIM = 16
 
@@ -149,47 +158,17 @@ def pareto_spectrum(
     A: SymMatrix,
     max_exact_dim: int = DEFAULT_MAX_EXACT_DIM,
     slack_tol: float = _SLACK_TOL,
-    nonneg_tol: float = _NONNEG_TOL,
 ) -> ParetoSpectrum:
     """Exact Pareto spectrum by enumerating all nonempty supports.
 
-    For every support J the principal submatrix is eigendecomposed; eigenpairs
+    For every support J the principal submatrix is eigendecomposed (one
+    stacked ``eigh`` call per chunk of supports of one size); eigenpairs
     whose (sign-flipped) eigenvector is strictly positive on J and whose
     zero-extension keeps (Ax - lambda x) nonnegative off J are kept.
     """
     A = as_sym_matrix(A)
-    n = A.n
-    if n > max_exact_dim:
-        raise ValueError(
-            f"dimension {n} exceeds max_exact_dim={max_exact_dim}; "
-            "use the sampling minimizer instead"
-        )
-    a = A.a
-    found = []
-    indices = list(range(n))
-    for size in range(1, n + 1):
-        for support in combinations(indices, size):
-            idx = list(support)
-            sub = SymMatrix(a[np.ix_(idx, idx)])
-            E = eigen_decompose(sub)
-            for k in range(size):
-                lam = float(E.eigenvalues[k])
-                u = E.vectors[:, k]
-                for cand in (u, -u):
-                    if float(cand.min()) < -nonneg_tol:
-                        continue
-                    if float(cand.min()) <= _STRICT_TOL:
-                        # zero inside the support; the boundary vector is the
-                        # interior vector of a smaller support
-                        continue
-                    x = np.zeros(n)
-                    x[idx] = cand
-                    resid = a @ x - lam * x
-                    outside = np.delete(resid, idx)
-                    if outside.size and float(outside.min()) < -slack_tol:
-                        continue
-                    found.append(ParetoEigenpair(lam, x, support))
-                    break
+    _check_cap(A.n, max_exact_dim)
+    found = list(_pareto_pairs(A.a, slack_tol))
     found.sort(key=lambda p: (p.value, p.support))
     pairs = _dedupe(found)
     if not pairs:
@@ -197,15 +176,63 @@ def pareto_spectrum(
     return ParetoSpectrum(pairs=pairs, min_value=pairs[0].value, exact=True)
 
 
+def _check_cap(n: int, max_exact_dim: int) -> None:
+    if n > max_exact_dim:
+        raise ValueError(
+            f"dimension {n} exceeds max_exact_dim={max_exact_dim}; "
+            "use the sampling minimizer instead"
+        )
+
+
+def _pareto_pairs(a: np.ndarray, slack_tol: float):
+    """Yield the accepted Pareto eigenpairs of ``a``, support size by size
+    and, within a size, in lexicographic support order."""
+    n = a.shape[0]
+    for size in range(1, n + 1):
+        supports = combinations(range(n), size)
+        while True:
+            chunk = np.array(list(islice(supports, _CHUNK)), dtype=np.intp)
+            if chunk.size == 0:
+                break
+            yield from _chunk_pairs(a, chunk, slack_tol)
+
+
+def _chunk_pairs(a: np.ndarray, chunk: np.ndarray, slack_tol: float):
+    """Accepted pairs of the supports in ``chunk`` (one support per row)."""
+    n = a.shape[0]
+    try:
+        w, v = np.linalg.eigh(a[chunk[:, :, None], chunk[:, None, :]])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    # sign +1 / -1 when u / -u is strictly positive on the support; a zero
+    # inside the support makes a boundary vector, which is the interior
+    # vector of a smaller support
+    sign = np.where(v.min(axis=1) > _STRICT_TOL, 1.0, 0.0)
+    sign[v.max(axis=1) < -_STRICT_TOL] = -1.0
+    rows, ks = np.nonzero(sign)
+    if rows.size == 0:
+        return
+    lam = w[rows, ks]
+    cols = chunk[rows]
+    X = np.zeros((rows.size, n))
+    line = np.arange(rows.size)[:, None]
+    X[line, cols] = v[rows, :, ks] * sign[rows, ks][:, None]
+    resid = X @ a - lam[:, None] * X
+    resid[line, cols] = np.inf
+    keep = resid.min(axis=1) >= -slack_tol
+    for j in np.flatnonzero(keep):
+        yield ParetoEigenpair(float(lam[j]), X[j], tuple(cols[j].tolist()))
+
+
 def _dedupe(pairs, value_tol: float = 1e-9, vector_tol: float = 1e-7):
+    """Drop near-duplicates from ``pairs`` sorted by ascending value; a pair
+    can only duplicate one of the trailing kept pairs within ``value_tol``."""
     kept = []
     for p in pairs:
-        dup = any(
-            abs(p.value - q.value) <= value_tol
-            and float(np.linalg.norm(p.vector - q.vector)) <= vector_tol
-            for q in kept
-        )
-        if not dup:
+        recent = takewhile(lambda q: p.value - q.value <= value_tol, reversed(kept))
+        if not any(
+            float(np.linalg.norm(p.vector - q.vector)) <= vector_tol for q in recent
+        ):
             kept.append(p)
     return kept
 
@@ -218,9 +245,28 @@ def is_copositive(
     """True iff the minimum of <Ax, x> over the unit orthant patch is >= -tol.
 
     That minimum equals the least Pareto eigenvalue, so this is exact up to
-    the enumeration dimension cap.
+    the enumeration dimension cap.  Exact screens decide first: an
+    entrywise-nonnegative or (up to ``tol``) positive semidefinite matrix is
+    copositive, a diagonal entry below -tol refutes it.  Otherwise the
+    supports are enumerated until the first Pareto eigenvalue below -tol.
     """
-    return pareto_spectrum(A, max_exact_dim=max_exact_dim).min_value >= -tol
+    A = as_sym_matrix(A)
+    _check_cap(A.n, max_exact_dim)
+    a = A.a
+    if float(a.min()) >= 0.0:
+        return True
+    if float(eigen_decompose(A).eigenvalues[0]) >= -tol:
+        return True
+    if float(np.diag(a).min()) < -tol:
+        return False
+    found = False
+    for p in _pareto_pairs(a, _SLACK_TOL):
+        if p.value < -tol:
+            return False
+        found = True
+    if not found:
+        raise ConvergenceError("empty Pareto spectrum; tolerances too tight")
+    return True
 
 
 def check_kz_property(A: SymMatrix, pairs) -> bool:

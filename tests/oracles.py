@@ -1,11 +1,12 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the code paths they check: brute-force grids for
-orthant minima, the closed-form 2x2 eigenproblem, and finite differences for
-derivatives along geodesics.
+orthant minima, the closed-form 2x2 eigenproblem, finite differences for
+derivatives along geodesics, and a one-support-at-a-time Pareto enumeration.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -52,3 +53,40 @@ def eig_2x2(a: float, b: float, c: float):
 
 def central_difference(f, t: float, h: float = 1e-6) -> float:
     return (f(t + h) - f(t - h)) / (2.0 * h)
+
+
+def reference_pareto(a: np.ndarray, slack_tol=1e-9, strict_tol=1e-12):
+    """Pareto eigenpairs of ``a`` by a plain loop over supports, one
+    ``np.linalg.eigh`` per principal submatrix.
+
+    Acceptance: the eigenvector (either sign) is strictly positive on the
+    support, and its zero-extension x keeps (Ax - lambda x) >= -slack_tol
+    off it.  Returns ``(value, support, vector)`` triples sorted by value,
+    then support; a triple within 1e-9 in value and 1e-7 in vector of an
+    earlier kept one is dropped.
+    """
+    n = a.shape[0]
+    found = []
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            idx = list(support)
+            w, v = np.linalg.eigh(a[np.ix_(idx, idx)])
+            for k in range(size):
+                for cand in (v[:, k], -v[:, k]):
+                    if float(cand.min()) <= strict_tol:
+                        continue
+                    x = np.zeros(n)
+                    x[idx] = cand
+                    outside = np.delete(a @ x - w[k] * x, idx)
+                    if outside.size == 0 or float(outside.min()) >= -slack_tol:
+                        found.append((float(w[k]), support, x))
+                    break
+    found.sort(key=lambda t: (t[0], t[1]))
+    kept = []
+    for t in found:
+        if not any(
+            abs(t[0] - q[0]) <= 1e-9 and float(np.linalg.norm(t[2] - q[2])) <= 1e-7
+            for q in kept
+        ):
+            kept.append(t)
+    return kept

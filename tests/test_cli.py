@@ -216,7 +216,7 @@ class TestFreshProcess:
     """Report bytes must not depend on the process or the BLAS thread count."""
 
     @staticmethod
-    def analyze_bytes(path, blas_threads):
+    def report_bytes(command, path, blas_threads):
         env = dict(os.environ)
         src = str(Path(quadsphere.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
@@ -226,7 +226,7 @@ class TestFreshProcess:
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
         proc = subprocess.run(
-            [sys.executable, "-m", "quadsphere.cli", "analyze", path,
+            [sys.executable, "-m", "quadsphere.cli", command, path,
              "--format", "structured", "--samples", "2000"],
             env=env, capture_output=True, timeout=120,
         )
@@ -245,7 +245,18 @@ class TestFreshProcess:
             doc = dumps(SymMatrix(a))
         path = tmp_path / "m.json"
         path.write_text(doc)
-        single = self.analyze_bytes(str(path), "1")
-        default = self.analyze_bytes(str(path), None)
+        single = self.report_bytes("analyze", str(path), "1")
+        default = self.report_bytes("analyze", str(path), None)
         assert single == default
         assert json.loads(single)["verdict"]["status"] == status
+
+    @pytest.mark.parametrize("command", ["pareto", "copositive"])
+    def test_cone_bytes_identical(self, tmp_path, command):
+        # pareto enumerates every support in stacked eigh calls; copositive
+        # is refuted by the negative-diagonal screen
+        path = tmp_path / "m.json"
+        path.write_text(dumps(make_negative_positive(6, 0)))
+        single = self.report_bytes(command, str(path), "1")
+        default = self.report_bytes(command, str(path), None)
+        assert single == default
+        assert command in json.loads(single)

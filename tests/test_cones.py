@@ -9,9 +9,10 @@ from quadsphere.cones import (
     pareto_spectrum,
     perron_pair,
 )
+from quadsphere.genex import make_negative_positive, make_positive_basis
 from quadsphere.linalg import SymMatrix
 
-from oracles import grid_min_quadratic
+from oracles import grid_min_quadratic, reference_pareto
 
 
 def sym(rows):
@@ -160,6 +161,80 @@ class TestCopositive:
             gmin, _ = grid_min_quadratic(A.a)
             if abs(gmin) > 1e-2:
                 assert is_copositive(A) == (gmin > 0.0)
+
+
+def _shifted(A):
+    """lambda2 I - A: the matrix whose copositivity certify step 5 decides."""
+    lam2 = float(np.linalg.eigvalsh(A.a)[1])
+    return lam2 * np.eye(A.n) - A.a
+
+
+def _reference_corpus():
+    """Seeded matrices, n 2-7, covering every acceptance and screen path."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for n in range(2, 8):
+        for _ in range(3):
+            raw = 2.0 * rng.random((n, n)) - 1.0
+            out.append((raw + raw.T) / 2.0)  # random
+            z = -np.abs(raw + raw.T) / 2.0
+            np.fill_diagonal(z, rng.uniform(-0.5, 2.0, n))
+            out.append(z)  # Z-pattern
+            ints = rng.integers(-2, 3, (n, n))
+            ints = np.triu(ints) + np.triu(ints, 1).T
+            out.append(ints.astype(float))  # repeated values and zeros
+            pos = np.abs(raw + raw.T)
+            pos[0, -1] = pos[-1, 0] = -0.5 * min(pos[0, 0], pos[-1, -1]) - 0.1
+            out.append(pos)  # positive diagonal, one negative coupling
+        d = rng.uniform(1.0, 2.0, n)
+        nc = np.outer(np.sqrt(d), np.sqrt(d)) * -0.8
+        np.fill_diagonal(nc, d)
+        out.append(nc)  # positive diagonal, not copositive for n >= 3
+        out.append(_shifted(make_negative_positive(n, n)))
+        if n >= 3:
+            lam1 = rng.uniform(-1.0, 1.0)
+            lam2 = lam1 + rng.uniform(0.5, 2.0)
+            room = (lam2 - lam1) / (n * (n - 2))
+            rest = lam2 + rng.uniform(0.05, 0.9, n - 2) * room
+            out.append(_shifted(make_positive_basis(n, [lam1, lam2, *np.sort(rest)])))
+    return out
+
+
+class TestAgainstReference:
+    """The stacked enumeration against a one-support-at-a-time loop."""
+
+    CORPUS = _reference_corpus()
+
+    def test_pareto_spectrum_matches(self):
+        for a in self.CORPUS:
+            got = pareto_spectrum(SymMatrix(a)).pairs
+            ref = reference_pareto(a)
+            assert [p.support for p in got] == [t[1] for t in ref], a
+            for p, (value, _, vector) in zip(got, ref):
+                assert p.value == pytest.approx(value, abs=1e-12)
+                np.testing.assert_allclose(p.vector, vector, rtol=0.0, atol=1e-12)
+
+    def test_is_copositive_matches(self):
+        tol = 1e-9
+        paths = set()
+        for a in self.CORPUS:
+            expected = reference_pareto(a)[0][0] >= -tol
+            assert is_copositive(SymMatrix(a)) == expected, a
+            if float(a.min()) >= 0.0:
+                paths.add("nonnegative")
+            elif float(np.linalg.eigvalsh(a)[0]) >= -tol:
+                paths.add("psd")
+            elif float(np.diag(a).min()) < -tol:
+                paths.add("negative-diagonal")
+            else:
+                paths.add(f"walk-{expected}")
+        assert paths == {
+            "nonnegative", "psd", "negative-diagonal", "walk-True", "walk-False"
+        }
+
+    def test_cap_checked_before_screens(self):
+        with pytest.raises(ValueError, match="max_exact_dim"):
+            is_copositive(SymMatrix(np.eye(5)), max_exact_dim=4)
 
 
 class TestKZProperty:

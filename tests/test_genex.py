@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadsphere.certify import Status, certify
+from quadsphere.certify import Rule, Status, certify
 from quadsphere.config import Config
 from quadsphere.genex import (
     make_diag_two_eig,
@@ -157,13 +157,13 @@ class TestNegativePositive:
                 w = spectrum(A)
                 assert w[1] - w[0] > 1e-8, (n, seed)
                 assert w[1] > 0.0, (n, seed)
-                if n <= 9:
-                    # certify reaches Yes through the exact copositivity
-                    # enumeration, whose cost more than doubles per dimension
+                if n > FAST.max_exact_dim:
+                    # past the enumeration cap lambda2 I - A >= 0 entrywise
+                    # decides the family in O(n^3)
                     v = certify(A, FAST)
                     assert v.status is Status.CERTIFIED_QUASICONVEX, (n, seed)
-                elif n > FAST.max_exact_dim and seed < 2:
-                    # past the enumeration cap no rule decides the family,
-                    # but the verdict must never be a wrong No
+                    assert v.certificate.rule is Rule.NEGATIVE_POSITIVE_MATRIX
+                elif n <= 9 or seed < 2:
+                    # the exact copositivity enumeration, ~1 s at n = 16
                     v = certify(A, FAST)
-                    assert v.status is not Status.CERTIFIED_NOT_QUASICONVEX
+                    assert v.status is Status.CERTIFIED_QUASICONVEX, (n, seed)
