@@ -321,17 +321,13 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # 5. copositivity sufficiency: a nonnegative smallest eigenvector plus
     # copositivity of (second smallest eigenvalue) I - A.  The second smallest
     # eigenvalue is counted with multiplicity; using the next cluster value
-    # instead would be unsound when the smallest eigenvalue repeats.  Past
-    # the enumeration cap only the entrywise-nonnegative case of that
-    # copositivity is decided (negative-positive matrices).
-    cand = _lambda1_orthant_vector(E, S, config.tol_sign)
-    if cand is not None:
-        lam2 = float(E.eigenvalues[1])
-        shifted = lam2 * np.eye(n) - a
-        if n <= config.max_exact_dim:
-            spectrum = pareto_spectrum(
-                SymMatrix(shifted), max_exact_dim=config.max_exact_dim
-            )
+    # instead would be unsound when the smallest eigenvalue repeats.
+    lam2 = float(E.eigenvalues[1])
+    if n <= config.max_exact_dim:
+        cand = _lambda1_orthant_vector(E, S, config.tol_sign)
+        if cand is not None:
+            shifted = SymMatrix(lam2 * np.eye(n) - a)
+            spectrum = pareto_spectrum(shifted, max_exact_dim=config.max_exact_dim)
             if spectrum.min_value >= -config.tol_slack:
                 return Verdict(
                     status=Status.CERTIFIED_QUASICONVEX,
@@ -344,14 +340,23 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
                         },
                     ),
                 )
-        elif float(shifted.min()) >= 0.0:
-            return Verdict(
-                status=Status.CERTIFIED_QUASICONVEX,
-                certificate=Certificate(
-                    Rule.NEGATIVE_POSITIVE_MATRIX,
-                    {"eigenvector": cand, "lambda2": lam2},
-                ),
-            )
+    else:
+        # past the enumeration cap only the entrywise case is decided
+        # (negative-positive matrices): entries of lam2 I - A (off-diagonal
+        # -a_ij, the least being -off[i, j]; diagonal lam2 - a_ii) at least
+        # -tol_slack / n bound its form below by -tol_slack / n * (sum x)^2
+        # >= -tol_slack on the unit patch, the slack the enumeration allows
+        slack = config.tol_slack / n
+        if off[i, j] <= slack and float(np.diag(a).max()) - lam2 <= slack:
+            cand = _lambda1_orthant_vector(E, S, config.tol_sign)
+            if cand is not None:
+                return Verdict(
+                    status=Status.CERTIFIED_QUASICONVEX,
+                    certificate=Certificate(
+                        Rule.NEGATIVE_POSITIVE_MATRIX,
+                        {"eigenvector": cand, "lambda2": lam2},
+                    ),
+                )
 
     # 6. three pairwise-orthogonal nonnegative eigenvectors across at least
     # two distinct clusters obstruct quasi-convexity

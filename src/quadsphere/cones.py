@@ -245,22 +245,13 @@ def is_copositive(
     """True iff the minimum of <Ax, x> over the unit orthant patch is >= -tol.
 
     That minimum equals the least Pareto eigenvalue, so this is exact up to
-    the enumeration dimension cap.  Exact screens decide first: an
-    entrywise-nonnegative or (up to ``tol``) positive semidefinite matrix is
-    copositive, a diagonal entry below -tol refutes it.  Otherwise the
-    supports are enumerated until the first Pareto eigenvalue below -tol.
+    the enumeration dimension cap.  The supports are enumerated until the
+    first Pareto eigenvalue below -tol.
     """
     A = as_sym_matrix(A)
     _check_cap(A.n, max_exact_dim)
-    a = A.a
-    if float(a.min()) >= 0.0:
-        return True
-    if float(eigen_decompose(A).eigenvalues[0]) >= -tol:
-        return True
-    if float(np.diag(a).min()) < -tol:
-        return False
     found = False
-    for p in _pareto_pairs(a, _SLACK_TOL):
+    for p in _pareto_pairs(A.a, _SLACK_TOL):
         if p.value < -tol:
             return False
         found = True

@@ -131,8 +131,8 @@ class TestStructuralInvariants:
     def test_unknown_when_exact_engine_unavailable(self):
         # copositive-sufficiency instance whose lambda2 I - A has a diagonal
         # entry of -5e-10: copositive within tol_slack, so the exact engine
-        # certifies it, but not entrywise nonnegative; capping the exact
-        # dimension leaves the probe, which finds no violation
+        # certifies it, but below the entrywise rule's -tol_slack / n; capping
+        # the exact dimension leaves the probe, which finds no violation
         A = sym([[2.0 + 1e-9, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         v = certify(A, Config(samples=2_000))
         assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
@@ -141,7 +141,7 @@ class TestStructuralInvariants:
         assert v.probe_summary is not None
         assert v.probe_summary["best_margin"] <= 1e-8
 
-    def test_entrywise_screen_past_exact_cap(self):
+    def test_entrywise_rule_past_exact_cap(self):
         # lambda2 I - A = [[1, 0, 2], [0, 0, 0], [2, 0, 1]] >= 0 decides the
         # copositivity step without the enumeration
         A = make_three_eigenvalue(3, 0.0, 3.0, 4.0)
@@ -155,6 +155,15 @@ class TestStructuralInvariants:
             [np.sqrt(0.5), 0.0, np.sqrt(0.5)],
             atol=1e-12,
         )
+
+    def test_entrywise_rule_allows_slack(self):
+        # lambda2 I - A has a diagonal entry of -2e-10, inside -tol_slack / 3:
+        # the entrywise rule past the cap and the enumeration below it agree
+        A = sym([[2.0 + 4e-10, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        v = certify(A, Config(samples=2_000))
+        assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
+        v = certify(A, Config(samples=2_000, max_exact_dim=2))
+        assert v.certificate.rule is Rule.NEGATIVE_POSITIVE_MATRIX
 
     def test_deterministic(self):
         A = sym([[0.5, -0.2, 0.0], [-0.2, 1.0, -0.7], [0.0, -0.7, 0.3]])

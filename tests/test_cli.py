@@ -253,7 +253,7 @@ class TestFreshProcess:
     @pytest.mark.parametrize("command", ["pareto", "copositive"])
     def test_cone_bytes_identical(self, tmp_path, command):
         # pareto enumerates every support in stacked eigh calls; copositive
-        # is refuted by the negative-diagonal screen
+        # stops at the first negative Pareto value
         path = tmp_path / "m.json"
         path.write_text(dumps(make_negative_positive(6, 0)))
         single = self.report_bytes(command, str(path), "1")
