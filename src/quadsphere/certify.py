@@ -7,6 +7,31 @@ sufficient condition, then obstruction constructions, and finally seeded
 falsification.  Yes-verdicts always carry a re-checkable certificate,
 No-verdicts a witness whose defining inequalities re-verify by direct
 arithmetic; anything undecided is an honest Unknown.
+
+The chain, in order:
+
+1. a single eigenvalue cluster: constant form, Yes;
+2. an off-diagonal entry above tol_margin: the pair (e_i, e_j), No;
+3. a diagonal matrix: Yes iff two values with a simple smallest one,
+   otherwise the construct_diag_witness cone witness;
+4. two clusters with a simple smallest: Yes if its eigenvector fits the
+   orthant, otherwise straight to step 8;
+5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes;
+6. three nonnegative orthogonal eigenvectors: the three-vector witness, No;
+7. the edge witness (_edge_witness): for lambda2 < max a_ii, boundary points
+   e_i + t e_k of the shifted sublevel cone around the vertex e_k of a large
+   diagonal entry whose sum leaves the cone, No;
+8. the seeded sampling falsifier: No with its witness, otherwise Unknown.
+
+After step 2 the matrix is a Z-matrix up to tol_margin, and for a Z-matrix
+the copositivity of step 5 reduces to lambda2 >= max a_ii.  That this is
+also necessary is a conjecture, supported by seeded fuzzing (every seeded
+random Z-matrix with lambda2 < max a_ii tried so far was refuted) but not
+proven.  The known gap is a maximum diagonal entry tied so that only one
+index lies below any shift, where step 7 has no pair to build:
+[[1,-2,-1,-2],[-2,1,0,-2],[-1,0,1,-2],[-2,-2,-2,-2]] (lambda2 = 0.715) ends
+Unknown.  Soundness does not rest on the conjecture: every No witness is
+re-checked by verify_witness before it is returned.
 """
 
 from __future__ import annotations
@@ -39,6 +64,13 @@ __all__ = [
     "pair_violation_margin",
     "verify_witness",
 ]
+
+# interior shifts of (lam2, max a_ii) that the edge witness tries, as fractions
+_EDGE_STEPS = np.arange(1, 65) / 65.0
+# candidate scores held at once by the edge witness: (c, k) rows x (indices below c)^2
+_EDGE_BLOCK = 1 << 18
+# rounds of raising c when a built edge point misses the cone by round-off
+_EDGE_NUDGES = 8
 
 
 class Rule(enum.Enum):
@@ -76,7 +108,8 @@ class Witness:
         <Ax, y> - <x, y> max{q(x), q(y)} = margin > 0.
     ConeNonconvexity: data has ``c``, ``x``, ``y`` in the orthant with
         q(x) - c||x||^2 <= 0, q(y) - c||y||^2 <= 0 but
-        q(x + y) - c||x + y||^2 = margin > 0.
+        q(x + y) - c||x + y||^2 = margin > 0; the edge witness also records
+        the ``vertex`` k whose e_k both points lean towards.
     """
 
     kind: WitnessKind
@@ -364,7 +397,13 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     if witness is not None:
         return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
 
-    # 7. fall back to seeded falsification
+    # 7. edge witness: a Z-matrix with lam2 < max a_ii, refuted by boundary
+    # points of the sublevel cone near the vertex of a large diagonal entry
+    witness = _edge_witness(A, E, config)
+    if witness is not None:
+        return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
+
+    # 8. fall back to seeded falsification
     return _falsify_verdict(A, config)
 
 
@@ -440,6 +479,98 @@ def _threevec_search(A: SymMatrix, E, config: Config) -> Witness | None:
             if verify_witness(A, w, config):
                 return w
     return None
+
+
+def _edge_witness(A: SymMatrix, E, config: Config) -> Witness | None:
+    """Cone-nonconvexity witness for lam2 < max a_ii, or None.
+
+    For c in (lam2, max a_ii) and B = A - cI, each vertex e_k with b_kk > 0
+    lies outside the sublevel cone {x : x^T B x <= 0}.  Each i with b_ii < 0
+    gives the cone boundary point x_i = e_i + t_i e_k, t_i the positive root
+    of b_ii + 2 t b_ik + t^2 b_kk; two such unit points whose sum leaves the
+    cone refute quasi-convexity (for a Z-matrix, bordered-matrix inertia
+    predicts that the cap cut off around e_k bends the wrong way).  The pair
+    scores (x_i + x_j)^T B (x_i + x_j) = 2 x_i^T B x_j are, per (c, k), a
+    rank-2 update of B[L, L] over the indices L below c, scaled by the norms.
+    construct_diag_witness is the diagonal case with c between two values.
+
+    Only the best candidate over the grid is built, and only a witness that
+    verify_witness accepts is returned.
+    """
+    a = A.a
+    d = np.diag(a)
+    lam2 = float(E.eigenvalues[1])
+    top = float(d.max())
+    if not top > lam2:
+        return None
+    cs = lam2 + (top - lam2) * _EDGE_STEPS
+    # grid points between the same two diagonal values share the vertices
+    # (b_kk > 0) and the indices below c (b_ii < 0), so they are scored as
+    # one stack of (c, k) rows
+    srt = np.sort(d)
+    key = np.searchsorted(srt, cs, "left") * (A.n + 1)
+    key += np.searchsorted(srt, cs, "right")
+    best = -np.inf
+    found = None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for group in np.split(cs, np.flatnonzero(np.diff(key)) + 1):
+            low = np.flatnonzero(d < group[0])
+            high = np.flatnonzero(d > group[0])
+            if low.size < 2 or high.size == 0:
+                continue
+            c_rows = np.repeat(group, high.size)
+            k_rows = np.tile(high, group.size)
+            q = a[np.ix_(low, low)]  # b_ij for i != j
+            off = ~np.eye(low.size, dtype=bool)
+            step = max(1, _EDGE_BLOCK // low.size**2)
+            for r0 in range(0, c_rows.size, step):
+                c = c_rows[r0:r0 + step, None]
+                g = a[np.ix_(k_rows[r0:r0 + step], low)]  # b_ik
+                bkk = d[k_rows[r0:r0 + step], None] - c
+                bii = d[low] - c
+                r = np.sqrt(g * g - bii * bkk)
+                # the positive root, in the form without cancellation
+                t = np.where(g <= 0.0, (r - g) / bkk, -bii / (g + r))
+                s = 1.0 / np.sqrt(1.0 + t * t)
+                tg = t[:, :, None] * g[:, None, :]
+                m = q + tg + tg.transpose(0, 2, 1)
+                m += (bkk * t)[:, :, None] * t[:, None, :]
+                score = np.where(off, 2.0 * m * s[:, :, None] * s[:, None, :], -np.inf)
+                at = int(np.nanargmax(score))
+                if score.flat[at] > best:
+                    best = float(score.flat[at])
+                    row, i, j = np.unravel_index(at, score.shape)
+                    found = (float(c[row, 0]), int(k_rows[r0 + row]), int(low[i]),
+                             int(low[j]), float(t[row, i]), float(t[row, j]))
+    if found is None:
+        return None
+
+    c, k, i, j, ti, tj = found
+    n = A.n
+    x = np.zeros(n)
+    y = np.zeros(n)
+    x[i] = 1.0
+    x[k] = ti
+    y[j] = 1.0
+    y[k] = tj
+    x /= np.linalg.norm(x)
+    y /= np.linalg.norm(y)
+    # a boundary point that misses the cone by round-off: raise c by that
+    # round-off (a few ulps) until both points are inside as computed
+    ac = a - c * np.eye(n)
+    for _ in range(_EDGE_NUDGES):
+        over = max(float(x @ ac @ x), float(y @ ac @ y))
+        if over <= 0.0:
+            break
+        c = max(c + over, float(np.nextafter(c, np.inf)))
+        ac = a - c * np.eye(n)
+    s = x + y
+    witness = Witness(
+        kind=WitnessKind.CONE_NONCONVEXITY,
+        data={"c": c, "x": x, "y": y, "vertex": k},
+        margin=float(s @ ac @ s),
+    )
+    return witness if verify_witness(A, witness, config) else None
 
 
 def _falsify_verdict(A: SymMatrix, config: Config) -> Verdict:

@@ -31,7 +31,8 @@ class SymMatrix:
     """Dense symmetric n-by-n real matrix.
 
     Entries are symmetrized as (A + A^T)/2 on construction; asymmetry beyond
-    ``rtol`` relative to the Frobenius norm is rejected as an input error.
+    ``rtol`` relative to the Frobenius norm is rejected as an input error, as
+    are entries so large that the norm or the symmetrization overflows.
     The stored array is read-only.
     """
 
@@ -43,13 +44,21 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        scale = max(1.0, float(np.linalg.norm(a)))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(a))
+        if not np.isfinite(norm):
+            raise ValueError(
+                "matrix entries are too large: the Frobenius norm overflows"
+            )
+        scale = max(1.0, norm)
         skew = float(np.abs(a - a.T).max()) if a.size else 0.0
         if skew > rtol * scale:
             raise ValueError(
                 f"matrix is not symmetric (max |a_ij - a_ji| = {skew:g})"
             )
         sym = (a + a.T) / 2.0
+        if not np.all(np.isfinite(sym)):
+            raise ValueError("matrix entries are too large: symmetrization overflows")
         sym.setflags(write=False)
         object.__setattr__(self, "a", sym)
 

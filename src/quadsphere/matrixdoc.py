@@ -38,10 +38,17 @@ def loads(text: str) -> MatrixDocument:
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValueError("matrix document must be an object with a 'rows' field")
     rows = doc["rows"]
+    if not isinstance(rows, list):
+        raise ValueError("'rows' must be a list of rows")
     n = doc.get("n", len(rows))
-    arr = np.array(rows, dtype=float)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"'n' must be an integer, got {n!r}")
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'rows' must hold numbers only: {exc}") from exc
     if arr.ndim != 2 or arr.shape != (n, n):
-        raise ValueError(f"'rows' must be an {n}x{n} array, got shape {arr.shape}")
+        raise ValueError(f"'rows' must be a {n}x{n} array, got shape {arr.shape}")
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError("'name' must be a string")

@@ -11,10 +11,16 @@ from quadsphere.certify import (
     construct_threevec_witness,
     pair_violation_margin,
     verify_witness,
+    _edge_witness,
 )
 from quadsphere.config import Config
-from quadsphere.genex import make_householder, make_three_eigenvalue
-from quadsphere.linalg import SymMatrix
+from quadsphere.genex import (
+    make_householder,
+    make_negative_positive,
+    make_positive_basis,
+    make_three_eigenvalue,
+)
+from quadsphere.linalg import SymMatrix, eigen_decompose
 
 # small sampling budget keeps the unit tests fast; the acceptance suite
 # exercises the full default budget
@@ -132,7 +138,9 @@ class TestStructuralInvariants:
         # copositive-sufficiency instance whose lambda2 I - A has a diagonal
         # entry of -5e-10: copositive within tol_slack, so the exact engine
         # certifies it, but below the entrywise rule's -tol_slack / n; capping
-        # the exact dimension leaves the probe, which finds no violation
+        # the exact dimension leaves the edge witness, which declines (its
+        # shifts lie within 1e-9 of max a_ii, so every candidate margin is
+        # below tol_margin), and the probe, which finds no violation
         A = sym([[2.0 + 1e-9, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
         v = certify(A, Config(samples=2_000))
         assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
@@ -172,6 +180,71 @@ class TestStructuralInvariants:
         assert v1.status is v2.status
         if v1.witness is not None:
             assert v1.witness.margin == v2.witness.margin
+
+
+class TestEdgeWitness:
+    def test_declines_when_lambda2_reaches_max_diagonal(self):
+        rng = np.random.default_rng(3)
+        mats = [
+            make_negative_positive(6, 0),
+            make_positive_basis(4, [-1.0, 1.0, 1.05, 1.1]),
+            make_householder([1.0, 2.0, 1.0]),
+            SymMatrix(np.diag([-1.0, 1.0, 1.0])),
+            sym([[1.0, -3.0, -3.0], [-3.0, 1.0, -3.0], [-3.0, -3.0, 1.0]]),
+        ]
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            off = -rng.random((n, n))
+            a = np.triu(off, 1)
+            a = a + a.T
+            np.fill_diagonal(a, rng.standard_normal(n))
+            mats.append(SymMatrix(a))
+        declined = 0
+        for A in mats:
+            E = eigen_decompose(A)
+            if E.eigenvalues[1] >= A.a.diagonal().max():
+                assert _edge_witness(A, E, FAST) is None
+                declined += 1
+        assert declined >= 8
+
+    def test_diagonal_case(self):
+        # for a diagonal matrix the edge points are those of
+        # construct_diag_witness: e_i + t e_k below and above c
+        A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
+        w = _edge_witness(A, eigen_decompose(A), FAST)
+        assert w.kind is WitnessKind.CONE_NONCONVEXITY
+        assert w.data["vertex"] == 2
+        assert 2.0 < w.data["c"] < 3.0
+        assert verify_witness(A, w, FAST)
+        for p in (w.data["x"], w.data["y"]):
+            assert np.linalg.norm(p) == pytest.approx(1.0)
+            assert p[2] > 0.0
+
+    def test_refutes_open_z_matrix(self):
+        # weakly coupled spread diagonal: steps 1-6 decide nothing, and the
+        # sampling falsifier used to be the only No path
+        A = sym([
+            [-1.0, -0.05, -0.02, -0.04],
+            [-0.05, -0.3, -0.03, -0.01],
+            [-0.02, -0.03, 0.4, -0.06],
+            [-0.04, -0.01, -0.06, 1.0],
+        ])
+        v = certify(A, FAST)
+        assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+        assert v.probe_summary is None
+        assert v.witness.kind is WitnessKind.CONE_NONCONVEXITY
+        assert v.witness.data["vertex"] == 3
+        assert verify_witness(A, v.witness, FAST)
+
+    def test_known_gap_never_yes(self):
+        # lambda2 = 0.715 < max a_ii = 1, tied three ways, so only one index
+        # lies below any shift and the edge witness has no pair to build
+        A = sym([[1, -2, -1, -2], [-2, 1, 0, -2], [-1, 0, 1, -2], [-2, -2, -2, -2]])
+        assert _edge_witness(A, eigen_decompose(A), FAST) is None
+        v = certify(A, FAST)
+        assert v.status is not Status.CERTIFIED_QUASICONVEX
+        if v.status is Status.CERTIFIED_NOT_QUASICONVEX:
+            assert verify_witness(A, v.witness, FAST)
 
 
 class TestConstructDiagWitness:

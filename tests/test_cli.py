@@ -47,6 +47,8 @@ class TestMatrixDocument:
             loads("{}")
         with pytest.raises(ValueError):
             loads('{"n": 2, "rows": [[1.0]]}')
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            loads('{"n": true, "rows": [[1.0]]}')
 
 
 class TestAnalyze:
@@ -199,6 +201,44 @@ class TestExitCodes:
     def test_help(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "pareto", "copositive", "minimize", "probe"]
+    )
+    def test_overflowing_entries(self, tmp_path, capsys, command):
+        # (a + a^T)/2 and the Frobenius norm overflow to inf; accepting the
+        # matrix used to certify it as a constant form with eigenvalue NaN
+        path = tmp_path / "huge.json"
+        path.write_text('{"n":2,"rows":[[1e308,-1e308],[-1e308,1e308]]}')
+        code, out, err = run(capsys, command, str(path), "--samples", "100")
+        assert code == 2
+        assert out == ""
+        assert "too large" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": "2", "rows": [[1.0, 0.0], [0.0, 1.0]]}',
+            '{"n": true, "rows": [[1.0]]}',
+            '{"n": 2.0, "rows": [[1.0, 0.0], [0.0, 1.0]]}',
+        ],
+    )
+    def test_non_integer_n(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "'n' must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "doc", ['{"rows": 5}', '{"rows": [[1.0, {}], [0.0, 1.0]]}']
+    )
+    def test_non_numeric_rows(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert "'rows' must" in err
 
     def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError; it must not pass for an input error
