@@ -16,18 +16,27 @@ The chain, in order:
    otherwise the construct_diag_witness cone witness;
 4. two clusters with a simple smallest: Yes if its eigenvector fits the
    orthant, otherwise straight to step 8;
-5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes;
+5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes,
+   decided by the diagonal rule below in O(n^2) at every n;
 6. three nonnegative orthogonal eigenvectors: the three-vector witness, No;
 7. the edge witness (_edge_witness): for lambda2 < max a_ii, boundary points
    e_i + t e_k of the shifted sublevel cone around the vertex e_k of a large
    diagonal entry whose sum leaves the cone, No;
 8. the seeded sampling falsifier: No with its witness, otherwise Unknown.
 
-After step 2 the matrix is a Z-matrix up to tol_margin, and for a Z-matrix
-the copositivity of step 5 reduces to lambda2 >= max a_ii.  That this is
-also necessary is a conjecture, supported by seeded fuzzing (every seeded
-random Z-matrix with lambda2 < max a_ii tried so far was refuted) but not
-proven.  The known gap is a maximum diagonal entry tied so that only one
+After step 2 the matrix is a Z-matrix up to tol_margin: every off-diagonal
+entry is at most p = max(a_ij, 0) <= tol_margin.  For a Z-matrix the
+off-diagonal entries of lambda2 I - A are nonnegative, so it is copositive iff
+lambda2 >= max a_ii, and its least Pareto value is lambda2 - max a_ii
+(Perron-Frobenius).  Step 5 therefore accepts when
+bound = lambda2 - max a_ii - (n - 1) p >= -tol_slack, and the certificate
+stores the bound as pareto_min; the (n - 1) p term is the most the tolerance
+band (0 < a_ij <= tol_margin) can cost on the unit orthant patch.  Only
+inside the band, when the bound declines and n <= max_exact_dim, does the
+support enumeration (cones.pareto_spectrum) decide instead, and pareto_min
+is then its least Pareto value.  That lambda2 >= max a_ii is also necessary
+is a conjecture, supported by seeded fuzzing (every seeded random Z-matrix
+with lambda2 < max a_ii tried so far was refuted) but not proven.  The known gap is a maximum diagonal entry tied so that only one
 index lies below any shift, where step 7 has no pair to build:
 [[1,-2,-1,-2],[-2,1,0,-2],[-1,0,1,-2],[-2,-2,-2,-2]] (lambda2 = 0.715) ends
 Unknown.  Soundness does not rest on the conjecture: every No witness is
@@ -78,7 +87,6 @@ class Rule(enum.Enum):
     DIAGONAL_CHARACTERIZATION = "DiagonalCharacterization"
     TWO_EIGENVALUE_CHARACTERIZATION = "TwoEigenvalueCharacterization"
     COPOSITIVE_SUFFICIENCY = "CopositiveSufficiency"
-    NEGATIVE_POSITIVE_MATRIX = "NegativePositiveMatrix"
 
 
 class WitnessKind(enum.Enum):
@@ -354,42 +362,32 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # 5. copositivity sufficiency: a nonnegative smallest eigenvector plus
     # copositivity of (second smallest eigenvalue) I - A.  The second smallest
     # eigenvalue is counted with multiplicity; using the next cluster value
-    # instead would be unsound when the smallest eigenvalue repeats.
-    lam2 = float(E.eigenvalues[1])
-    if n <= config.max_exact_dim:
-        cand = _lambda1_orthant_vector(E, S, config.tol_sign)
-        if cand is not None:
+    # instead would be unsound when the smallest eigenvalue repeats.  Step 2
+    # left every off-diagonal entry at most p = off[i, j] in [0, tol_margin],
+    # so on the unit orthant patch
+    #   x^T (lam2 I - A) x >= lam2 - max a_ii - p ((sum x)^2 - 1) >= bound
+    # with bound = lam2 - max a_ii - (n - 1) p.  For an exact Z-matrix (p = 0)
+    # bound is the least Pareto value of lam2 I - A: its 1x1 supports give
+    # lam2 - a_kk, and every larger support carries a Perron value at least
+    # as large.  Only inside the tolerance band (p > 0), where the bound is
+    # loose, does the support enumeration decide what the bound declines.
+    cand = _lambda1_orthant_vector(E, S, config.tol_sign)
+    if cand is not None:
+        lam2 = float(E.eigenvalues[1])
+        p = float(off[i, j])
+        pareto_min = lam2 - float(np.diag(a).max()) - (n - 1) * p
+        if pareto_min < -config.tol_slack and p > 0.0 and n <= config.max_exact_dim:
             shifted = SymMatrix(lam2 * np.eye(n) - a)
             spectrum = pareto_spectrum(shifted, max_exact_dim=config.max_exact_dim)
-            if spectrum.min_value >= -config.tol_slack:
-                return Verdict(
-                    status=Status.CERTIFIED_QUASICONVEX,
-                    certificate=Certificate(
-                        Rule.COPOSITIVE_SUFFICIENCY,
-                        {
-                            "eigenvector": cand,
-                            "lambda2": lam2,
-                            "pareto_min": spectrum.min_value,
-                        },
-                    ),
-                )
-    else:
-        # past the enumeration cap only the entrywise case is decided
-        # (negative-positive matrices): entries of lam2 I - A (off-diagonal
-        # -a_ij, the least being -off[i, j]; diagonal lam2 - a_ii) at least
-        # -tol_slack / n bound its form below by -tol_slack / n * (sum x)^2
-        # >= -tol_slack on the unit patch, the slack the enumeration allows
-        slack = config.tol_slack / n
-        if off[i, j] <= slack and float(np.diag(a).max()) - lam2 <= slack:
-            cand = _lambda1_orthant_vector(E, S, config.tol_sign)
-            if cand is not None:
-                return Verdict(
-                    status=Status.CERTIFIED_QUASICONVEX,
-                    certificate=Certificate(
-                        Rule.NEGATIVE_POSITIVE_MATRIX,
-                        {"eigenvector": cand, "lambda2": lam2},
-                    ),
-                )
+            pareto_min = spectrum.min_value
+        if pareto_min >= -config.tol_slack:
+            return Verdict(
+                status=Status.CERTIFIED_QUASICONVEX,
+                certificate=Certificate(
+                    Rule.COPOSITIVE_SUFFICIENCY,
+                    {"eigenvector": cand, "lambda2": lam2, "pareto_min": pareto_min},
+                ),
+            )
 
     # 6. three pairwise-orthogonal nonnegative eigenvectors across at least
     # two distinct clusters obstruct quasi-convexity

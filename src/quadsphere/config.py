@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 
@@ -13,8 +14,15 @@ class Config:
     tol_sign     -- slack for sign tests (orthant membership, Z-pattern)
     tol_slack    -- complementarity slack for Pareto eigenpairs
     max_exact_dim -- largest dimension for exhaustive support enumeration
+                     (the CLI pareto and copositive commands,
+                     minimize_orthant, and certify step 5 inside the
+                     tolerance band)
     samples      -- sampling budget for the falsifier
     seed         -- master seed for all randomized search
+
+    The tolerances must be finite and nonnegative: a negative tol_margin
+    would accept a zero-margin violation as a No witness, and a NaN one
+    would reject every witness.
     """
 
     tol_margin: float = 1e-8
@@ -23,6 +31,14 @@ class Config:
     max_exact_dim: int = 16
     samples: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("tol_margin", "tol_sign", "tol_slack"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -14,13 +14,19 @@ from quadsphere.certify import (
     _edge_witness,
 )
 from quadsphere.config import Config
+from quadsphere.cones import pareto_spectrum
 from quadsphere.genex import (
     make_householder,
     make_negative_positive,
     make_positive_basis,
     make_three_eigenvalue,
 )
-from quadsphere.linalg import SymMatrix, eigen_decompose
+from quadsphere.linalg import (
+    SymMatrix,
+    cluster_eigenvalues,
+    eigen_decompose,
+    is_diagonal,
+)
 
 # small sampling budget keeps the unit tests fast; the acceptance suite
 # exercises the full default budget
@@ -135,43 +141,57 @@ class TestStructuralInvariants:
             certify(sym([[1.0]]), FAST)
 
     def test_unknown_when_exact_engine_unavailable(self):
-        # copositive-sufficiency instance whose lambda2 I - A has a diagonal
-        # entry of -5e-10: copositive within tol_slack, so the exact engine
-        # certifies it, but below the entrywise rule's -tol_slack / n; capping
-        # the exact dimension leaves the edge witness, which declines (its
-        # shifts lie within 1e-9 of max a_ii, so every candidate margin is
-        # below tol_margin), and the probe, which finds no violation
-        A = sym([[2.0 + 1e-9, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+        # tolerance-band instance (a_02 = 4e-10 <= tol_margin): lambda2 sits
+        # 4e-10 below max a_ii, so the diagonal bound lambda2 - max a_ii -
+        # (n - 1) p = -1.2e-9 misses -tol_slack while the least Pareto value
+        # (-8e-10) does not.  The enumeration certifies it at the default
+        # cap; capping it leaves the edge witness, which declines (every
+        # diagonal entry lies above its shifts, so no pair exists), and the
+        # probe, which finds no violation
+        p = 4e-10
+        A = sym([[2.0, -1.0, p], [-1.0, 2.0, -1.0], [p, -1.0, 2.0]])
+        lam2 = float(eigen_decompose(A).eigenvalues[1])
+        assert lam2 - 2.0 - 2 * p < -1e-9
         v = certify(A, Config(samples=2_000))
         assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
+        assert -1e-9 <= v.certificate.data["pareto_min"] < -5e-10
         v = certify(A, Config(samples=2_000, max_exact_dim=2))
         assert v.status is Status.UNKNOWN
         assert v.probe_summary is not None
         assert v.probe_summary["best_margin"] <= 1e-8
 
     def test_entrywise_rule_past_exact_cap(self):
-        # lambda2 I - A = [[1, 0, 2], [0, 0, 0], [2, 0, 1]] >= 0 decides the
-        # copositivity step without the enumeration
+        # lambda2 I - A = [[1, 0, 2], [0, 0, 0], [2, 0, 1]] >= 0: the diagonal
+        # rule decides the copositivity step at every cap, with the same
+        # certificate
         A = make_three_eigenvalue(3, 0.0, 3.0, 4.0)
         v = certify(A, Config(samples=2_000, max_exact_dim=2))
         assert v.status is Status.CERTIFIED_QUASICONVEX
-        assert v.certificate.rule is Rule.NEGATIVE_POSITIVE_MATRIX
-        assert set(v.certificate.data) == {"eigenvector", "lambda2"}
+        assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
+        assert set(v.certificate.data) == {"eigenvector", "lambda2", "pareto_min"}
         assert v.certificate.data["lambda2"] == pytest.approx(3.0)
+        assert v.certificate.data["pareto_min"] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(
             v.certificate.data["eigenvector"],
             [np.sqrt(0.5), 0.0, np.sqrt(0.5)],
             atol=1e-12,
         )
+        full = certify(A, Config(samples=2_000))
+        assert full.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
+        assert full.certificate.data["pareto_min"] == v.certificate.data["pareto_min"]
 
     def test_entrywise_rule_allows_slack(self):
-        # lambda2 I - A has a diagonal entry of -2e-10, inside -tol_slack / 3:
-        # the entrywise rule past the cap and the enumeration below it agree
+        # lambda2 I - A has a diagonal entry of about -2e-10, inside
+        # -tol_slack: a Yes at every cap, with pareto_min equal to the least
+        # Pareto value that the enumeration computes
         A = sym([[2.0 + 4e-10, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        v = certify(A, Config(samples=2_000))
-        assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
-        v = certify(A, Config(samples=2_000, max_exact_dim=2))
-        assert v.certificate.rule is Rule.NEGATIVE_POSITIVE_MATRIX
+        lam2 = float(eigen_decompose(A).eigenvalues[1])
+        exact = pareto_spectrum(SymMatrix(lam2 * np.eye(3) - A.a)).min_value
+        assert -1e-9 < exact < 0.0
+        for cap in (16, 2):
+            v = certify(A, Config(samples=2_000, max_exact_dim=cap))
+            assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
+            assert v.certificate.data["pareto_min"] == exact
 
     def test_deterministic(self):
         A = sym([[0.5, -0.2, 0.0], [-0.2, 1.0, -0.7], [0.0, -0.7, 0.3]])
@@ -180,6 +200,114 @@ class TestStructuralInvariants:
         assert v1.status is v2.status
         if v1.witness is not None:
             assert v1.witness.margin == v2.witness.margin
+
+
+def _z_step5_corpus(seed=2026):
+    """Exact Z-matrices of size 2-12: negative-positive, positive-basis,
+    random Z with lambda2 above and below max a_ii, integer Z with tied
+    diagonals."""
+    rng = np.random.default_rng(seed)
+    out = [make_negative_positive(n, s) for n in range(2, 13) for s in range(3)]
+    for n in range(3, 13):
+        lam1 = rng.uniform(-1.0, 1.0)
+        lam2 = lam1 + rng.uniform(0.5, 2.0)
+        rest = np.sort(lam2 + rng.uniform(0.05, 0.9, n - 2) * (lam2 - lam1) / (n * (n - 2)))
+        out.append(make_positive_basis(n, np.concatenate([[lam1, lam2], rest])))
+    for m in range(60):
+        n = int(rng.integers(2, 13))
+        off = -rng.random((n, n)) * (rng.random((n, n)) < (1.0 if m % 2 else 0.5))
+        a = np.triu(off, 1)
+        a = a + a.T
+        # a near-constant diagonal keeps lambda2 above max a_ii for most dense
+        # draws; a Gaussian one puts it below for most
+        spread = 0.05 if m % 3 else 1.0
+        np.fill_diagonal(a, spread * rng.standard_normal(n))
+        out.append(SymMatrix(a))
+    for m in range(60):
+        n = int(rng.integers(2, 13))
+        off = -rng.integers(0, 3, (n, n)).astype(float)
+        a = np.triu(off, 1)
+        a = a + a.T
+        np.fill_diagonal(a, rng.integers(0, 2, n).astype(float))
+        out.append(SymMatrix(a))
+    return out
+
+
+def _band_corpus(seed=2027):
+    """Z-matrices up to tol_margin, of size 3-9, with off-diagonal entries
+    in (0, tol_margin]: complete multipartite matrices (lambda2 = max a_ii
+    exactly) whose zero blocks are filled, and negative-positive matrices
+    with some entries replaced."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in range(60):
+        n = int(rng.integers(3, 10))
+        eps = float(rng.choice([1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 1e-8]))
+        parts = rng.integers(0, int(rng.integers(2, 5)), n)
+        a = np.where(parts[:, None] == parts[None, :], eps, -1.0)
+        np.fill_diagonal(a, rng.uniform(-1.0, 1.0))
+        out.append(SymMatrix(a))
+    for m in range(30):
+        n = int(rng.integers(3, 10))
+        a = make_negative_positive(n, m).a.copy()
+        i, j = rng.choice(n, 2, replace=False)
+        a[i, j] = a[j, i] = float(rng.choice([1e-11, 1e-10, 1e-9, 1e-8]))
+        out.append(SymMatrix(a))
+    return out
+
+
+def _step5_inputs(corpus):
+    """(A, lambda2, certify verdict) for the inputs that reach step 5; a
+    small sampling budget, which only the steps after 5 use."""
+    config = Config(samples=200)
+    for A in corpus:
+        E = eigen_decompose(A)
+        S = cluster_eigenvalues(E)
+        two = S.distinct_count == 2 and S.smallest_simple
+        if S.distinct_count == 1 or is_diagonal(A) or two:
+            continue
+        yield A, float(E.eigenvalues[1]), certify(A, config)
+
+
+class TestStep5Oracle:
+    """The diagonal rule of step 5 against the support enumeration."""
+
+    def test_exact_z_matches_enumeration(self):
+        yes = declined = 0
+        for A, lam2, v in _step5_inputs(_z_step5_corpus()):
+            assert float((A.a - np.diag(np.diag(A.a))).max()) <= 0.0
+            exact = pareto_spectrum(SymMatrix(lam2 * np.eye(A.n) - A.a)).min_value
+            rule = v.certificate.rule if v.certificate else None
+            if exact >= -FAST.tol_slack:
+                yes += 1
+                assert rule is Rule.COPOSITIVE_SUFFICIENCY
+                assert v.certificate.data["pareto_min"] == exact
+            else:
+                declined += 1
+                assert rule is None
+        assert yes > 30 and declined > 30
+
+    def test_band_bound_is_sound(self):
+        by_bound = by_enumeration = 0
+        for A, lam2, v in _step5_inputs(_band_corpus()):
+            off = A.a - np.diag(np.diag(A.a))
+            p = float(off.max())
+            assert 0.0 < p <= FAST.tol_margin
+            bound = lam2 - float(np.diag(A.a).max()) - (A.n - 1) * p
+            exact = pareto_spectrum(SymMatrix(lam2 * np.eye(A.n) - A.a)).min_value
+            if bound >= -FAST.tol_slack:
+                by_bound += 1
+                assert exact >= -FAST.tol_slack
+                assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
+                assert v.certificate.data["pareto_min"] == bound
+            elif exact >= -FAST.tol_slack:
+                # the enumeration keeps every Yes the bound is too loose for
+                by_enumeration += 1
+                assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
+                assert v.certificate.data["pareto_min"] == exact
+            else:
+                assert v.status is not Status.CERTIFIED_QUASICONVEX
+        assert by_bound > 20 and by_enumeration > 0
 
 
 class TestEdgeWitness:

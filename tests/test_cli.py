@@ -251,6 +251,26 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--tol-margin", "-1"),
+            ("--tol-margin", "nan"),
+            ("--tol-sign", "-0.5"),
+            ("--tol-sign", "inf"),
+            ("--samples", "0"),
+        ],
+    )
+    def test_invalid_config(self, tmp_path, capsys, flags):
+        # diag(1, 2, 2) is quasi-convex; with tol_margin = -1 its zero-margin
+        # pair (e_1, e_2) used to pass as a verified No witness, and with NaN
+        # no witness could verify
+        path = write_doc(tmp_path, np.diag([1.0, 2.0, 2.0]))
+        code, out, err = run(capsys, "analyze", path, *flags)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
 
 class TestFreshProcess:
     """Report bytes must not depend on the process or the BLAS thread count."""
@@ -276,7 +296,7 @@ class TestFreshProcess:
     @pytest.mark.parametrize("status", ["CertifiedQuasiconvex", "CertifiedNotQuasiconvex"])
     def test_analyze_bytes_identical(self, tmp_path, status):
         if status == "CertifiedQuasiconvex":
-            # copositive-sufficiency Yes: one eigenproblem per support
+            # copositive-sufficiency Yes, by the diagonal rule
             doc = dumps(make_negative_positive(6, 0))
         else:
             # three nonnegative eigenvectors: a No witness built from eigenvectors
