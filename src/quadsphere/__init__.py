@@ -12,7 +12,6 @@ from .certify import (
     WitnessKind,
     certify,
     construct_diag_witness,
-    construct_threevec_witness,
     pair_violation_margin,
     verify_witness,
 )
@@ -20,13 +19,8 @@ from .config import Config
 from .cones import (
     ParetoEigenpair,
     ParetoSpectrum,
-    PerronPair,
-    check_kz_property,
     is_copositive,
-    is_irreducible,
-    is_z_matrix,
     pareto_spectrum,
-    perron_pair,
 )
 from .genex import (
     make_diag_two_eig,
@@ -43,14 +37,12 @@ from .linalg import (
     cluster_eigenvalues,
     eigen_decompose,
     is_diagonal,
-    permute_similarity,
 )
 from .probe import (
     MinMethod,
     MinResult,
     ProbeReport,
     falsify,
-    local_global_check,
     minimize_orthant,
 )
 from .sphere import (
@@ -58,31 +50,27 @@ from .sphere import (
     SpherePoint,
     geodesic_eval,
     intrinsic_distance,
-    sample_orthant_sphere,
     spherical_gradient_q,
 )
 
 __all__ = [
     # certify
     "Certificate", "Rule", "Status", "Verdict", "Witness", "WitnessKind",
-    "certify", "construct_diag_witness", "construct_threevec_witness",
-    "pair_violation_margin", "verify_witness",
+    "certify", "construct_diag_witness", "pair_violation_margin",
+    "verify_witness",
     # config
     "Config",
     # cones
-    "ParetoEigenpair", "ParetoSpectrum", "PerronPair", "check_kz_property",
-    "is_copositive", "is_irreducible", "is_z_matrix", "pareto_spectrum",
-    "perron_pair",
+    "ParetoEigenpair", "ParetoSpectrum", "is_copositive", "pareto_spectrum",
     # genex
     "make_diag_two_eig", "make_householder", "make_negative_positive",
     "make_positive_basis", "make_three_eigenvalue",
     # linalg
     "ConvergenceError", "EigenStructure", "EigenSystem", "SymMatrix",
-    "cluster_eigenvalues", "eigen_decompose", "is_diagonal", "permute_similarity",
+    "cluster_eigenvalues", "eigen_decompose", "is_diagonal",
     # probe
-    "MinMethod", "MinResult", "ProbeReport", "falsify", "local_global_check",
-    "minimize_orthant",
+    "MinMethod", "MinResult", "ProbeReport", "falsify", "minimize_orthant",
     # sphere
     "GeodesicSegment", "SpherePoint", "geodesic_eval", "intrinsic_distance",
-    "sample_orthant_sphere", "spherical_gradient_q",
+    "spherical_gradient_q",
 ]

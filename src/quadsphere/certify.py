@@ -13,12 +13,14 @@ The chain, in order:
 1. a single eigenvalue cluster: constant form, Yes;
 2. an off-diagonal entry above tol_margin: the pair (e_i, e_j), No;
 3. a diagonal matrix: Yes iff two values with a simple smallest one,
-   otherwise the construct_diag_witness cone witness;
+   otherwise the diagonal cone witness (construct_diag_witness);
 4. two clusters with a simple smallest: Yes if its eigenvector fits the
    orthant, otherwise straight to step 8;
 5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes,
    decided by the diagonal rule below in O(n^2) at every n;
-6. three nonnegative orthogonal eigenvectors: the three-vector witness, No;
+6. the same diagonal witness in the basis of the nonnegative eigenvectors,
+   on whose span q_A is diagonal: three or more of them over more than two
+   distinct eigenvalues, or with a repeated smallest one, give a No;
 7. the edge witness (_edge_witness): for lambda2 < max a_ii, boundary points
    e_i + t e_k of the shifted sublevel cone around the vertex e_k of a large
    diagonal entry whose sum leaves the cone, No;
@@ -36,8 +38,9 @@ inside the band, when the bound declines and n <= max_exact_dim, does the
 support enumeration (cones.pareto_spectrum) decide instead, and pareto_min
 is then its least Pareto value.  That lambda2 >= max a_ii is also necessary
 is a conjecture, supported by seeded fuzzing (every seeded random Z-matrix
-with lambda2 < max a_ii tried so far was refuted) but not proven.  The known gap is a maximum diagonal entry tied so that only one
-index lies below any shift, where step 7 has no pair to build:
+with lambda2 < max a_ii tried so far was refuted) but not proven.  The
+known gap is a maximum diagonal entry tied so that only one index lies below
+any shift, where step 7 has no pair to build:
 [[1,-2,-1,-2],[-2,1,0,-2],[-1,0,1,-2],[-2,-2,-2,-2]] (lambda2 = 0.715) ends
 Unknown.  Soundness does not rest on the conjecture: every No witness is
 re-checked by verify_witness before it is returned.
@@ -69,7 +72,6 @@ __all__ = [
     "Verdict",
     "certify",
     "construct_diag_witness",
-    "construct_threevec_witness",
     "pair_violation_margin",
     "verify_witness",
 ]
@@ -166,6 +168,8 @@ def verify_witness(A: SymMatrix, w: Witness, config: Config = DEFAULT) -> bool:
         c = float(w.data["c"])
         x = np.asarray(w.data["x"], dtype=float)
         y = np.asarray(w.data["y"], dtype=float)
+        if x.shape != (A.n,) or y.shape != (A.n,):
+            return False
         if float(x.min()) < -1e-12 or float(y.min()) < -1e-12:
             return False
         ac = A.a - c * np.eye(A.n)
@@ -187,104 +191,55 @@ def construct_diag_witness(diag_entries) -> Witness:
     d = np.asarray(diag_entries, dtype=float)
     if d.ndim != 1 or d.shape[0] < 3:
         raise ValueError("need at least three diagonal entries")
-    scale = max(1.0, float(np.linalg.norm(d)))
-    tol = 1e-8 * scale
-    order = np.argsort(d, kind="stable")
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(d)))
+    witness = _diag_witness(d, np.eye(d.shape[0]), tol)
+    if witness is None:
+        raise ValueError(
+            "a single value, or two distinct values with a simple smallest "
+            "one: quasi-convex, no witness exists"
+        )
+    return witness
+
+
+def _diag_witness(values, basis, tol: float) -> Witness | None:
+    """The diagonal obstruction over orthonormal nonnegative columns v_r of
+    ``basis`` on which q_A is diagonal with q_A(v_r) = values[r].
+
+    Values within ``tol`` of a cluster's first value join that cluster.  With
+    a shift c between the right pair of distinct values, the combinations
+    x = v_i + t_i v_k and y = v_j + t_j v_k sit on the boundary of the
+    shifted sublevel cone while x + y leaves it by 2 sqrt((c - l_i)(c - l_j)).
+    Returns None when at most two values with a simple smallest one remain,
+    where no such witness exists.
+    """
+    order = np.argsort(values, kind="stable")
     distinct = []  # (value, [indices])
     for idx in order:
-        if distinct and d[idx] - distinct[-1][0] <= tol:
+        if distinct and values[idx] - distinct[-1][0] <= tol:
             distinct[-1][1].append(int(idx))
         else:
-            distinct.append((float(d[idx]), [int(idx)]))
+            distinct.append((float(values[idx]), [int(idx)]))
 
-    if len(distinct) < 2:
-        raise ValueError("constant diagonal matrix is quasi-convex")
-    if len(distinct[0][1]) >= 2:
+    if len(distinct) >= 2 and len(distinct[0][1]) >= 2:
         i, j = distinct[0][1][:2]
         k = distinct[1][1][0]
         c = (distinct[0][0] + distinct[1][0]) / 2.0
-        nu = d[k]
     elif len(distinct) >= 3:
-        i = distinct[0][1][0]
-        j = distinct[1][1][0]
-        k = distinct[2][1][0]
+        i, j, k = (distinct[r][1][0] for r in range(3))
         c = (distinct[1][0] + distinct[2][0]) / 2.0
-        nu = d[k]
     else:
-        raise ValueError(
-            "two distinct values with a simple smallest one: quasi-convex, "
-            "no witness exists"
-        )
+        return None
 
-    n = d.shape[0]
-    ti = np.sqrt((c - d[i]) / (nu - c))
-    tj = np.sqrt((c - d[j]) / (nu - c))
-    x = np.zeros(n)
-    y = np.zeros(n)
-    x[i] = 1.0
-    x[k] = ti
-    y[j] = 1.0
-    y[k] += tj
-    margin = 2.0 * np.sqrt((c - d[i]) * (c - d[j]))
+    ti = np.sqrt((c - values[i]) / (values[k] - c))
+    tj = np.sqrt((c - values[j]) / (values[k] - c))
+    margin = 2.0 * np.sqrt((c - values[i]) * (c - values[j]))
     return Witness(
         kind=WitnessKind.CONE_NONCONVEXITY,
-        data={"c": float(c), "x": x, "y": y},
-        margin=float(margin),
-    )
-
-
-def construct_threevec_witness(v1, v2, v3, l1: float, l2: float, l3: float) -> Witness:
-    """Sublevel-cone nonconvexity witness from three orthonormal nonnegative
-    eigenvectors spanning at least two distinct eigenvalues.
-
-    The construction is decisive when the two largest of the three eigenvalues
-    differ; in the degenerate case (l1 < l2 = l3) the combination collapses to
-    a zero margin and the returned witness will fail verification.
-    """
-    vs = [np.asarray(v, dtype=float) for v in (v1, v2, v3)]
-    ls = [float(l) for l in (l1, l2, l3)]
-    order = np.argsort(ls, kind="stable")
-    vs = [vs[i] for i in order]
-    ls = [ls[i] for i in order]
-    for v in vs:
-        if float(v.min()) < -1e-9:
-            raise ValueError("eigenvectors must be nonnegative")
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
-            raise ValueError("eigenvectors must be unit vectors")
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if abs(float(vs[a] @ vs[b])) > 1e-9:
-                raise ValueError("eigenvectors must be pairwise orthogonal")
-
-    scale = max(1.0, max(abs(l) for l in ls))
-    tol = 1e-12 * scale
-    if ls[2] - ls[0] <= tol:
-        raise ValueError("at least two distinct eigenvalues required")
-
-    if ls[2] - ls[1] > tol:
-        c = (ls[1] + ls[2]) / 2.0
-        t1 = np.sqrt((c - ls[0]) / (ls[2] - c))
-        t2 = np.sqrt((c - ls[1]) / (ls[2] - c))
-        w1 = vs[0] + t1 * vs[2]
-        w2 = vs[1] + t2 * vs[2]
-        margin = 2.0 * np.sqrt((c - ls[0]) * (c - ls[1]))
-    else:
-        # degenerate branch l1 < l2 = l3: follow the analogous combination,
-        # which cancels to zero margin; callers must verify before use
-        c = (ls[0] + ls[1]) / 2.0
-        t1 = np.sqrt((ls[1] - c) / (c - ls[0]))
-        t2 = np.sqrt((ls[2] - c) / (c - ls[0]))
-        w1 = t1 * vs[0] + vs[2]
-        w2 = t2 * vs[0] + vs[2]
-        s = w1 + w2
-        margin = (
-            (ls[0] - c) * float((s @ vs[0])) ** 2
-            + (ls[1] - c) * float((s @ vs[1])) ** 2
-            + (ls[2] - c) * float((s @ vs[2])) ** 2
-        )
-    return Witness(
-        kind=WitnessKind.CONE_NONCONVEXITY,
-        data={"c": float(c), "x": w1, "y": w2},
+        data={
+            "c": float(c),
+            "x": basis[:, i] + ti * basis[:, k],
+            "y": basis[:, j] + tj * basis[:, k],
+        },
         margin=float(margin),
     )
 
@@ -389,11 +344,18 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
                 ),
             )
 
-    # 6. three pairwise-orthogonal nonnegative eigenvectors across at least
-    # two distinct clusters obstruct quasi-convexity
-    witness = _threevec_search(A, E, config)
-    if witness is not None:
-        return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
+    # 6. q_A is diagonal on the span of the nonnegative eigenvectors, an
+    # orthonormal nonnegative basis: the diagonal obstruction in that basis
+    reps = [_orthant_representative(E.vectors[:, k], 1e-9) for k in range(n)]
+    nonneg = [k for k in range(n) if reps[k] is not None]
+    if len(nonneg) >= 3:
+        witness = _diag_witness(
+            E.eigenvalues[nonneg],
+            np.column_stack([reps[k] for k in nonneg]),
+            1e-8 * max(1.0, E.scale()),
+        )
+        if witness is not None and verify_witness(A, witness, config):
+            return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
 
     # 7. edge witness: a Z-matrix with lam2 < max a_ii, refuted by boundary
     # points of the sublevel cone near the vertex of a large diagonal entry
@@ -432,50 +394,6 @@ def _lambda1_orthant_vector(E, S, tol: float) -> np.ndarray | None:
         nrm = float(np.linalg.norm(proj))
         if nrm > 1e-12:
             return _orthant_representative(proj / nrm, tol)
-    return None
-
-
-def _threevec_search(A: SymMatrix, E, config: Config) -> Witness | None:
-    from itertools import combinations, islice
-
-    cands = []
-    for k in range(E.n):
-        rep = _orthant_representative(E.vectors[:, k], 1e-9)
-        if rep is not None:
-            cands.append((float(E.eigenvalues[k]), rep))
-    if len(cands) < 3:
-        return None
-    scale = max(1.0, E.scale())
-    ctol = 1e-8 * scale
-
-    def distinct_count(triple):
-        vals = sorted(t[0] for t in triple)
-        count = 1
-        for a, b in zip(vals, vals[1:]):
-            if b - a > ctol:
-                count += 1
-        return count
-
-    triples = list(islice(combinations(cands, 3), 200))
-    # prefer triples whose top two eigenvalues differ; the degenerate case
-    # cannot yield a positive margin
-    def top_gap(triple):
-        vals = sorted(t[0] for t in triple)
-        return vals[2] - vals[1] > ctol
-
-    for preferred in (True, False):
-        for triple in triples:
-            if distinct_count(triple) < 2 or top_gap(triple) is not preferred:
-                continue
-            try:
-                w = construct_threevec_witness(
-                    triple[0][1], triple[1][1], triple[2][1],
-                    triple[0][0], triple[1][0], triple[2][0],
-                )
-            except ValueError:
-                continue
-            if verify_witness(A, w, config):
-                return w
     return None
 
 

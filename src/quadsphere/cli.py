@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .certify import certify
-from .config import Config
+from .config import DEFAULT, Config
 from .cones import is_copositive, pareto_spectrum
 from .genex import (
     make_diag_two_eig,
@@ -216,11 +216,11 @@ def cmd_generate(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-margin", type=float, default=1e-8)
-    parser.add_argument("--tol-sign", type=float, default=1e-10)
-    parser.add_argument("--max-exact-dim", type=int, default=16)
-    parser.add_argument("--samples", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tol-margin", type=float, default=DEFAULT.tol_margin)
+    parser.add_argument("--tol-sign", type=float, default=DEFAULT.tol_sign)
+    parser.add_argument("--max-exact-dim", type=int, default=DEFAULT.max_exact_dim)
+    parser.add_argument("--samples", type=int, default=DEFAULT.samples)
+    parser.add_argument("--seed", type=int, default=DEFAULT.seed)
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="text (human readable) or structured (JSON)",

@@ -1,6 +1,5 @@
-"""Matrix-cone machinery for the nonnegative orthant: Z-pattern and
-irreducibility predicates, Perron dominant pairs, the full Pareto spectrum by
-support enumeration, and the copositivity verdict derived from it.
+"""Matrix-cone machinery for the nonnegative orthant: the full Pareto
+spectrum by support enumeration, and the copositivity verdict derived from it.
 
 The supports of one size are enumerated in chunks, each chunk's principal
 submatrices decomposed by one stacked LAPACK ``eigh`` call and its acceptance
@@ -16,37 +15,22 @@ from itertools import combinations, islice, takewhile
 
 import numpy as np
 
-from .linalg import (
-    ConvergenceError,
-    SymMatrix,
-    as_sym_matrix,
-    eigen_decompose,
-)
+from .config import DEFAULT
+from .linalg import ConvergenceError, SymMatrix, as_sym_matrix
 
 __all__ = [
     "ParetoEigenpair",
     "ParetoSpectrum",
-    "PerronPair",
-    "is_z_matrix",
-    "is_irreducible",
-    "perron_pair",
     "pareto_spectrum",
     "is_copositive",
-    "check_kz_property",
 ]
 
-# slack on (Ax - lambda x)_i >= 0 outside the support
-_SLACK_TOL = 1e-9
-# slack on eigenvector nonnegativity
-_NONNEG_TOL = 1e-10
 # strict positivity floor inside the support (boundary vectors are covered by
 # smaller supports in the enumeration)
 _STRICT_TOL = 1e-12
 # supports per stacked eigh call: bounds memory at any max_exact_dim (4096
 # submatrices of size 16 take 8 MB)
 _CHUNK = 4096
-
-DEFAULT_MAX_EXACT_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -72,92 +56,10 @@ class ParetoSpectrum:
     exact: bool
 
 
-@dataclass(frozen=True)
-class PerronPair:
-    """Dominant eigenvalue of a nonnegative matrix with a nonnegative unit
-    eigenvector."""
-
-    value: float
-    vector: np.ndarray
-
-
-def is_z_matrix(A: SymMatrix, tol: float = _NONNEG_TOL) -> bool:
-    """True iff all off-diagonal entries are at most ``tol``."""
-    A = as_sym_matrix(A)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    if A.n < 2:
-        return True
-    off = A.a[~np.eye(A.n, dtype=bool)]
-    return bool(off.max() <= tol)
-
-
-def is_irreducible(A: SymMatrix) -> bool:
-    """Connectivity of the sparsity graph (edges where |a_ij| > 1e-12, i != j).
-
-    For symmetric matrices reducibility is exactly disconnection of this graph.
-    """
-    A = as_sym_matrix(A)
-    n = A.n
-    if n == 1:
-        return True
-    adj = np.abs(A.a) > 1e-12
-    np.fill_diagonal(adj, False)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(adj[i]):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
-
-
-def perron_pair(A: SymMatrix) -> PerronPair:
-    """Dominant eigenpair of an entrywise-nonnegative symmetric matrix."""
-    A = as_sym_matrix(A)
-    if float(A.a.min()) < -1e-12:
-        raise ValueError("matrix must be entrywise nonnegative")
-    E = eigen_decompose(A)
-    lam = float(E.eigenvalues[-1])
-    v = E.vectors[:, -1].copy()
-    if v.sum() < 0:
-        v = -v
-    if float(v.min()) < -_NONNEG_TOL:
-        # mixed signs can appear when the dominant eigenvalue is degenerate;
-        # shifted power iteration recovers a nonnegative representative
-        lam, v = _power_iteration(A)
-    return PerronPair(value=lam, vector=v)
-
-
-def _power_iteration(A: SymMatrix, cap: int = 10_000):
-    shift = A.norm_fro()
-    b = A.a + shift * np.eye(A.n)
-    x = np.full(A.n, 1.0 / np.sqrt(A.n))
-    for _ in range(cap):
-        y = b @ x
-        nrm = float(np.linalg.norm(y))
-        if nrm == 0.0:
-            break  # A is the zero matrix; any nonnegative unit vector works
-        y /= nrm
-        if float(np.linalg.norm(y - x)) <= 1e-14:
-            x = y
-            break
-        x = y
-    else:
-        raise ConvergenceError("power iteration did not converge")
-    lam = float(x @ A.a @ x)
-    if float(np.linalg.norm(A.a @ x - lam * x)) > 1e-8 * max(1.0, A.norm_fro()):
-        raise ConvergenceError("power iteration residual too large")
-    return lam, x
-
-
 def pareto_spectrum(
     A: SymMatrix,
-    max_exact_dim: int = DEFAULT_MAX_EXACT_DIM,
-    slack_tol: float = _SLACK_TOL,
+    max_exact_dim: int = DEFAULT.max_exact_dim,
+    slack_tol: float = DEFAULT.tol_slack,
 ) -> ParetoSpectrum:
     """Exact Pareto spectrum by enumerating all nonempty supports.
 
@@ -239,8 +141,8 @@ def _dedupe(pairs, value_tol: float = 1e-9, vector_tol: float = 1e-7):
 
 def is_copositive(
     A: SymMatrix,
-    max_exact_dim: int = DEFAULT_MAX_EXACT_DIM,
-    tol: float = _SLACK_TOL,
+    max_exact_dim: int = DEFAULT.max_exact_dim,
+    tol: float = DEFAULT.tol_slack,
 ) -> bool:
     """True iff the minimum of <Ax, x> over the unit orthant patch is >= -tol.
 
@@ -251,30 +153,10 @@ def is_copositive(
     A = as_sym_matrix(A)
     _check_cap(A.n, max_exact_dim)
     found = False
-    for p in _pareto_pairs(A.a, _SLACK_TOL):
+    for p in _pareto_pairs(A.a, DEFAULT.tol_slack):
         if p.value < -tol:
             return False
         found = True
     if not found:
         raise ConvergenceError("empty Pareto spectrum; tolerances too tight")
-    return True
-
-
-def check_kz_property(A: SymMatrix, pairs) -> bool:
-    """Check <Ax, y> <= 0 for the supplied complementary orthant pairs.
-
-    Each pair must satisfy x >= 0, y >= 0 and <x, y> = 0 (within slack).
-    With the canonical pairs {(e_i, e_j): i != j} this equals the Z-pattern
-    test.
-    """
-    A = as_sym_matrix(A)
-    for x, y in pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if float(x.min()) < -_NONNEG_TOL or float(y.min()) < -_NONNEG_TOL:
-            raise ValueError("pair members must lie in the nonnegative orthant")
-        if abs(float(x @ y)) > _NONNEG_TOL:
-            raise ValueError("pair members must be orthogonal")
-        if float(x @ A.a @ y) > _SLACK_TOL:
-            return False
     return True

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
+__all__ = ["Config", "DEFAULT"]
+
 
 @dataclass(frozen=True)
 class Config:
@@ -18,7 +20,8 @@ class Config:
                      minimize_orthant, and certify step 5 inside the
                      tolerance band)
     samples      -- sampling budget for the falsifier
-    seed         -- master seed for all randomized search
+    seed         -- master seed for all randomized search (nonnegative,
+                    as numpy's generators require)
 
     The tolerances must be finite and nonnegative: a negative tol_margin
     would accept a zero-margin violation as a No witness, and a NaN one
@@ -39,6 +42,8 @@ class Config:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -19,7 +19,6 @@ __all__ = [
     "eigen_decompose",
     "cluster_eigenvalues",
     "is_diagonal",
-    "permute_similarity",
 ]
 
 
@@ -194,12 +193,3 @@ def is_diagonal(A: SymMatrix, tol: float | None = None) -> bool:
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     return _max_offdiag(A.a) <= tol
-
-
-def permute_similarity(A: SymMatrix, perm) -> SymMatrix:
-    """Return P^T A P for the permutation ``perm`` (0-based image list)."""
-    A = as_sym_matrix(A)
-    p = np.asarray(perm, dtype=int)
-    if p.shape != (A.n,) or sorted(p.tolist()) != list(range(A.n)):
-        raise ValueError(f"not a permutation of 0..{A.n - 1}: {perm!r}")
-    return SymMatrix(A.a[np.ix_(p, p)])

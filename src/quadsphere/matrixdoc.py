@@ -33,7 +33,9 @@ class MatrixDocument:
 def loads(text: str) -> MatrixDocument:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a document nested deeper than the parser's recursion limit is
+        # malformed input, not a numerical failure
         raise ValueError(f"malformed matrix document: {exc}") from exc
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValueError("matrix document must be an object with a 'rows' field")

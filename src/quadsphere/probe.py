@@ -27,7 +27,6 @@ __all__ = [
     "MinMethod",
     "falsify",
     "minimize_orthant",
-    "local_global_check",
 ]
 
 _GEODESIC_TS = np.array([1, 2, 3, 4, 5, 6, 7], dtype=float) / 8.0
@@ -60,7 +59,7 @@ def _quad_rows(a: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def falsify(
-    A: SymMatrix, samples: int, seed: int, tol_margin: float = 1e-8
+    A: SymMatrix, samples: int, seed: int, tol_margin: float = DEFAULT.tol_margin
 ) -> ProbeReport:
     """Seeded search for a quasi-convexity violation.
 
@@ -319,22 +318,3 @@ def _descent(a: np.ndarray, x0: np.ndarray, max_iter: int = 10_000):
         if step < 1e-10:
             break
     return q, x, it, boundary, trajectory
-
-
-def local_global_check(
-    A: SymMatrix, verdict, starts: int = 8, seed: int = 0
-) -> bool:
-    """Consistency check that every descent start reaches the same value.
-
-    Intended for certified-quasi-convex inputs, where a strict local minimum
-    is global; returns True iff all runs agree within 1e-6 of the best.
-    """
-    from .certify import Status
-
-    if verdict.status is not Status.CERTIFIED_QUASICONVEX:
-        raise ValueError("local=global check applies to certified-Yes verdicts")
-    A = as_sym_matrix(A)
-    rng = np.random.default_rng(seed)
-    X0 = sample_orthant_array(A.n, starts, rng)
-    values = [_descent(A.a, x0)[0] for x0 in X0]
-    return max(values) - min(values) <= 1e-6

@@ -17,7 +17,6 @@ __all__ = [
     "intrinsic_distance",
     "geodesic_eval",
     "spherical_gradient_q",
-    "sample_orthant_sphere",
 ]
 
 # endpoints closer than this are treated as coincident (constant geodesic)
@@ -141,20 +140,12 @@ def spherical_gradient_q(A: SymMatrix, x) -> np.ndarray:
     return 2.0 * (ax - float(ax @ x.coords) * x.coords)
 
 
-def sample_orthant_sphere(n: int, count: int, seed: int) -> list[SpherePoint]:
-    """Seeded sample of unit vectors with strictly positive coordinates.
-
-    Componentwise absolute values of standard normal draws, normalized,
-    i.e. uniform on the orthant patch.  Deterministic per (n, count, seed).
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    pts = sample_orthant_array(n, count, np.random.default_rng(seed))
-    return [SpherePoint(row) for row in pts]
-
-
 def sample_orthant_array(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized form of :func:`sample_orthant_sphere`; rows are unit vectors."""
+    """Sample of ``count`` unit vectors with strictly positive coordinates,
+    one per row: componentwise absolute values of standard normal draws,
+    normalized, i.e. uniform on the orthant patch.  Deterministic per
+    (n, count, state of ``rng``).
+    """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     pts = np.abs(rng.standard_normal((count, n)))

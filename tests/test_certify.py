@@ -8,7 +8,6 @@ from quadsphere.certify import (
     WitnessKind,
     certify,
     construct_diag_witness,
-    construct_threevec_witness,
     pair_violation_margin,
     verify_witness,
     _edge_witness,
@@ -385,12 +384,13 @@ class TestConstructDiagWitness:
         assert verify_witness(SymMatrix(np.diag([1.0, 2.0, 3.0])), w)
 
     def test_repeated_smallest(self):
-        w = construct_diag_witness([-1.0, -1.0, 1.0])
-        assert w.data["c"] == pytest.approx(0.0)
-        np.testing.assert_allclose(w.data["x"], [1.0, 0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
-        assert w.margin == pytest.approx(2.0)
-        assert verify_witness(SymMatrix(np.diag([-1.0, -1.0, 1.0])), w)
+        for d, c in (([-1.0, -1.0, 1.0], 0.0), ([0.0, 0.0, 2.0], 1.0)):
+            w = construct_diag_witness(d)
+            assert w.data["c"] == pytest.approx(c)
+            np.testing.assert_allclose(w.data["x"], [1.0, 0.0, 1.0], atol=1e-12)
+            np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
+            assert w.margin == pytest.approx(2.0)
+            assert verify_witness(SymMatrix(np.diag(d)), w)
 
     def test_repeated_smallest_shifted(self):
         w = construct_diag_witness([1.0, 1.0, 2.0])
@@ -402,6 +402,8 @@ class TestConstructDiagWitness:
         assert verify_witness(SymMatrix(np.diag([3.0, 1.0, 2.0])), w)
 
     def test_rejects_quasiconvex_diag(self):
+        # a repeated largest value over a simple smallest one, or a single
+        # value, leaves no witness to build
         with pytest.raises(ValueError):
             construct_diag_witness([-1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
@@ -416,46 +418,47 @@ class TestConstructDiagWitness:
                 assert verify_witness(SymMatrix(np.diag(d)), w)
 
 
-class TestConstructThreevecWitness:
-    def test_canonical_distinct(self):
-        e = np.eye(3)
-        w = construct_threevec_witness(e[0], e[1], e[2], 1.0, 2.0, 3.0)
-        assert verify_witness(SymMatrix(np.diag([1.0, 2.0, 3.0])), w)
-        assert w.margin == pytest.approx(np.sqrt(3.0))
+class TestNonnegativeEigenbasisWitness:
+    def test_permuted_three_block_z_matrix(self):
+        # each irreducible Z-block gives one nonnegative (Perron) eigenvector;
+        # q_A is diagonal in that basis, so step 6 is the diagonal witness
+        # v_i + t_i v_k, v_j + t_j v_k over the block Perron vectors
+        blocks = [
+            np.array([[0.0, -0.5, -0.2], [-0.5, 0.3, -0.4], [-0.2, -0.4, 0.1]]),
+            np.array([[2.0, -0.3], [-0.3, 2.5]]),
+            np.array([[5.0, -0.6, 0.0], [-0.6, 5.2, -0.1], [0.0, -0.1, 4.9]]),
+        ]
+        n = sum(b.shape[0] for b in blocks)
+        a = np.zeros((n, n))
+        perron = []
+        start = 0
+        for b in blocks:
+            m = b.shape[0]
+            a[start:start + m, start:start + m] = b
+            w, v = np.linalg.eigh(b)
+            u = np.zeros(n)
+            u[start:start + m] = np.abs(v[:, 0])
+            perron.append((float(w[0]), u))
+            start += m
+        p = np.random.default_rng(4).permutation(n)
+        A = SymMatrix(a[np.ix_(p, p)])
+        (li, vi), (lj, vj), (lk, vk) = [(l, u[p]) for l, u in perron]
+        assert li < lj < lk
 
-    def test_repeated_smallest(self):
-        e = np.eye(3)
-        w = construct_threevec_witness(e[0], e[1], e[2], 0.0, 0.0, 2.0)
-        assert w.data["c"] == pytest.approx(1.0)
-        np.testing.assert_allclose(w.data["x"], [1.0, 0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
-        assert w.margin == pytest.approx(2.0)
-        assert verify_witness(SymMatrix(np.diag([0.0, 0.0, 2.0])), w)
-
-    def test_degenerate_top_pair_fails_verification(self):
-        # repeated largest pair: the combination cancels and the margin is
-        # zero, so the returned witness must not verify
-        e = np.eye(3)
-        w = construct_threevec_witness(e[0], e[1], e[2], -1.0, 1.0, 1.0)
-        assert w.margin <= 1e-12
-        assert not verify_witness(SymMatrix(np.diag([-1.0, 1.0, 1.0])), w)
-
-    def test_rotated_basis(self):
-        v1 = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
-        v2 = np.array([0.0, 1.0, 0.0])
-        v3 = np.array([1.0, 0.0, 1.0])  # deliberately not orthogonal
-        with pytest.raises(ValueError, match="orthogonal"):
-            construct_threevec_witness(v1, v2, v3 / np.linalg.norm(v3), 0.0, 1.0, 2.0)
-
-    def test_rejects_negative_vector(self):
-        e = np.eye(3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            construct_threevec_witness(-e[0], e[1], e[2], 0.0, 1.0, 2.0)
-
-    def test_rejects_equal_eigenvalues(self):
-        e = np.eye(3)
-        with pytest.raises(ValueError, match="distinct"):
-            construct_threevec_witness(e[0], e[1], e[2], 1.0, 1.0, 1.0)
+        v = certify(A, FAST)
+        assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+        assert v.probe_summary is None
+        w = v.witness
+        assert w.kind is WitnessKind.CONE_NONCONVEXITY
+        assert "vertex" not in w.data  # not the edge witness of step 7
+        c = w.data["c"]
+        assert lj < c < lk
+        ti = np.sqrt((c - li) / (lk - c))
+        tj = np.sqrt((c - lj) / (lk - c))
+        np.testing.assert_allclose(w.data["x"], vi + ti * vk, atol=1e-10)
+        np.testing.assert_allclose(w.data["y"], vj + tj * vk, atol=1e-10)
+        assert w.margin == pytest.approx(2.0 * np.sqrt((c - li) * (c - lj)))
+        assert verify_witness(A, w, FAST)
 
 
 class TestVerifyWitness:
@@ -485,6 +488,19 @@ class TestVerifyWitness:
             margin=1.0,
         )
         assert not verify_witness(A, w)
+
+
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_rejects_wrong_length_cone_points(self, field):
+        A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
+        w = construct_diag_witness([1.0, 2.0, 3.0])
+        data = dict(w.data)
+        data[field] = np.append(data[field], 1.0)
+        bad = Witness(kind=w.kind, data=data, margin=w.margin)
+        assert verify_witness(A, w)
+        assert not verify_witness(A, bad)
+        data[field] = data[field][:2]
+        assert not verify_witness(A, Witness(kind=w.kind, data=data, margin=w.margin))
 
 
 class TestInvariances:

@@ -240,6 +240,16 @@ class TestExitCodes:
         assert code == 2
         assert "'rows' must" in err
 
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        # json.loads raises RecursionError, a RuntimeError, on this input;
+        # it is a malformed document, not a numerical failure
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 2, "rows": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed matrix document" in err
+
     def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError; it must not pass for an input error
         def fail(a):
@@ -259,6 +269,7 @@ class TestExitCodes:
             ("--tol-sign", "-0.5"),
             ("--tol-sign", "inf"),
             ("--samples", "0"),
+            ("--seed", "-1"),
         ],
     )
     def test_invalid_config(self, tmp_path, capsys, flags):

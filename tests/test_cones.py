@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from quadsphere.cones import (
-    check_kz_property,
-    is_copositive,
-    is_irreducible,
-    is_z_matrix,
-    pareto_spectrum,
-    perron_pair,
-)
+from quadsphere.cones import is_copositive, pareto_spectrum
 from quadsphere.genex import make_negative_positive, make_positive_basis
 from quadsphere.linalg import SymMatrix
 
@@ -17,67 +10,6 @@ from oracles import grid_min_quadratic, reference_pareto
 
 def sym(rows):
     return SymMatrix(np.array(rows, dtype=float))
-
-
-class TestZMatrix:
-    def test_negative_off_diagonal(self):
-        assert is_z_matrix(sym([[5.0, -1.0], [-1.0, 2.0]]))
-
-    def test_positive_off_diagonal(self):
-        assert not is_z_matrix(sym([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_diagonal_is_z(self):
-        assert is_z_matrix(SymMatrix(np.diag([-3.0, 7.0])))
-
-    def test_tolerance(self):
-        A = sym([[1.0, 5e-11], [5e-11, 1.0]])
-        assert is_z_matrix(A)
-        assert not is_z_matrix(A, tol=1e-12)
-
-    def test_one_by_one(self):
-        assert is_z_matrix(sym([[42.0]]))
-
-
-class TestIrreducible:
-    def test_connected(self):
-        assert is_irreducible(sym([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-
-    def test_block_diagonal(self):
-        assert not is_irreducible(SymMatrix(np.diag([1.0, 2.0, 3.0])))
-
-    def test_one_by_one(self):
-        assert is_irreducible(sym([[0.0]]))
-
-
-class TestPerron:
-    def test_adjacency_path(self):
-        A = sym([[0.0, 1.0], [1.0, 0.0]])
-        p = perron_pair(A)
-        assert p.value == pytest.approx(1.0)
-        np.testing.assert_allclose(p.vector, np.full(2, 1 / np.sqrt(2)), atol=1e-10)
-
-    def test_dominant_and_nonnegative(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            raw = rng.random((5, 5))
-            A = SymMatrix((raw + raw.T) / 2.0)
-            p = perron_pair(A)
-            w = np.linalg.eigvalsh(A.a)
-            assert p.value == pytest.approx(float(w[-1]), abs=1e-9)
-            assert float(p.vector.min()) >= -1e-10
-            resid = A.a @ p.vector - p.value * p.vector
-            assert float(np.linalg.norm(resid)) <= 1e-8 * max(1.0, A.norm_fro())
-
-    def test_degenerate_dominant(self):
-        # identity: any unit vector is dominant; must still return a
-        # nonnegative representative
-        p = perron_pair(SymMatrix(np.eye(3)))
-        assert p.value == pytest.approx(1.0)
-        assert float(p.vector.min()) >= -1e-10
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            perron_pair(sym([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 class TestParetoSpectrum:
@@ -232,24 +164,3 @@ class TestAgainstReference:
     def test_cap_checked_first(self):
         with pytest.raises(ValueError, match="max_exact_dim"):
             is_copositive(SymMatrix(np.eye(5)), max_exact_dim=4)
-
-
-class TestKZProperty:
-    def test_canonical_pairs_equal_z_test(self):
-        pairs3 = [
-            (np.eye(3)[i], np.eye(3)[j])
-            for i in range(3)
-            for j in range(3)
-            if i != j
-        ]
-        assert check_kz_property(SymMatrix(np.diag([1.0, 2.0, 3.0])), pairs3)
-        assert not check_kz_property(
-            sym([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), pairs3
-        )
-
-    def test_rejects_bad_pairs(self):
-        A = SymMatrix(np.eye(2))
-        with pytest.raises(ValueError, match="nonnegative"):
-            check_kz_property(A, [(np.array([-1.0, 0.0]), np.array([0.0, 1.0]))])
-        with pytest.raises(ValueError, match="orthogonal"):
-            check_kz_property(A, [(np.array([1.0, 1.0]), np.array([1.0, 0.0]))])

@@ -12,6 +12,14 @@ def test_rejects_negative_or_non_finite_tolerance(field, value):
         Config(**{field: value})
 
 
+def test_rejects_negative_seed():
+    # numpy's generators reject a negative seed, so whether an input reached
+    # the falsifier used to decide whether the seed was an error
+    with pytest.raises(ValueError, match="seed"):
+        Config(seed=-1)
+    assert Config(seed=0).seed == 0
+
+
 def test_samples_and_zero_tolerances():
     with pytest.raises(ValueError, match="samples"):
         Config(samples=0)

@@ -6,7 +6,6 @@ from quadsphere.linalg import (
     cluster_eigenvalues,
     eigen_decompose,
     is_diagonal,
-    permute_similarity,
 )
 
 from oracles import eig_2x2
@@ -133,25 +132,13 @@ class TestIsDiagonal:
 
 
 class TestPermuteSimilarity:
-    def test_identity(self):
-        A = SymMatrix([[1.0, 0.5], [0.5, 2.0]])
-        assert permute_similarity(A, [0, 1]) == A
-
-    def test_swap(self):
-        B = permute_similarity(SymMatrix(np.diag([1.0, 2.0])), [1, 0])
-        np.testing.assert_allclose(B.a, np.diag([2.0, 1.0]))
-
     def test_spectrum_preserved(self):
+        # P^T A P has the spectrum of A
         rng = np.random.default_rng(17)
         for _ in range(10):
             A = random_symmetric(rng, 6)
-            perm = rng.permutation(6)
-            B = permute_similarity(A, perm)
+            p = rng.permutation(6)
+            B = SymMatrix(A.a[np.ix_(p, p)])
             wa = eigen_decompose(A).eigenvalues
             wb = eigen_decompose(B).eigenvalues
             np.testing.assert_allclose(wa, wb, atol=1e-9)
-
-    def test_invalid_permutation(self):
-        A = SymMatrix(np.eye(3))
-        with pytest.raises(ValueError):
-            permute_similarity(A, [0, 0, 1])

@@ -9,7 +9,7 @@ from quadsphere.sphere import (
     SpherePoint,
     geodesic_eval,
     intrinsic_distance,
-    sample_orthant_sphere,
+    sample_orthant_array,
     spherical_gradient_q,
 )
 
@@ -174,29 +174,26 @@ class TestGradient:
 
 class TestSampling:
     def test_strictly_positive_unit(self):
-        pts = sample_orthant_sphere(5, 200, seed=0)
-        for p in pts:
-            assert float(p.coords.min()) > 0.0
-            assert np.linalg.norm(p.coords) == pytest.approx(1.0)
+        pts = sample_orthant_array(5, 200, np.random.default_rng(0))
+        assert pts.shape == (200, 5)
+        assert float(pts.min()) > 0.0
+        np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0)
 
     def test_deterministic(self):
-        a = sample_orthant_sphere(3, 10, seed=7)
-        b = sample_orthant_sphere(3, 10, seed=7)
-        for p, q in zip(a, b):
-            assert p.coords.tobytes() == q.coords.tobytes()
+        a = sample_orthant_array(3, 10, np.random.default_rng(7))
+        b = sample_orthant_array(3, 10, np.random.default_rng(7))
+        assert a.tobytes() == b.tobytes()
 
     def test_seed_changes_draw(self):
-        a = sample_orthant_sphere(3, 5, seed=0)
-        b = sample_orthant_sphere(3, 5, seed=1)
-        assert any(
-            not np.array_equal(p.coords, q.coords) for p, q in zip(a, b)
-        )
+        a = sample_orthant_array(3, 5, np.random.default_rng(0))
+        b = sample_orthant_array(3, 5, np.random.default_rng(1))
+        assert not np.array_equal(a, b)
 
     def test_count_zero(self):
-        assert sample_orthant_sphere(3, 0, seed=0) == []
+        assert sample_orthant_array(3, 0, np.random.default_rng(0)).shape == (0, 3)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            sample_orthant_sphere(0, 5, seed=0)
+            sample_orthant_array(0, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_orthant_sphere(3, -1, seed=0)
+            sample_orthant_array(3, -1, np.random.default_rng(0))
