@@ -10,6 +10,7 @@ from quadsphere.certify import (
     construct_diag_witness,
     pair_violation_margin,
     verify_witness,
+    _diag_witness,
     _edge_witness,
 )
 from quadsphere.config import Config
@@ -384,13 +385,12 @@ class TestConstructDiagWitness:
         assert verify_witness(SymMatrix(np.diag([1.0, 2.0, 3.0])), w)
 
     def test_repeated_smallest(self):
-        for d, c in (([-1.0, -1.0, 1.0], 0.0), ([0.0, 0.0, 2.0], 1.0)):
-            w = construct_diag_witness(d)
-            assert w.data["c"] == pytest.approx(c)
-            np.testing.assert_allclose(w.data["x"], [1.0, 0.0, 1.0], atol=1e-12)
-            np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
-            assert w.margin == pytest.approx(2.0)
-            assert verify_witness(SymMatrix(np.diag(d)), w)
+        w = construct_diag_witness([-1.0, -1.0, 1.0])
+        assert w.data["c"] == pytest.approx(0.0)
+        np.testing.assert_allclose(w.data["x"], [1.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
+        assert w.margin == pytest.approx(2.0)
+        assert verify_witness(SymMatrix(np.diag([-1.0, -1.0, 1.0])), w)
 
     def test_repeated_smallest_shifted(self):
         w = construct_diag_witness([1.0, 1.0, 2.0])
@@ -416,6 +416,43 @@ class TestConstructDiagWitness:
             if len(np.unique(d)) >= 3 or (len(np.unique(d)) == 2 and d[0] == d[1]):
                 w = construct_diag_witness(d)
                 assert verify_witness(SymMatrix(np.diag(d)), w)
+
+
+class TestConstructThreevecWitness:
+    # the diagonal obstruction over three orthonormal nonnegative vectors,
+    # the form step 6 uses on nonnegative eigenvectors
+    TOL = 1e-8
+
+    def test_canonical_distinct(self):
+        w = _diag_witness(np.array([1.0, 2.0, 3.0]), np.eye(3), self.TOL)
+        assert verify_witness(SymMatrix(np.diag([1.0, 2.0, 3.0])), w)
+        assert w.margin == pytest.approx(np.sqrt(3.0))
+
+    def test_repeated_smallest(self):
+        w = _diag_witness(np.array([0.0, 0.0, 2.0]), np.eye(3), self.TOL)
+        assert w.data["c"] == pytest.approx(1.0)
+        np.testing.assert_allclose(w.data["x"], [1.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
+        assert w.margin == pytest.approx(2.0)
+        assert verify_witness(SymMatrix(np.diag([0.0, 0.0, 2.0])), w)
+
+    def test_degenerate_top_pair_fails_verification(self):
+        # repeated largest pair over a simple smallest value: no witness is
+        # built, and the zero-margin pair on the top eigenspace does not verify
+        A = SymMatrix(np.diag([-1.0, 1.0, 1.0]))
+        assert _diag_witness(np.diag(A.a), np.eye(3), self.TOL) is None
+        e = np.eye(3)
+        w = Witness(
+            kind=WitnessKind.CONE_NONCONVEXITY,
+            data={"c": 1.0, "x": e[1], "y": e[2]},
+            margin=0.0,
+        )
+        assert not verify_witness(A, w)
+
+    def test_rejects_equal_eigenvalues(self):
+        assert _diag_witness(np.array([1.0, 1.0, 1.0]), np.eye(3), self.TOL) is None
+        with pytest.raises(ValueError, match="single value"):
+            construct_diag_witness([1.0, 1.0, 1.0])
 
 
 class TestNonnegativeEigenbasisWitness:
