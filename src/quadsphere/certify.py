@@ -158,16 +158,21 @@ def pair_violation_margin(A: SymMatrix, x, y) -> float:
 def verify_witness(A: SymMatrix, w: Witness, config: Config = DEFAULT) -> bool:
     """Re-check a witness's defining inequalities by direct arithmetic."""
     A = as_sym_matrix(A)
+    # a malformed witness (missing or non-numeric field) refutes nothing
+    malformed = (KeyError, TypeError, ValueError)
     if w.kind is WitnessKind.PAIR_VIOLATION:
         try:
             margin = pair_violation_margin(A, w.data["x"], w.data["y"])
-        except ValueError:
+        except malformed:
             return False
         return margin > config.tol_margin
     if w.kind is WitnessKind.CONE_NONCONVEXITY:
-        c = float(w.data["c"])
-        x = np.asarray(w.data["x"], dtype=float)
-        y = np.asarray(w.data["y"], dtype=float)
+        try:
+            c = float(w.data["c"])
+            x = np.asarray(w.data["x"], dtype=float)
+            y = np.asarray(w.data["y"], dtype=float)
+        except malformed:
+            return False
         if x.shape != (A.n,) or y.shape != (A.n,):
             return False
         if float(x.min()) < -1e-12 or float(y.min()) < -1e-12:

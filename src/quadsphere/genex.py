@@ -131,6 +131,9 @@ def make_householder(v) -> SymMatrix:
         raise ValueError("v must be a vector of dimension at least 2")
     if float(v.min()) < 0.0:
         raise ValueError("v must be entrywise nonnegative")
+    # scaling by a power of two is exact and keeps v @ v from overflowing
+    # or underflowing; the reflector does not depend on the scale of v
+    v = np.ldexp(v, -np.frexp(v.max())[1])
     nrm2 = float(v @ v)
     if nrm2 == 0.0:
         raise ValueError("v must be nonzero")

@@ -45,10 +45,16 @@ def loads(text: str) -> MatrixDocument:
     n = doc.get("n", len(rows))
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"'n' must be an integer, got {n!r}")
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError("'rows' must be a list of rows")
+    # numpy would also convert numeric strings and booleans
+    if not all(type(v) in (int, float) for row in rows for v in row):
+        raise ValueError("'rows' must hold JSON numbers only")
     try:
         arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"'rows' must hold numbers only: {exc}") from exc
+    except (OverflowError, ValueError) as exc:
+        # ragged rows, or an integer beyond the float range
+        raise ValueError(f"'rows' must be a square array of floats: {exc}") from exc
     if arr.ndim != 2 or arr.shape != (n, n):
         raise ValueError(f"'rows' must be a {n}x{n} array, got shape {arr.shape}")
     name = doc.get("name")

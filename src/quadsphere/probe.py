@@ -1,10 +1,12 @@
 """Numerical falsification and minimization on the orthant patch.
 
-``falsify`` hunts for quasi-convexity violations with three vectorized tests
-per sampled pair (the two-point inequality, the geodesic sweep, and the
-shifted sublevel-cone midpoint test), then sharpens the best hit by
-derivative-free coordinate search.  ``minimize_orthant`` computes the exact
-minimum via the Pareto spectrum when the dimension permits and falls back to
+``falsify`` scores sampled pairs by three quasi-convexity tests (the two-point
+inequality, the geodesic sweep, the sublevel-cone midpoint test) in one kernel,
+``_margins``, which sweeps the geodesic through the pair's 2x2 Gram form.
+Samples are drawn and scored in blocks of ``_BLOCK`` rows; the best hit is
+sharpened by coordinate search scored by the same kernel, and the witness is
+read from the kernel's row.  ``minimize_orthant`` computes the exact minimum
+via the Pareto spectrum when the dimension permits and falls back to
 multi-start projected geodesic descent otherwise.
 """
 
@@ -30,6 +32,14 @@ __all__ = [
 ]
 
 _GEODESIC_TS = np.array([1, 2, 3, 4, 5, 6, 7], dtype=float) / 8.0
+# columns of a ``_margins`` row: the three test margins, the coefficients
+# (alpha, beta) of the best geodesic point and c = max{q(x), q(y)}
+_PAIR, _GEODESIC, _MIDPOINT, _ALPHA, _BETA, _C = range(6)
+# pairs drawn and scored at a time, so memory does not grow with samples
+_BLOCK = 2**17
+# coordinate search: at most this many sweeps, the step halving from 0.1
+_SWEEPS = 200
+_STEP0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -54,8 +64,39 @@ class MinResult:
     boundary_hit: bool = False
 
 
-def _quad_rows(a: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", X, a, X)
+def _margins(a: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """One row per unit-vector pair (X[i], Y[i]) with c = max{q(x), q(y)}:
+    the pair margin <Ax, y> - <x, y> c, the best geodesic margin
+    q(alpha x + beta y) - c over the sweep ``_GEODESIC_TS``, the midpoint
+    margin (x + y)^T (A - cI)(x + y), the best (alpha, beta), and c.
+
+    The sweep uses the Gram form
+    q(alpha x + beta y) = alpha^2 q(x) + 2 alpha beta <Ax, y> + beta^2 q(y).
+    (Anti)parallel pairs have no unique geodesic: margin -inf, alpha = beta = 0.
+    """
+    AX = X @ a
+    qx = np.einsum("ij,ij->i", AX, X)
+    qy = np.einsum("ij,ij->i", Y @ a, Y)
+    bxy = np.einsum("ij,ij->i", AX, Y)
+    ip = np.clip(np.einsum("ij,ij->i", X, Y), -1.0, 1.0)
+    c = np.maximum(qx, qy)
+    # sine of the angle from the part of y orthogonal to x; sqrt(1 - ip^2)
+    # loses every digit near 0 and pi
+    s = np.linalg.norm(Y - ip[:, None] * X, axis=1)
+    safe = s > 1e-9
+    s = np.where(safe, s, 1.0)
+    d = np.arctan2(s, ip)
+    geo = np.full(c.size, -np.inf)
+    alpha, beta = np.zeros(c.size), np.zeros(c.size)
+    for t in _GEODESIC_TS:
+        b = np.sin(t * d) / s
+        al = np.cos(t * d) - ip * b
+        m = al * (al * qx + 2.0 * b * bxy) + b * b * qy - c
+        upd = safe & (m > geo)
+        geo[upd], alpha[upd], beta[upd] = m[upd], al[upd], b[upd]
+    return np.column_stack(
+        (bxy - ip * c, geo, qx + qy + 2.0 * bxy - c * (2.0 + 2.0 * ip), alpha, beta, c)
+    )
 
 
 def falsify(
@@ -64,60 +105,35 @@ def falsify(
     """Seeded search for a quasi-convexity violation.
 
     Returns a witness iff the refined margin exceeds ``tol_margin``.
-    Deterministic per (A, samples, seed).
+    Deterministic per (A, samples, seed).  Pairs are drawn in blocks of
+    ``_BLOCK`` rows (an X block, then a Y block), so up to ``_BLOCK`` samples
+    draw exactly one X and one Y array.
     """
     A = as_sym_matrix(A)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     a = A.a
     rng = np.random.default_rng(seed)
-    X = sample_orthant_array(A.n, samples, rng)
-    Y = sample_orthant_array(A.n, samples, rng)
-
-    qx = _quad_rows(a, X)
-    qy = _quad_rows(a, Y)
-    qmax = np.maximum(qx, qy)
-    ip = np.clip(np.sum(X * Y, axis=1), -1.0, 1.0)
-
-    # test 1: two-point inequality
-    m_pair = np.sum((X @ a) * Y, axis=1) - ip * qmax
-
-    # test 2: geodesic sweep over interior parameters
-    d = np.arccos(ip)
-    s = np.sqrt(np.maximum(1.0 - ip * ip, 0.0))
-    safe = s > 1e-9
-    s_safe = np.where(safe, s, 1.0)
-    m_geo = np.full(samples, -np.inf)
-    t_best = np.zeros(samples)
-    for t in _GEODESIC_TS:
-        alpha = np.cos(t * d) - ip * np.sin(t * d) / s_safe
-        beta = np.sin(t * d) / s_safe
-        G = alpha[:, None] * X + beta[:, None] * Y
-        mg = np.where(safe, _quad_rows(a, G) - qmax, -np.inf)
-        upd = mg > m_geo
-        m_geo[upd] = mg[upd]
-        t_best[upd] = t
-
-    # test 3: shifted sublevel-cone midpoint, c = max{q(x), q(y)}
-    sum_sq = 2.0 + 2.0 * ip
-    m_mid = qx + qy + 2.0 * np.sum((X @ a) * Y, axis=1) - qmax * sum_sq
-
-    candidates = [
-        ("pair", float(m_pair.max()), int(np.argmax(m_pair))),
-        ("geodesic", float(m_geo.max()), int(np.argmax(m_geo))),
-        ("midpoint", float(m_mid.max()), int(np.argmax(m_mid))),
-    ]
-    kind, margin, idx = max(candidates, key=lambda c: c[1])
+    best = np.full(3, -np.inf)
+    pairs = [None] * 3
+    for start in range(0, samples, _BLOCK):
+        X = sample_orthant_array(A.n, min(_BLOCK, samples - start), rng)
+        Y = sample_orthant_array(A.n, X.shape[0], rng)
+        M = _margins(a, X, Y)
+        for col, i in enumerate(np.argmax(M[:, :3], axis=0)):
+            if M[i, col] > best[col]:
+                best[col] = M[i, col]
+                pairs[col] = (X[i].copy(), Y[i].copy())
+    col = int(np.argmax(best))
+    best_margin = float(best[col])
 
     witness = None
-    best_margin = margin
-    if margin > 0.0:
-        x, y, best_margin = _refine(a, X[idx], Y[idx], kind, tol_margin)
+    if best_margin > 0.0:
+        x, y, row = _refine(a, *pairs[col], col)
+        best_margin = float(row[col])
         if best_margin > tol_margin:
-            witness = _build_witness(a, x, y, kind)
-            if witness is not None and not verify_witness(
-                A, witness, Config(tol_margin=tol_margin)
-            ):
+            witness = _build_witness(x, y, col, row)
+            if not verify_witness(A, witness, Config(tol_margin=tol_margin)):
                 witness = None
     if witness is None and best_margin > tol_margin:
         # refined margin is positive but the witness form did not verify;
@@ -131,113 +147,58 @@ def falsify(
     )
 
 
-def _margin_of(a: np.ndarray, x: np.ndarray, y: np.ndarray, kind: str) -> float:
-    qx = float(x @ a @ x)
-    qy = float(y @ a @ y)
-    qmax = max(qx, qy)
-    ip = float(np.clip(x @ y, -1.0, 1.0))
-    if kind == "pair":
-        return float(x @ a @ y) - ip * qmax
-    if kind == "midpoint":
-        s = x + y
-        return float(s @ a @ s) - qmax * float(s @ s)
-    return _geodesic_best(a, x, y, qmax, ip)[0]
+def _refine(a, x, y, col: int):
+    """Coordinate search raising column ``col`` of the pair's kernel row.
 
-
-def _geodesic_best(a, x, y, qmax: float, ip: float):
-    """Best geodesic-sweep margin and the sweep parameter t attaining it.
-
-    Returns (-inf, None) when x and y are (anti)parallel.
+    A sweep runs over the coordinates of x, then of y, tries +step before
+    -step and takes the first trial that improves; a sweep without a move
+    halves the step.  The trials left in a sweep are scored from the current
+    pair in one kernel call.  Returns x, y and the final pair's kernel row.
     """
-    d = float(np.arccos(ip))
-    s = np.sqrt(max(1.0 - ip * ip, 0.0))
-    if s <= 1e-9:
-        return -np.inf, None
-    best_m, best_t = -np.inf, None
-    for t in _GEODESIC_TS:
-        g = (np.cos(t * d) - ip * np.sin(t * d) / s) * x + (np.sin(t * d) / s) * y
-        m = float(g @ a @ g) - qmax
-        if m > best_m:
-            best_m, best_t = m, t
-    return best_m, best_t
-
-
-def _refine(a, x, y, kind, tol_margin, steps: int = 200):
-    """Coordinate-wise hill climbing on the pair, step halving from 0.1."""
-    x = x.copy()
-    y = y.copy()
-    best = _margin_of(a, x, y, kind)
-    step = 0.1
-    n = x.shape[0]
-    for _ in range(steps):
+    P = np.array([x, y])
+    n = P.shape[1]
+    row = _margins(a, P[:1], P[1:])[0]
+    step = _STEP0
+    for _ in range(_SWEEPS):
         improved = False
-        for vec in (x, y):
-            for i in range(n):
-                base = vec[i]
-                for delta in (step, -step):
-                    trial = max(0.0, base + delta)
-                    if trial == base:
-                        continue
-                    vec[i] = trial
-                    nrm = float(np.linalg.norm(vec))
-                    if nrm == 0.0:
-                        vec[i] = base
-                        continue
-                    saved = vec.copy()
-                    vec /= nrm
-                    cand = _margin_of(a, x, y, kind)
-                    if cand > best:
-                        best = cand
-                        improved = True
-                        break
-                    vec[:] = saved
-                    vec[i] = base
-                else:
-                    continue
+        k = 0  # next coordinate of P.ravel(): x's first, then y's
+        while k < 2 * n:
+            # one trial per remaining (coordinate, +step / -step), in sweep order
+            coords = np.repeat(np.arange(k, 2 * n), 2)
+            base = P.ravel()[coords]
+            trial = np.maximum(base + np.resize([step, -step], coords.size), 0.0)
+            V = P[coords // n]
+            V[np.arange(coords.size), coords % n] = trial
+            nrm = np.linalg.norm(V, axis=1)
+            ok = (trial != base) & (nrm > 0.0)
+            coords, V = coords[ok], V[ok] / nrm[ok, None]
+            in_x = (coords < n)[:, None]
+            rows = _margins(a, np.where(in_x, V, P[0]), np.where(in_x, P[1], V))
+            better = np.flatnonzero(rows[:, col] > row[col])
+            if better.size == 0:
+                break
+            j = better[0]
+            P[coords[j] // n] = V[j]
+            row = rows[j]
+            k = coords[j] + 1
+            improved = True
         if not improved:
             step /= 2.0
             if step < 1e-12:
                 break
-    return x, y, best
+    return P[0], P[1], row
 
 
-def _build_witness(a, x, y, kind) -> Witness | None:
-    qx = float(x @ a @ x)
-    qy = float(y @ a @ y)
-    qmax = max(qx, qy)
-    if kind == "pair":
-        margin = _margin_of(a, x, y, "pair")
-        return Witness(
-            kind=WitnessKind.PAIR_VIOLATION,
-            data={"x": x, "y": y},
-            margin=margin,
-        )
-    if kind == "midpoint":
-        s = x + y
-        margin = float(s @ (a - qmax * np.eye(a.shape[0])) @ s)
-        return Witness(
-            kind=WitnessKind.CONE_NONCONVEXITY,
-            data={"c": qmax, "x": x, "y": y},
-            margin=margin,
-        )
-    # geodesic: the violating geodesic point is a positive combination
-    # alpha x + beta y, so scaling the endpoints turns it into a sublevel-cone
-    # witness with the same violation value
-    ip = float(np.clip(x @ y, -1.0, 1.0))
-    best_m, best_t = _geodesic_best(a, x, y, qmax, ip)
-    if best_t is None:
-        return None
-    d = float(np.arccos(ip))
-    s = np.sqrt(max(1.0 - ip * ip, 0.0))
-    alpha = np.cos(best_t * d) - ip * np.sin(best_t * d) / s
-    beta = np.sin(best_t * d) / s
-    if alpha < 0.0 or beta < 0.0:
-        return None
-    return Witness(
-        kind=WitnessKind.CONE_NONCONVEXITY,
-        data={"c": qmax, "x": alpha * x, "y": beta * y},
-        margin=best_m,
-    )
+def _build_witness(x, y, col: int, row) -> Witness:
+    """Witness for kernel column ``col`` from the pair's kernel ``row``."""
+    margin, c = float(row[col]), float(row[_C])
+    if col == _PAIR:
+        return Witness(WitnessKind.PAIR_VIOLATION, {"x": x, "y": y}, margin)
+    if col == _GEODESIC:
+        # the geodesic point alpha x + beta y is a positive combination, so
+        # scaling the endpoints gives a sublevel-cone witness of the same margin
+        x, y = row[_ALPHA] * x, row[_BETA] * y
+    return Witness(WitnessKind.CONE_NONCONVEXITY, {"c": c, "x": x, "y": y}, margin)
 
 
 def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:

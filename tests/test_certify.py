@@ -526,6 +526,22 @@ class TestVerifyWitness:
         )
         assert not verify_witness(A, w)
 
+    @pytest.mark.parametrize(
+        "kind, data",
+        [
+            (WitnessKind.CONE_NONCONVEXITY, {}),
+            (WitnessKind.CONE_NONCONVEXITY, {"c": "abc"}),
+            (WitnessKind.CONE_NONCONVEXITY, {"c": None}),
+            (WitnessKind.PAIR_VIOLATION, {"y": np.array([0.0, 1.0, 0.0])}),
+        ],
+    )
+    def test_rejects_malformed_data(self, kind, data):
+        # a caller's witness with a missing or non-numeric field is not a
+        # refutation; it must not raise either
+        A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
+        if data:
+            data = {"x": np.array([1.0, 0.0, 0.0]), "y": np.array([0.0, 1.0, 0.0]), **data}
+        assert not verify_witness(A, Witness(kind=kind, data=data, margin=1.0))
 
     @pytest.mark.parametrize("field", ["x", "y"])
     def test_rejects_wrong_length_cone_points(self, field):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import quadsphere
 from quadsphere.cli import main
@@ -156,6 +158,11 @@ class TestGenerate:
         doc = json.loads(out)
         np.testing.assert_allclose(doc["rows"], (np.eye(3) - 2.0 / 3.0))
 
+    def test_householder_large_v(self, capsys):
+        code, out, _ = run(capsys, "generate", "householder", "--v", "1e200,1e200")
+        assert code == 0
+        assert json.loads(out)["rows"] == [[0.0, -1.0], [-1.0, 0.0]]
+
     def test_negative_positive_seeded(self, capsys):
         code, out1, _ = run(
             capsys, "generate", "negative-positive", "--n", "4", "--seed", "7"
@@ -231,7 +238,16 @@ class TestExitCodes:
         assert "'n' must be an integer" in err
 
     @pytest.mark.parametrize(
-        "doc", ['{"rows": 5}', '{"rows": [[1.0, {}], [0.0, 1.0]]}']
+        "doc",
+        [
+            '{"rows": 5}',
+            '{"rows": [[1.0, {}], [0.0, 1.0]]}',
+            # numpy converts numeric strings and booleans to floats
+            '{"rows": [["1", "0"], ["0", "2"]]}',
+            '{"rows": [[true, false], [false, true]]}',
+            # an integer past the float range raised OverflowError
+            '{"rows": [[1, 0], [0, 1' + "0" * 400 + ']]}',
+        ],
     )
     def test_non_numeric_rows(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
@@ -281,6 +297,66 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "must be" in err
+
+
+# JSON tokens that a careless writer could put where a number belongs
+_ODD_TOKENS = st.sampled_from(
+    ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400,
+     '"1"', '"x"', "true", "false", "null", "[]", "{}", "[1.0]"]
+)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.integers(-10, 10).map(str),
+)
+_ODD_N = st.sampled_from(
+    ["0", "-1", "2.0", "2.5", "1e400", '"2"', "true", "null", str(10**12),
+     "1" + "0" * 400]
+)
+
+
+@st.composite
+def _near_valid_documents(draw):
+    """A square ``rows`` of numbers with at most one fault of each kind: an
+    odd entry, a ragged row, an odd ``n``."""
+    size = draw(st.integers(1, 4))
+    rows = [
+        draw(st.lists(_NUMBERS, min_size=size, max_size=size)) for _ in range(size)
+    ]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        rows[i][j] = draw(_ODD_TOKENS)
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, size - 1))].append("1")
+    n = draw(st.one_of(st.none(), st.none(), _ODD_N))
+    head = "" if n is None else f'"n": {n}, '
+    body = ",".join("[" + ",".join(r) + "]" for r in rows)
+    return "{" + head + '"rows": [' + body + "]}"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "rows", "name", "x"]), inner, max_size=4),
+    max_leaves=12,
+).map(json.dumps)
+
+
+class TestExitCodeFuzz:
+    """Every document ends in a verdict, an input error or a numerical
+    failure: exit 0, 2 or 3, never an exception."""
+
+    @settings(
+        max_examples=150, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    # two thirds of the examples are near-valid documents
+    @given(
+        text=st.one_of(_JSON_VALUES, _near_valid_documents(), _near_valid_documents())
+    )
+    def test_analyze_exit_code(self, tmp_path, text):
+        path = tmp_path / "fuzz.json"
+        path.write_text(text)
+        assert main(["analyze", str(path), "--samples", "1000"]) in (0, 2, 3)
 
 
 class TestFreshProcess:

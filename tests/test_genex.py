@@ -104,6 +104,12 @@ class TestHouseholder:
         with pytest.raises(ValueError):
             make_householder([0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_any_scale(self, scale):
+        # v v^T / ||v||^2 used to overflow (1e200) or vanish (1e-200)
+        A = make_householder([scale, scale])
+        np.testing.assert_array_equal(A.a, [[0.0, -1.0], [-1.0, 0.0]])
+
 
 class TestDiagTwoEig:
     def test_shape(self):

@@ -1,7 +1,19 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from quadsphere.certify import Status, WitnessKind, certify, verify_witness
+from quadsphere import probe
+from quadsphere.certify import (
+    Status,
+    Witness,
+    WitnessKind,
+    certify,
+    pair_violation_margin,
+    verify_witness,
+)
+from quadsphere.cli import _jsonable
 from quadsphere.config import Config
 from quadsphere.genex import make_householder
 from quadsphere.linalg import SymMatrix
@@ -11,7 +23,7 @@ from quadsphere.probe import (
     minimize_orthant,
     _descent,
 )
-from quadsphere.sphere import sample_orthant_array
+from quadsphere.sphere import GeodesicSegment, geodesic_eval, sample_orthant_array
 
 from oracles import grid_min_quadratic
 
@@ -166,3 +178,113 @@ class TestWitnessForms:
                     WitnessKind.CONE_NONCONVEXITY,
                 )
         assert seen  # at least one falsifiable draw in the batch
+
+
+def orthant_pairs(rng, n, count):
+    """Seeded unit orthant pairs; the second half are near-parallel."""
+    X = sample_orthant_array(n, count, rng)
+    Y = sample_orthant_array(n, count, rng)
+    near = X + 1e-3 * np.abs(rng.standard_normal(X.shape))
+    Y[count // 2 :] = (near / np.linalg.norm(near, axis=1, keepdims=True))[count // 2 :]
+    return X, Y
+
+
+class TestMarginsKernel:
+    """``probe._margins`` against an independent computation per column."""
+
+    def test_columns_match_oracle(self):
+        rng = np.random.default_rng(17)
+        for n in range(2, 9):
+            raw = 3.0 * rng.standard_normal((n, n))
+            A = sym((raw + raw.T) / 2.0)
+            tol = 1e-12 * max(1.0, float(np.linalg.norm(A.a, 2)))
+            X, Y = orthant_pairs(rng, n, 40)
+
+            def q(v):
+                return float(v @ A.a @ v)
+
+            cols = [probe._PAIR, probe._GEODESIC, probe._MIDPOINT, probe._C]
+            for row, x, y in zip(probe._margins(A.a, X, Y), X, Y):
+                c = max(q(x), q(y))
+                seg = GeodesicSegment.connect(x, y)
+                ts = probe._GEODESIC_TS
+                geo = max(q(geodesic_eval(seg, t).coords) - c for t in ts)
+                s = x + y
+                mid = float(s @ (A.a - c * np.eye(n)) @ s)
+                expected = [pair_violation_margin(A, x, y), geo, mid, c]
+                np.testing.assert_allclose(row[cols], expected, rtol=0.0, atol=tol)
+
+    def test_parallel_pairs_have_no_geodesic(self):
+        X = sample_orthant_array(4, 50, np.random.default_rng(3))
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        for Y in (X, -X):
+            rows = probe._margins(a, X, Y)
+            assert np.all(rows[:, probe._GEODESIC] == -np.inf)
+            assert np.all(rows[:, [probe._ALPHA, probe._BETA]] == 0.0)
+
+    def test_geodesic_coefficients_give_a_witness(self):
+        A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
+        X, Y = orthant_pairs(np.random.default_rng(9), 3, 400)
+        rows = probe._margins(A.a, X, Y)
+        hits = np.flatnonzero(rows[:, probe._GEODESIC] > 1e-6)
+        assert hits.size > 0
+        for i in hits:
+            alpha, beta, c = rows[i, [probe._ALPHA, probe._BETA, probe._C]]
+            w = Witness(
+                kind=WitnessKind.CONE_NONCONVEXITY,
+                data={"c": c, "x": alpha * X[i], "y": beta * Y[i]},
+                margin=rows[i, probe._GEODESIC],
+            )
+            assert verify_witness(A, w)
+
+
+def report_bytes(report):
+    return json.dumps(_jsonable(report), sort_keys=True)
+
+
+class TestBlockedSampling:
+    A = SymMatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+
+    @staticmethod
+    def spy(monkeypatch):
+        counts = []
+
+        def sample(n, count, rng):
+            counts.append(count)
+            return sample_orthant_array(n, count, rng)
+
+        monkeypatch.setattr(probe, "sample_orthant_array", sample)
+        return counts
+
+    def test_one_block_draws_one_x_and_one_y(self, monkeypatch):
+        reference = falsify(self.A, samples=1_000, seed=4)
+        monkeypatch.setattr(probe, "_BLOCK", 1_000)
+        counts = self.spy(monkeypatch)
+        rep = falsify(self.A, samples=1_000, seed=4)
+        assert counts == [1_000, 1_000]
+        assert report_bytes(rep) == report_bytes(reference)
+
+    def test_ten_blocks(self, monkeypatch):
+        monkeypatch.setattr(probe, "_BLOCK", 1_000)
+        counts = self.spy(monkeypatch)
+        r1 = falsify(self.A, samples=9_500, seed=4)
+        assert counts == [1_000] * 18 + [500, 500]
+        r2 = falsify(self.A, samples=9_500, seed=4)
+        assert report_bytes(r1) == report_bytes(r2)
+        assert r1.samples_used == 9_500
+        assert r1.witness is not None
+        assert verify_witness(self.A, r1.witness)
+
+    def test_memory_does_not_grow_with_samples(self, monkeypatch):
+        monkeypatch.setattr(probe, "_BLOCK", 1_000)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                falsify(self.A, samples=samples, seed=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(1_000)
+        assert peak(10_000) <= 2 * one
