@@ -45,13 +45,7 @@ from .probe import (
     falsify,
     minimize_orthant,
 )
-from .sphere import (
-    GeodesicSegment,
-    SpherePoint,
-    geodesic_eval,
-    intrinsic_distance,
-    spherical_gradient_q,
-)
+from .sphere import SpherePoint
 
 __all__ = [
     # certify
@@ -71,6 +65,5 @@ __all__ = [
     # probe
     "MinMethod", "MinResult", "ProbeReport", "falsify", "minimize_orthant",
     # sphere
-    "GeodesicSegment", "SpherePoint", "geodesic_eval", "intrinsic_distance",
-    "spherical_gradient_q",
+    "SpherePoint",
 ]

@@ -34,13 +34,13 @@ lambda2 >= max a_ii, and its least Pareto value is lambda2 - max a_ii
 bound = lambda2 - max a_ii - (n - 1) p >= -tol_slack, and the certificate
 stores the bound as pareto_min; the (n - 1) p term is the most the tolerance
 band (0 < a_ij <= tol_margin) can cost on the unit orthant patch.  Only
-inside the band, when the bound declines and n <= max_exact_dim, does the
-support enumeration (cones.pareto_spectrum) decide instead, and pareto_min
-is then its least Pareto value.  That lambda2 >= max a_ii is also necessary
-is a conjecture, supported by seeded fuzzing (every seeded random Z-matrix
-with lambda2 < max a_ii tried so far was refuted) but not proven.  The
-known gap is a maximum diagonal entry tied so that only one index lies below
-any shift, where step 7 has no pair to build:
+inside the band, when the bound declines and n <= cones.enumeration_cap,
+does the support enumeration (cones.pareto_spectrum) decide instead, and
+pareto_min is then its least Pareto value.  That lambda2 >= max a_ii is
+also necessary is a conjecture, supported by seeded fuzzing (every seeded
+random Z-matrix with lambda2 < max a_ii tried so far was refuted) but not
+proven.  The known gap is a maximum diagonal entry tied so that only one
+index lies below any shift, where step 7 has no pair to build:
 [[1,-2,-1,-2],[-2,1,0,-2],[-1,0,1,-2],[-2,-2,-2,-2]] (lambda2 = 0.715) ends
 Unknown.  Soundness does not rest on the conjecture: every No witness is
 re-checked by verify_witness before it is returned.
@@ -54,11 +54,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config, DEFAULT
-from .cones import pareto_spectrum
+from .cones import enumeration_cap, pareto_spectrum
 from .linalg import (
     SymMatrix,
     as_sym_matrix,
     cluster_eigenvalues,
+    cluster_tol,
     eigen_decompose,
     is_diagonal,
 )
@@ -196,7 +197,7 @@ def construct_diag_witness(diag_entries) -> Witness:
     d = np.asarray(diag_entries, dtype=float)
     if d.ndim != 1 or d.shape[0] < 3:
         raise ValueError("need at least three diagonal entries")
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(d)))
+    tol = cluster_tol(float(np.linalg.norm(d)))
     witness = _diag_witness(d, np.eye(d.shape[0]), tol)
     if witness is None:
         raise ValueError(
@@ -336,10 +337,9 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         lam2 = float(E.eigenvalues[1])
         p = float(off[i, j])
         pareto_min = lam2 - float(np.diag(a).max()) - (n - 1) * p
-        if pareto_min < -config.tol_slack and p > 0.0 and n <= config.max_exact_dim:
+        if pareto_min < -config.tol_slack and p > 0.0 and n <= enumeration_cap(config):
             shifted = SymMatrix(lam2 * np.eye(n) - a)
-            spectrum = pareto_spectrum(shifted, max_exact_dim=config.max_exact_dim)
-            pareto_min = spectrum.min_value
+            pareto_min = pareto_spectrum(shifted, config).min_value
         if pareto_min >= -config.tol_slack:
             return Verdict(
                 status=Status.CERTIFIED_QUASICONVEX,
@@ -351,13 +351,13 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
 
     # 6. q_A is diagonal on the span of the nonnegative eigenvectors, an
     # orthonormal nonnegative basis: the diagonal obstruction in that basis
-    reps = [_orthant_representative(E.vectors[:, k], 1e-9) for k in range(n)]
+    reps = [_orthant_representative(E.vectors[:, k], config.tol_sign) for k in range(n)]
     nonneg = [k for k in range(n) if reps[k] is not None]
     if len(nonneg) >= 3:
         witness = _diag_witness(
             E.eigenvalues[nonneg],
             np.column_stack([reps[k] for k in nonneg]),
-            1e-8 * max(1.0, E.scale()),
+            cluster_tol(E.scale()),
         )
         if witness is not None and verify_witness(A, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)

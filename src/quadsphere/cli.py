@@ -125,7 +125,7 @@ def cmd_analyze(args) -> int:
 def cmd_pareto(args) -> int:
     doc = load_path(args.matrix)
     cfg = _config(args)
-    spectrum = pareto_spectrum(doc.matrix, max_exact_dim=cfg.max_exact_dim)
+    spectrum = pareto_spectrum(doc.matrix, cfg)
     report = _base_report("pareto", doc, cfg)
     report["pareto"] = {
         "min_value": spectrum.min_value,
@@ -142,7 +142,7 @@ def cmd_pareto(args) -> int:
 def cmd_copositive(args) -> int:
     doc = load_path(args.matrix)
     cfg = _config(args)
-    verdict = is_copositive(doc.matrix, max_exact_dim=cfg.max_exact_dim)
+    verdict = is_copositive(doc.matrix, cfg)
     report = _base_report("copositive", doc, cfg)
     report["copositive"] = verdict
     _emit(report, args)

@@ -15,7 +15,7 @@ from itertools import combinations, islice, takewhile
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import Config, DEFAULT
 from .linalg import ConvergenceError, SymMatrix, as_sym_matrix
 
 __all__ = [
@@ -28,9 +28,16 @@ __all__ = [
 # strict positivity floor inside the support (boundary vectors are covered by
 # smaller supports in the enumeration)
 _STRICT_TOL = 1e-12
-# supports per stacked eigh call: bounds memory at any max_exact_dim (4096
+# supports per stacked eigh call: bounds memory at any dimension (4096
 # submatrices of size 16 take 8 MB)
 _CHUNK = 4096
+# largest dimension enumerated whatever max_exact_dim says: the 2^n - 1
+# supports of n = 18 take seconds and hundreds of MiB, and each unit of n
+# doubles both
+_MAX_DIM = 18
+# pairs closer than this in value and in vector are one Pareto eigenpair
+_DEDUPE_VALUE_TOL = 1e-9
+_DEDUPE_VECTOR_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -56,21 +63,18 @@ class ParetoSpectrum:
     exact: bool
 
 
-def pareto_spectrum(
-    A: SymMatrix,
-    max_exact_dim: int = DEFAULT.max_exact_dim,
-    slack_tol: float = DEFAULT.tol_slack,
-) -> ParetoSpectrum:
+def pareto_spectrum(A: SymMatrix, config: Config = DEFAULT) -> ParetoSpectrum:
     """Exact Pareto spectrum by enumerating all nonempty supports.
 
     For every support J the principal submatrix is eigendecomposed (one
     stacked ``eigh`` call per chunk of supports of one size); eigenpairs
     whose (sign-flipped) eigenvector is strictly positive on J and whose
-    zero-extension keeps (Ax - lambda x) nonnegative off J are kept.
+    zero-extension keeps (Ax - lambda x) >= -config.tol_slack off J are
+    kept.  Raises ValueError when the dimension exceeds enumeration_cap.
     """
     A = as_sym_matrix(A)
-    _check_cap(A.n, max_exact_dim)
-    found = list(_pareto_pairs(A.a, slack_tol))
+    _check_cap(A.n, config)
+    found = list(_pareto_pairs(A.a, config.tol_slack))
     found.sort(key=lambda p: (p.value, p.support))
     pairs = _dedupe(found)
     if not pairs:
@@ -78,10 +82,17 @@ def pareto_spectrum(
     return ParetoSpectrum(pairs=pairs, min_value=pairs[0].value, exact=True)
 
 
-def _check_cap(n: int, max_exact_dim: int) -> None:
-    if n > max_exact_dim:
+def enumeration_cap(config: Config) -> int:
+    """Largest dimension whose supports the enumeration walks under
+    ``config``: max_exact_dim, but never above _MAX_DIM."""
+    return min(config.max_exact_dim, _MAX_DIM)
+
+
+def _check_cap(n: int, config: Config) -> None:
+    if n > enumeration_cap(config):
         raise ValueError(
-            f"dimension {n} exceeds max_exact_dim={max_exact_dim}; "
+            f"dimension {n} exceeds the exact enumeration cap "
+            f"min(max_exact_dim={config.max_exact_dim}, {_MAX_DIM}); "
             "use the sampling minimizer instead"
         )
 
@@ -126,35 +137,37 @@ def _chunk_pairs(a: np.ndarray, chunk: np.ndarray, slack_tol: float):
         yield ParetoEigenpair(float(lam[j]), X[j], tuple(cols[j].tolist()))
 
 
-def _dedupe(pairs, value_tol: float = 1e-9, vector_tol: float = 1e-7):
+def _dedupe(pairs):
     """Drop near-duplicates from ``pairs`` sorted by ascending value; a pair
-    can only duplicate one of the trailing kept pairs within ``value_tol``."""
+    can only duplicate one of the trailing kept pairs within
+    _DEDUPE_VALUE_TOL."""
     kept = []
     for p in pairs:
-        recent = takewhile(lambda q: p.value - q.value <= value_tol, reversed(kept))
+        recent = takewhile(
+            lambda q: p.value - q.value <= _DEDUPE_VALUE_TOL, reversed(kept)
+        )
         if not any(
-            float(np.linalg.norm(p.vector - q.vector)) <= vector_tol for q in recent
+            float(np.linalg.norm(p.vector - q.vector)) <= _DEDUPE_VECTOR_TOL
+            for q in recent
         ):
             kept.append(p)
     return kept
 
 
-def is_copositive(
-    A: SymMatrix,
-    max_exact_dim: int = DEFAULT.max_exact_dim,
-    tol: float = DEFAULT.tol_slack,
-) -> bool:
-    """True iff the minimum of <Ax, x> over the unit orthant patch is >= -tol.
+def is_copositive(A: SymMatrix, config: Config = DEFAULT) -> bool:
+    """True iff the minimum of <Ax, x> over the unit orthant patch is
+    >= -config.tol_slack.
 
     That minimum equals the least Pareto eigenvalue, so this is exact up to
-    the enumeration dimension cap.  The supports are enumerated until the
-    first Pareto eigenvalue below -tol.
+    the enumeration dimension cap (ValueError beyond it).  The supports are
+    enumerated, with pareto_spectrum's complementarity slack, until the
+    first Pareto eigenvalue below -config.tol_slack.
     """
     A = as_sym_matrix(A)
-    _check_cap(A.n, max_exact_dim)
+    _check_cap(A.n, config)
     found = False
-    for p in _pareto_pairs(A.a, DEFAULT.tol_slack):
-        if p.value < -tol:
+    for p in _pareto_pairs(A.a, config.tol_slack):
+        if p.value < -config.tol_slack:
             return False
         found = True
     if not found:

@@ -12,13 +12,17 @@ __all__ = ["Config", "DEFAULT"]
 class Config:
     """Tolerances and budgets used across the certifier and probes.
 
-    tol_margin   -- a violation counts only beyond this margin
-    tol_sign     -- slack for sign tests (orthant membership, Z-pattern)
-    tol_slack    -- complementarity slack for Pareto eigenpairs
+    tol_margin   -- a violation counts only beyond this margin (also the
+                    Z-pattern threshold of certify step 2)
+    tol_sign     -- slack for orthant-membership tests of eigenvectors
+                    (certify steps 4-6)
+    tol_slack    -- complementarity slack for Pareto eigenpairs, and the
+                    copositivity threshold (least Pareto value >= -tol_slack)
     max_exact_dim -- largest dimension for exhaustive support enumeration
                      (the CLI pareto and copositive commands,
                      minimize_orthant, and certify step 5 inside the
-                     tolerance band)
+                     tolerance band); the enumeration never runs above
+                     n = 18, whatever this says
     samples      -- sampling budget for the falsifier
     seed         -- master seed for all randomized search (nonnegative,
                     as numpy's generators require)

@@ -20,11 +20,16 @@ __all__ = [
     "make_negative_positive",
 ]
 
+# largest |V^T V - I| entry a basis may have
+_ORTHOGONALITY_TOL = 1e-12
+# draws make_negative_positive tries before giving up
+_ATTEMPTS = 100
 
-def _check_orthogonal(V: np.ndarray, tol: float = 1e-12) -> None:
+
+def _check_orthogonal(V: np.ndarray) -> None:
     n = V.shape[0]
     err = float(np.abs(V.T @ V - np.eye(n)).max())
-    if err > tol:
+    if err > _ORTHOGONALITY_TOL:
         raise ValueError(f"basis is not orthogonal (max deviation {err:g})")
 
 
@@ -151,7 +156,7 @@ def make_diag_two_eig(n: int, lam: float, mu: float) -> SymMatrix:
     return SymMatrix(np.diag(w))
 
 
-def make_negative_positive(n: int, seed: int, attempts: int = 100) -> SymMatrix:
+def make_negative_positive(n: int, seed: int) -> SymMatrix:
     """Random matrix with -A entrywise positive, simple smallest eigenvalue
     and positive second eigenvalue.
 
@@ -162,7 +167,7 @@ def make_negative_positive(n: int, seed: int, attempts: int = 100) -> SymMatrix:
     if n < 2:
         raise ValueError("dimension must be at least 2")
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         raw = -(1.0 + 0.3 * rng.random((n, n)))
         a = (raw + raw.T) / 2.0
         w = eigen_decompose(SymMatrix(a)).eigenvalues
@@ -176,5 +181,5 @@ def make_negative_positive(n: int, seed: int, attempts: int = 100) -> SymMatrix:
             continue  # -A no longer positive after the shift
         return SymMatrix(shifted)
     raise RuntimeError(
-        f"could not generate an instance in {attempts} attempts (n={n}, seed={seed})"
+        f"could not generate an instance in {_ATTEMPTS} attempts (n={n}, seed={seed})"
     )

@@ -21,6 +21,11 @@ __all__ = [
     "is_diagonal",
 ]
 
+# asymmetry SymMatrix symmetrizes away, relative to max(1, ||A||_F)
+_SYMMETRY_RTOL = 1e-9
+# off-diagonal magnitude is_diagonal treats as zero, relative to max(1, ||A||_F)
+_DIAGONAL_RTOL = 1e-12
+
 
 class ConvergenceError(RuntimeError):
     """A numerical routine failed to converge."""
@@ -30,14 +35,14 @@ class SymMatrix:
     """Dense symmetric n-by-n real matrix.
 
     Entries are symmetrized as (A + A^T)/2 on construction; asymmetry beyond
-    ``rtol`` relative to the Frobenius norm is rejected as an input error, as
-    are entries so large that the norm or the symmetrization overflows.
+    _SYMMETRY_RTOL * max(1, ||A||_F) is rejected as an input error, as are
+    entries so large that the norm or the symmetrization overflows.
     The stored array is read-only.
     """
 
     __slots__ = ("a",)
 
-    def __init__(self, entries, rtol: float = 1e-9):
+    def __init__(self, entries):
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -51,7 +56,7 @@ class SymMatrix:
             )
         scale = max(1.0, norm)
         skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-        if skew > rtol * scale:
+        if skew > _SYMMETRY_RTOL * scale:
             raise ValueError(
                 f"matrix is not symmetric (max |a_ij - a_ji| = {skew:g})"
             )
@@ -160,16 +165,20 @@ def _max_offdiag(a: np.ndarray) -> float:
     return float(np.abs(a[mask]).max())
 
 
-def cluster_eigenvalues(E: EigenSystem, tol: float | None = None) -> EigenStructure:
-    """Merge consecutive eigenvalues within ``tol`` into clusters.
+def cluster_tol(scale: float) -> float:
+    """Largest gap at which two eigenvalues of a matrix with Frobenius norm
+    ``scale`` count as one; eigen_decompose's round-off grows with the norm."""
+    return 1e-8 * max(1.0, scale)
 
-    Merging is transitive: a chain of gaps each below ``tol`` forms a single
-    cluster.  Default tolerance is 1e-8 * max(1, ||A||_F).
+
+def cluster_eigenvalues(E: EigenSystem) -> EigenStructure:
+    """Merge consecutive eigenvalues within cluster_tol(||A||_F) into
+    clusters.
+
+    Merging is transitive: a chain of gaps each below the tolerance forms a
+    single cluster.
     """
-    if tol is None:
-        tol = 1e-8 * max(1.0, E.scale())
-    if tol <= 0:
-        raise ValueError("clustering tolerance must be positive")
+    tol = cluster_tol(E.scale())
     w = E.eigenvalues
     clusters = []
     start = 0
@@ -185,11 +194,8 @@ def cluster_eigenvalues(E: EigenSystem, tol: float | None = None) -> EigenStruct
     )
 
 
-def is_diagonal(A: SymMatrix, tol: float | None = None) -> bool:
-    """True iff every off-diagonal magnitude is at most ``tol``."""
+def is_diagonal(A: SymMatrix) -> bool:
+    """True iff every off-diagonal magnitude is at most
+    _DIAGONAL_RTOL * max(1, ||A||_F)."""
     A = as_sym_matrix(A)
-    if tol is None:
-        tol = 1e-12 * max(1.0, A.norm_fro())
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return _max_offdiag(A.a) <= tol
+    return _max_offdiag(A.a) <= _DIAGONAL_RTOL * max(1.0, A.norm_fro())

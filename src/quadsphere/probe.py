@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import Witness, WitnessKind, verify_witness
-from .cones import pareto_spectrum
+from .cones import enumeration_cap, pareto_spectrum
 from .config import Config, DEFAULT
 from .linalg import SymMatrix, as_sym_matrix
 from .sphere import SpherePoint, sample_orthant_array
@@ -208,8 +208,8 @@ def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:
     multi-start projected geodesic descent otherwise.
     """
     A = as_sym_matrix(A)
-    if A.n <= config.max_exact_dim:
-        spectrum = pareto_spectrum(A, max_exact_dim=config.max_exact_dim)
+    if A.n <= enumeration_cap(config):
+        spectrum = pareto_spectrum(A, config)
         least = spectrum.pairs[0]
         return MinResult(
             value=least.value,

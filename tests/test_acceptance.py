@@ -18,15 +18,16 @@ from quadsphere.genex import (
 )
 from quadsphere.linalg import SymMatrix, eigen_decompose
 from quadsphere.probe import falsify, minimize_orthant, _descent
-from quadsphere.sphere import (
+from quadsphere.sphere import sample_orthant_array
+
+from oracles import (
     GeodesicSegment,
+    central_difference,
     geodesic_eval,
+    grid_min_quadratic,
     intrinsic_distance,
     spherical_gradient_q,
-    sample_orthant_array,
 )
-
-from oracles import central_difference, grid_min_quadratic
 
 
 def report(capsys, label: str, ok: bool, detail: str = ""):

@@ -25,13 +25,12 @@ PUBLIC = [
     # probe
     "MinMethod", "MinResult", "ProbeReport", "falsify", "minimize_orthant",
     # sphere
-    "GeodesicSegment", "SpherePoint", "geodesic_eval", "intrinsic_distance",
-    "spherical_gradient_q",
+    "SpherePoint",
 ]
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 33
     assert quadsphere.__all__ == PUBLIC
 
 

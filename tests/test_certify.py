@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,29 @@ class TestStructuralInvariants:
         assert v.status is Status.UNKNOWN
         assert v.probe_summary is not None
         assert v.probe_summary["best_margin"] <= 1e-8
+
+    def test_band_enumeration_reads_config(self, monkeypatch):
+        # the band input above at the default cap: step 5 hands its Config
+        # whole to the enumeration, tol_slack included; at n = 19 the
+        # enumeration limit declines it whatever max_exact_dim allows, and
+        # the chain goes on
+        seen = []
+
+        def spy(A, config):
+            seen.append((A.n, config))
+            return pareto_spectrum(A, config)
+
+        monkeypatch.setattr(sys.modules["quadsphere.certify"], "pareto_spectrum", spy)
+        p = 4e-10
+        A = sym([[2.0, -1.0, p], [-1.0, 2.0, -1.0], [p, -1.0, 2.0]])
+        config = Config(samples=2_000)
+        assert certify(A, config).certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
+        assert seen == [(3, config)]
+        a = 2.0 * np.eye(19) - np.eye(19, k=1) - np.eye(19, k=-1)
+        a[0, 2] = a[2, 0] = p
+        v = certify(SymMatrix(a), Config(samples=2_000, max_exact_dim=40))
+        assert v.status is not Status.CERTIFIED_QUASICONVEX
+        assert seen == [(3, config)]
 
     def test_entrywise_rule_past_exact_cap(self):
         # lambda2 I - A = [[1, 0, 2], [0, 0, 0], [2, 0, 1]] >= 0: the diagonal

@@ -136,6 +136,16 @@ class TestOtherCommands:
         assert report["probe"]["best_margin"] > 1e-8
         assert report["probe"]["witness"] is not None
 
+    def test_minimize_past_enumeration_limit(self, tmp_path, capsys):
+        # max_exact_dim admits n = 19, the enumeration limit does not: the
+        # descent minimizer answers, as past max_exact_dim
+        path = write_doc(tmp_path, np.diag(np.arange(19.0)))
+        code, out, _ = run(
+            capsys, "minimize", path, "--format", "structured", "--max-exact-dim", "40"
+        )
+        assert code == 0
+        assert json.loads(out)["minimum"]["method"] == "GeodesicDescent"
+
 
 class TestGenerate:
     def test_round_trip(self, tmp_path, capsys):
@@ -297,6 +307,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "must be" in err
+
+    @pytest.mark.parametrize("command", ["pareto", "copositive"])
+    def test_enumeration_limit(self, tmp_path, capsys, command):
+        # 2^19 - 1 supports: an input error however high max_exact_dim is set
+        path = write_doc(tmp_path, np.eye(19))
+        code, out, err = run(capsys, command, path, "--max-exact-dim", "40")
+        assert code == 2
+        assert out == ""
+        assert "enumeration cap" in err
 
 
 # JSON tokens that a careless writer could put where a number belongs

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quadsphere.config import DEFAULT, Config
 from quadsphere.cones import is_copositive, pareto_spectrum
 from quadsphere.genex import make_negative_positive, make_positive_basis
 from quadsphere.linalg import SymMatrix
@@ -66,7 +67,14 @@ class TestParetoSpectrum:
     def test_dimension_cap(self):
         A = SymMatrix(np.eye(5))
         with pytest.raises(ValueError, match="max_exact_dim"):
-            pareto_spectrum(A, max_exact_dim=4)
+            pareto_spectrum(A, Config(max_exact_dim=4))
+
+    def test_dimension_limit_above_any_cap(self):
+        # 2^19 - 1 supports: refused before any is enumerated, whatever
+        # max_exact_dim allows
+        A = SymMatrix(np.eye(19))
+        with pytest.raises(ValueError, match="enumeration cap"):
+            pareto_spectrum(A, Config(max_exact_dim=40))
 
 
 class TestCopositive:
@@ -84,6 +92,13 @@ class TestCopositive:
 
     def test_not_copositive_with_negative_coupling(self):
         assert not is_copositive(sym([[0.0, -1.0], [-1.0, 0.0]]))
+
+    def test_threshold_reads_config(self):
+        # least Pareto value -1e-6: below the default tol_slack, inside 1e-5
+        A = SymMatrix(np.diag([-1e-6, 1.0, 2.0]))
+        assert pareto_spectrum(A).min_value == -1e-6
+        assert not is_copositive(A)
+        assert is_copositive(A, Config(tol_slack=1e-5))
 
     def test_matches_grid_sign(self):
         rng = np.random.default_rng(44)
@@ -145,12 +160,13 @@ class TestAgainstReference:
 
     def test_pareto_spectrum_matches(self):
         for a in self.CORPUS:
-            got = pareto_spectrum(SymMatrix(a)).pairs
-            ref = reference_pareto(a)
-            assert [p.support for p in got] == [t[1] for t in ref], a
-            for p, (value, _, vector) in zip(got, ref):
-                assert p.value == pytest.approx(value, abs=1e-12)
-                np.testing.assert_allclose(p.vector, vector, rtol=0.0, atol=1e-12)
+            for slack in (DEFAULT.tol_slack, 1e-4):
+                got = pareto_spectrum(SymMatrix(a), Config(tol_slack=slack)).pairs
+                ref = reference_pareto(a, slack_tol=slack)
+                assert [p.support for p in got] == [t[1] for t in ref], (a, slack)
+                for p, (value, _, vector) in zip(got, ref):
+                    assert p.value == pytest.approx(value, abs=1e-12)
+                    np.testing.assert_allclose(p.vector, vector, rtol=0.0, atol=1e-12)
 
     def test_is_copositive_matches(self):
         tol = 1e-9
@@ -163,4 +179,4 @@ class TestAgainstReference:
 
     def test_cap_checked_first(self):
         with pytest.raises(ValueError, match="max_exact_dim"):
-            is_copositive(SymMatrix(np.eye(5)), max_exact_dim=4)
+            is_copositive(SymMatrix(np.eye(5)), Config(max_exact_dim=4))

@@ -87,7 +87,7 @@ class TestEigenDecompose:
 class TestClusterEigenvalues:
     def test_repeated_smallest(self):
         E = eigen_decompose(SymMatrix(np.diag([1.0, 1.0, 3.0])))
-        S = cluster_eigenvalues(E, tol=1e-8)
+        S = cluster_eigenvalues(E)
         assert S.clusters == [(1.0, 2), (3.0, 1)]
         assert not S.smallest_simple
 
@@ -99,7 +99,7 @@ class TestClusterEigenvalues:
 
     def test_tolerance_forces_merge(self):
         E = eigen_decompose(SymMatrix(np.diag([0.0, 1e-12, 5.0])))
-        S = cluster_eigenvalues(E, tol=1e-8)
+        S = cluster_eigenvalues(E)
         assert S.distinct_count == 2
         value, mult = S.clusters[0]
         assert mult == 2 and abs(value) < 1e-11
@@ -113,11 +113,6 @@ class TestClusterEigenvalues:
             values = [v for v, _ in S.clusters]
             assert values == sorted(values)
 
-    def test_rejects_nonpositive_tol(self):
-        E = eigen_decompose(SymMatrix(np.eye(2)))
-        with pytest.raises(ValueError):
-            cluster_eigenvalues(E, tol=0.0)
-
 
 class TestIsDiagonal:
     def test_diagonal(self):
@@ -128,7 +123,7 @@ class TestIsDiagonal:
 
     def test_below_tolerance(self):
         A = SymMatrix([[1.0, 1e-15], [1e-15, 2.0]])
-        assert is_diagonal(A, tol=1e-12)
+        assert is_diagonal(A)
 
 
 class TestPermuteSimilarity:

@@ -23,9 +23,9 @@ from quadsphere.probe import (
     minimize_orthant,
     _descent,
 )
-from quadsphere.sphere import GeodesicSegment, geodesic_eval, sample_orthant_array
+from quadsphere.sphere import sample_orthant_array
 
-from oracles import grid_min_quadratic
+from oracles import GeodesicSegment, geodesic_eval, grid_min_quadratic
 
 
 def sym(rows):

@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadsphere.linalg import SymMatrix
-from quadsphere.sphere import (
+from quadsphere.sphere import SpherePoint, sample_orthant_array
+
+from oracles import (
     GeodesicSegment,
-    SpherePoint,
+    central_difference,
     geodesic_eval,
     intrinsic_distance,
-    sample_orthant_array,
     spherical_gradient_q,
 )
-
-from oracles import central_difference
 
 
 def unit(v):
