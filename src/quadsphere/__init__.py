@@ -11,8 +11,6 @@ from .certify import (
     Witness,
     WitnessKind,
     certify,
-    construct_diag_witness,
-    pair_violation_margin,
     verify_witness,
 )
 from .config import Config
@@ -29,15 +27,7 @@ from .genex import (
     make_positive_basis,
     make_three_eigenvalue,
 )
-from .linalg import (
-    ConvergenceError,
-    EigenStructure,
-    EigenSystem,
-    SymMatrix,
-    cluster_eigenvalues,
-    eigen_decompose,
-    is_diagonal,
-)
+from .linalg import ConvergenceError, SymMatrix
 from .probe import (
     MinMethod,
     MinResult,
@@ -50,8 +40,7 @@ from .sphere import SpherePoint
 __all__ = [
     # certify
     "Certificate", "Rule", "Status", "Verdict", "Witness", "WitnessKind",
-    "certify", "construct_diag_witness", "pair_violation_margin",
-    "verify_witness",
+    "certify", "verify_witness",
     # config
     "Config",
     # cones
@@ -60,8 +49,7 @@ __all__ = [
     "make_diag_two_eig", "make_householder", "make_negative_positive",
     "make_positive_basis", "make_three_eigenvalue",
     # linalg
-    "ConvergenceError", "EigenStructure", "EigenSystem", "SymMatrix",
-    "cluster_eigenvalues", "eigen_decompose", "is_diagonal",
+    "ConvergenceError", "SymMatrix",
     # probe
     "MinMethod", "MinResult", "ProbeReport", "falsify", "minimize_orthant",
     # sphere

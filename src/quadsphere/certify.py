@@ -13,9 +13,9 @@ The chain, in order:
 1. a single eigenvalue cluster: constant form, Yes;
 2. an off-diagonal entry above tol_margin: the pair (e_i, e_j), No;
 3. a diagonal matrix: Yes iff two values with a simple smallest one,
-   otherwise the diagonal cone witness (construct_diag_witness);
+   otherwise the diagonal cone witness (_diag_witness in the standard basis);
 4. two clusters with a simple smallest: Yes if its eigenvector fits the
-   orthant, otherwise straight to step 8;
+   orthant; otherwise steps 5-7 find nothing to build and step 8 decides;
 5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes,
    decided by the diagonal rule below in O(n^2) at every n;
 6. the same diagonal witness in the basis of the nonnegative eigenvectors,
@@ -72,8 +72,6 @@ __all__ = [
     "Witness",
     "Verdict",
     "certify",
-    "construct_diag_witness",
-    "pair_violation_margin",
     "verify_witness",
 ]
 
@@ -186,27 +184,6 @@ def verify_witness(A: SymMatrix, w: Witness, config: Config = DEFAULT) -> bool:
     return False
 
 
-def construct_diag_witness(diag_entries) -> Witness:
-    """Sublevel-cone nonconvexity witness for a diagonal matrix that is not
-    quasi-convex (more than two distinct values, or a repeated smallest one).
-
-    With a shift c between the right pair of distinct values, the two
-    canonical-direction combinations x = e_i + t_i e_k and y = e_j + t_j e_k
-    sit on the boundary of the shifted sublevel cone while x + y leaves it.
-    """
-    d = np.asarray(diag_entries, dtype=float)
-    if d.ndim != 1 or d.shape[0] < 3:
-        raise ValueError("need at least three diagonal entries")
-    tol = cluster_tol(float(np.linalg.norm(d)))
-    witness = _diag_witness(d, np.eye(d.shape[0]), tol)
-    if witness is None:
-        raise ValueError(
-            "a single value, or two distinct values with a simple smallest "
-            "one: quasi-convex, no witness exists"
-        )
-    return witness
-
-
 def _diag_witness(values, basis, tol: float) -> Witness | None:
     """The diagonal obstruction over orthonormal nonnegative columns v_r of
     ``basis`` on which q_A is diagonal with q_A(v_r) = values[r].
@@ -262,14 +239,15 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     a = A.a
     n = A.n
     E = eigen_decompose(A)
-    S = cluster_eigenvalues(E)
+    clusters = cluster_eigenvalues(E)
+    two_simple = len(clusters) == 2 and clusters[0][1] == 1
 
     # 1. constant form: a single eigenvalue makes q_A constant on the sphere
-    if S.distinct_count == 1:
+    if len(clusters) == 1:
         return Verdict(
             status=Status.CERTIFIED_QUASICONVEX,
             certificate=Certificate(
-                Rule.CONSTANT_FORM, {"eigenvalue": S.clusters[0][0]}
+                Rule.CONSTANT_FORM, {"eigenvalue": clusters[0][0]}
             ),
         )
 
@@ -293,32 +271,35 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # 3. diagonal matrices are fully characterized: exactly two distinct
     # values with a simple smallest one
     if is_diagonal(A):
-        if S.distinct_count == 2 and S.smallest_simple:
+        if two_simple:
             return Verdict(
                 status=Status.CERTIFIED_QUASICONVEX,
                 certificate=Certificate(
                     Rule.DIAGONAL_CHARACTERIZATION,
-                    {"clusters": S.clusters, "eigenvector": E.vectors[:, 0].copy()},
+                    {"clusters": clusters, "eigenvector": E.vectors[:, 0].copy()},
                 ),
             )
-        witness = construct_diag_witness(np.diag(a))
-        if verify_witness(A, witness, config):
+        d = np.diag(a)
+        witness = _diag_witness(d, np.eye(n), cluster_tol(float(np.linalg.norm(d))))
+        if witness is not None and verify_witness(A, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
         # tolerance edge (values distinct only marginally): fall through
 
     # 4. two eigenvalue clusters with a simple smallest: decided by whether
-    # the smallest eigenvector fits in the orthant (either sign)
-    if S.distinct_count == 2 and S.smallest_simple:
+    # the smallest eigenvector fits in the orthant (either sign).  When it
+    # does not, steps 5-7 have nothing to build (no nonnegative lambda1
+    # vector, one value over the nonnegative eigenvectors, and
+    # a_ii = lam2 - (lam2 - lam1) v_i^2 <= lam2), so the input reaches step 8.
+    if two_simple:
         v1 = _orthant_representative(E.vectors[:, 0], config.tol_sign)
         if v1 is not None:
             return Verdict(
                 status=Status.CERTIFIED_QUASICONVEX,
                 certificate=Certificate(
                     Rule.TWO_EIGENVALUE_CHARACTERIZATION,
-                    {"clusters": S.clusters, "eigenvector": v1},
+                    {"clusters": clusters, "eigenvector": v1},
                 ),
             )
-        return _falsify_verdict(A, config)
 
     # 5. copositivity sufficiency: a nonnegative smallest eigenvector plus
     # copositivity of (second smallest eigenvalue) I - A.  The second smallest
@@ -332,7 +313,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # lam2 - a_kk, and every larger support carries a Perron value at least
     # as large.  Only inside the tolerance band (p > 0), where the bound is
     # loose, does the support enumeration decide what the bound declines.
-    cand = _lambda1_orthant_vector(E, S, config.tol_sign)
+    cand = _lambda1_orthant_vector(E, clusters[0][1], config.tol_sign)
     if cand is not None:
         lam2 = float(E.eigenvalues[1])
         p = float(off[i, j])
@@ -380,7 +361,7 @@ def _orthant_representative(v: np.ndarray, tol: float) -> np.ndarray | None:
     return None
 
 
-def _lambda1_orthant_vector(E, S, tol: float) -> np.ndarray | None:
+def _lambda1_orthant_vector(E, mult: int, tol: float) -> np.ndarray | None:
     """Search the smallest-eigenvalue eigenspace for a nonnegative vector.
 
     For a simple eigenvalue only the two signs are checked.  For a repeated
@@ -388,7 +369,6 @@ def _lambda1_orthant_vector(E, S, tol: float) -> np.ndarray | None:
     tried; this heuristic can miss, which degrades Yes to Unknown but never
     produces a wrong verdict.
     """
-    mult = S.clusters[0][1]
     for k in range(mult):
         cand = _orthant_representative(E.vectors[:, k], tol)
         if cand is not None:
@@ -413,7 +393,8 @@ def _edge_witness(A: SymMatrix, E, config: Config) -> Witness | None:
     predicts that the cap cut off around e_k bends the wrong way).  The pair
     scores (x_i + x_j)^T B (x_i + x_j) = 2 x_i^T B x_j are, per (c, k), a
     rank-2 update of B[L, L] over the indices L below c, scaled by the norms.
-    construct_diag_witness is the diagonal case with c between two values.
+    Step 3's diagonal witness is the case of a diagonal A with c between two
+    values.
 
     Only the best candidate over the grid is built, and only a witness that
     verify_witness accepts is returned.
@@ -495,6 +476,8 @@ def _edge_witness(A: SymMatrix, E, config: Config) -> Witness | None:
 
 
 def _falsify_verdict(A: SymMatrix, config: Config) -> Verdict:
+    """Step 8: falsify returns only a witness that verify_witness accepted
+    under config.tol_margin, so it is not checked again here."""
     from .probe import falsify
 
     report = falsify(A, config.samples, config.seed, tol_margin=config.tol_margin)
@@ -503,7 +486,7 @@ def _falsify_verdict(A: SymMatrix, config: Config) -> Verdict:
         "best_margin": report.best_margin,
         "seed": report.seed,
     }
-    if report.witness is not None and verify_witness(A, report.witness, config):
+    if report.witness is not None:
         return Verdict(
             status=Status.CERTIFIED_NOT_QUASICONVEX,
             witness=report.witness,

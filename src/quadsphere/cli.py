@@ -28,7 +28,7 @@ from .genex import (
     make_three_eigenvalue,
 )
 from .linalg import ConvergenceError
-from .matrixdoc import MatrixDocument, dumps, load_path
+from .matrixdoc import dumps, load_path
 from .probe import falsify, minimize_orthant
 
 EXIT_OK = 0
@@ -100,34 +100,9 @@ def _config(args) -> Config:
     )
 
 
-def _base_report(command: str, doc: MatrixDocument, cfg: Config) -> dict:
-    report = {
-        "command": command,
-        "version": __version__,
-        "input_digest": doc.digest(),
-        "config": cfg.as_dict(),
-    }
-    if doc.name:
-        report["name"] = doc.name
-    return report
-
-
-def cmd_analyze(args) -> int:
-    doc = load_path(args.matrix)
-    cfg = _config(args)
-    verdict = certify(doc.matrix, cfg)
-    report = _base_report("analyze", doc, cfg)
-    report["verdict"] = verdict
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_pareto(args) -> int:
-    doc = load_path(args.matrix)
-    cfg = _config(args)
-    spectrum = pareto_spectrum(doc.matrix, cfg)
-    report = _base_report("pareto", doc, cfg)
-    report["pareto"] = {
+def _pareto(A, cfg: Config) -> dict:
+    spectrum = pareto_spectrum(A, cfg)
+    return {
         "min_value": spectrum.min_value,
         "exact": spectrum.exact,
         "pairs": [
@@ -135,42 +110,50 @@ def cmd_pareto(args) -> int:
             for p in spectrum.pairs
         ],
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_copositive(args) -> int:
-    doc = load_path(args.matrix)
-    cfg = _config(args)
-    verdict = is_copositive(doc.matrix, cfg)
-    report = _base_report("copositive", doc, cfg)
-    report["copositive"] = verdict
-    _emit(report, args)
-    return EXIT_OK
-
-
-def cmd_minimize(args) -> int:
-    doc = load_path(args.matrix)
-    cfg = _config(args)
-    result = minimize_orthant(doc.matrix, cfg)
-    report = _base_report("minimize", doc, cfg)
-    report["minimum"] = {
+def _minimum(A, cfg: Config) -> dict:
+    result = minimize_orthant(A, cfg)
+    return {
         "value": result.value,
         "argmin": result.argmin.coords,
         "method": result.method,
         "iterations": result.iterations,
         "boundary_hit": result.boundary_hit,
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_probe(args) -> int:
+# command -> (report key, payload(matrix, config), help); the lambdas look
+# their function up at call time, so patching it on this module takes effect
+COMMANDS = {
+    "analyze": ("verdict", lambda A, cfg: certify(A, cfg),
+                "certify or refute quasi-convexity"),
+    "pareto": ("pareto", _pareto, "list all Pareto eigenpairs"),
+    "copositive": ("copositive", lambda A, cfg: is_copositive(A, cfg),
+                   "exact copositivity verdict"),
+    "minimize": ("minimum", _minimum, "minimum of the form on the orthant patch"),
+    "probe": ("probe",
+              lambda A, cfg: falsify(A, cfg.samples, cfg.seed, tol_margin=cfg.tol_margin),
+              "sampling falsifier"),
+}
+
+
+def cmd_matrix(args) -> int:
+    """Load the document, run the command's payload and emit the report:
+    the base fields, then the payload under the command's report key."""
+    key, payload, _ = COMMANDS[args.command]
     doc = load_path(args.matrix)
     cfg = _config(args)
-    rep = falsify(doc.matrix, cfg.samples, cfg.seed, tol_margin=cfg.tol_margin)
-    report = _base_report("probe", doc, cfg)
-    report["probe"] = rep
+    result = payload(doc.matrix, cfg)
+    report = {
+        "command": args.command,
+        "version": __version__,
+        "input_digest": doc.digest(),
+        "config": cfg.as_dict(),
+    }
+    if doc.name:
+        report["name"] = doc.name
+    report[key] = result
     _emit(report, args)
     return EXIT_OK
 
@@ -239,17 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, doc in (
-        ("analyze", cmd_analyze, "certify or refute quasi-convexity"),
-        ("pareto", cmd_pareto, "list all Pareto eigenpairs"),
-        ("copositive", cmd_copositive, "exact copositivity verdict"),
-        ("minimize", cmd_minimize, "minimum of the form on the orthant patch"),
-        ("probe", cmd_probe, "sampling falsifier"),
-    ):
+    for name, (_, _, doc) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         p.add_argument("matrix", help="path to a matrix document (JSON)")
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_matrix)
 
     g = sub.add_parser("generate", help="construct a certified example family")
     g.add_argument(

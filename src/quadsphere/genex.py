@@ -20,44 +20,29 @@ __all__ = [
     "make_negative_positive",
 ]
 
-# largest |V^T V - I| entry a basis may have
-_ORTHOGONALITY_TOL = 1e-12
 # draws make_negative_positive tries before giving up
 _ATTEMPTS = 100
 
 
-def _check_orthogonal(V: np.ndarray) -> None:
-    n = V.shape[0]
-    err = float(np.abs(V.T @ V - np.eye(n)).max())
-    if err > _ORTHOGONALITY_TOL:
-        raise ValueError(f"basis is not orthogonal (max deviation {err:g})")
-
-
-def make_three_eigenvalue(n: int, lam: float, mu: float, nu: float, V=None) -> SymMatrix:
+def make_three_eigenvalue(n: int, lam: float, mu: float, nu: float) -> SymMatrix:
     """Family with spectrum (lam, mu, ..., mu, nu), lam < mu < nu.
 
     Quasi-convexity holds when the first basis column dominates the last in
     the entrywise sense  v1 - sqrt((nu - mu)/(mu - lam)) |vn| >= 0.  The
-    default basis is v1 = (e1 + en)/sqrt(2), vn = (e1 - en)/sqrt(2) and
-    canonical vectors in between, which satisfies the condition exactly when
+    basis is v1 = (e1 + en)/sqrt(2), vn = (e1 - en)/sqrt(2) and canonical
+    vectors in between, which satisfies the condition exactly when
     mu >= (lam + nu)/2.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
     if not lam < mu < nu:
         raise ValueError(f"need lam < mu < nu, got {(lam, mu, nu)}")
-    if V is None:
-        V = np.eye(n)
-        V[:, 0] = 0.0
-        V[0, 0] = V[n - 1, 0] = 1.0 / np.sqrt(2.0)
-        V[:, n - 1] = 0.0
-        V[0, n - 1] = 1.0 / np.sqrt(2.0)
-        V[n - 1, n - 1] = -1.0 / np.sqrt(2.0)
-    else:
-        V = np.array(V, dtype=float)
-        if V.shape != (n, n):
-            raise ValueError("basis has wrong shape")
-    _check_orthogonal(V)
+    V = np.eye(n)
+    V[:, 0] = 0.0
+    V[0, 0] = V[n - 1, 0] = 1.0 / np.sqrt(2.0)
+    V[:, n - 1] = 0.0
+    V[0, n - 1] = 1.0 / np.sqrt(2.0)
+    V[n - 1, n - 1] = -1.0 / np.sqrt(2.0)
     ratio = np.sqrt((nu - mu) / (mu - lam))
     gap = V[:, 0] - ratio * np.abs(V[:, n - 1])
     if float(gap.min()) < -1e-12:
@@ -85,15 +70,12 @@ def _positive_basis(n: int) -> np.ndarray:
     return V
 
 
-def make_positive_basis(n: int, eigenvalues, V=None) -> SymMatrix:
+def make_positive_basis(n: int, eigenvalues) -> SymMatrix:
     """Family built on a strictly positive smallest eigenvector.
 
-    With the default basis (first column all-ones normalized, alpha = 1/sqrt(n))
-    the eigenvalues must satisfy the strict spread bound
-    lam_n < lam_2 + (1/(n(n-2))) (lam_2 - lam_1); a custom orthogonal basis
-    with strictly positive first column is accepted under the general bound
-    lam_n <= lam_2 + (alpha^2/(n-2)) (lam_2 - lam_1) with alpha the smallest
-    nonzero entry of that column.
+    The basis is _positive_basis(n), whose first column is all-ones
+    normalized; the eigenvalues must satisfy the strict spread bound
+    lam_n < lam_2 + (1/(n(n-2))) (lam_2 - lam_1).
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
@@ -102,27 +84,12 @@ def make_positive_basis(n: int, eigenvalues, V=None) -> SymMatrix:
         raise ValueError(f"expected {n} eigenvalues")
     if not (w[0] < w[1] and np.all(np.diff(w) >= 0)):
         raise ValueError("need lam_1 < lam_2 <= ... <= lam_n")
-    if V is None:
-        V = _positive_basis(n)
-        bound = w[1] + (w[1] - w[0]) / (n * (n - 2))
-        if not w[-1] < bound:
-            raise ValueError(
-                f"spread bound violated: lam_n = {w[-1]:g} must be < {bound:g}"
-            )
-    else:
-        V = np.array(V, dtype=float)
-        if V.shape != (n, n):
-            raise ValueError("basis has wrong shape")
-        v1 = V[:, 0]
-        if float(v1.min()) <= 0.0:
-            raise ValueError("first basis column must be strictly positive")
-        alpha = float(v1[v1 != 0.0].min())
-        bound = w[1] + alpha * alpha / (n - 2) * (w[1] - w[0])
-        if w[-1] > bound + 1e-12:
-            raise ValueError(
-                f"spread bound violated: lam_n = {w[-1]:g} must be <= {bound:g}"
-            )
-    _check_orthogonal(V)
+    bound = w[1] + (w[1] - w[0]) / (n * (n - 2))
+    if not w[-1] < bound:
+        raise ValueError(
+            f"spread bound violated: lam_n = {w[-1]:g} must be < {bound:g}"
+        )
+    V = _positive_basis(n)
     return SymMatrix((V * w) @ V.T)
 
 

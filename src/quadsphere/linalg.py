@@ -11,15 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ConvergenceError",
-    "SymMatrix",
-    "EigenSystem",
-    "EigenStructure",
-    "eigen_decompose",
-    "cluster_eigenvalues",
-    "is_diagonal",
-]
+__all__ = ["ConvergenceError", "SymMatrix"]
 
 # asymmetry SymMatrix symmetrizes away, relative to max(1, ||A||_F)
 _SYMMETRY_RTOL = 1e-9
@@ -120,22 +112,12 @@ class EigenSystem:
         return float(np.linalg.norm(self.eigenvalues))
 
 
-@dataclass(frozen=True)
-class EigenStructure:
-    """Eigenvalues grouped into clusters by a merging tolerance."""
-
-    clusters: list  # list of (value, multiplicity), values strictly increasing
-    distinct_count: int
-    smallest_simple: bool
-
-
 def eigen_decompose(A: SymMatrix) -> EigenSystem:
     """Full eigendecomposition by LAPACK ``eigh``, sign-normalized.
 
     Raises ConvergenceError when LAPACK reports non-convergence.
     """
     A = as_sym_matrix(A)
-    n = A.n
     try:
         w, v = np.linalg.eigh(A.a)
     except np.linalg.LinAlgError as exc:
@@ -146,10 +128,8 @@ def eigen_decompose(A: SymMatrix) -> EigenSystem:
     v = v[:, order]
 
     # deterministic sign: largest-magnitude entry of each column is >= 0
-    for j in range(n):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0.0:
-            v[:, j] = -v[:, j]
+    flip = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0.0
+    v *= np.where(flip, -1.0, 1.0)
 
     residual = float(np.linalg.norm(A.a - (v * w) @ v.T))
     w.setflags(write=False)
@@ -171,27 +151,21 @@ def cluster_tol(scale: float) -> float:
     return 1e-8 * max(1.0, scale)
 
 
-def cluster_eigenvalues(E: EigenSystem) -> EigenStructure:
+def cluster_eigenvalues(E: EigenSystem) -> list:
     """Merge consecutive eigenvalues within cluster_tol(||A||_F) into
-    clusters.
+    clusters: a list of (value, multiplicity), values strictly increasing.
 
     Merging is transitive: a chain of gaps each below the tolerance forms a
-    single cluster.
+    single cluster.  A cluster's value is the mean of its members.
     """
-    tol = cluster_tol(E.scale())
     w = E.eigenvalues
-    clusters = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol:
-            members = w[start:i]
-            clusters.append((float(members.mean()), int(len(members))))
-            start = i
-    return EigenStructure(
-        clusters=clusters,
-        distinct_count=len(clusters),
-        smallest_simple=clusters[0][1] == 1,
-    )
+    cut = np.flatnonzero(np.diff(w) > cluster_tol(E.scale())) + 1
+    bounds = [0, *cut.tolist(), w.size]
+    # a singleton's mean is its value; skipping .mean() there is bit-identical
+    return [
+        (float(w[s:e].mean()) if e - s > 1 else float(w[s]), e - s)
+        for s, e in zip(bounds, bounds[1:])
+    ]
 
 
 def is_diagonal(A: SymMatrix) -> bool:

@@ -3,9 +3,9 @@
 ``falsify`` scores sampled pairs by three quasi-convexity tests (the two-point
 inequality, the geodesic sweep, the sublevel-cone midpoint test) in one kernel,
 ``_margins``, which sweeps the geodesic through the pair's 2x2 Gram form.
-Samples are drawn and scored in blocks of ``_BLOCK`` rows; the best hit is
-sharpened by coordinate search scored by the same kernel, and the witness is
-read from the kernel's row.  ``minimize_orthant`` computes the exact minimum
+Samples are drawn and scored in blocks of at most ``_BLOCK`` rows and
+``_BLOCK_ENTRIES`` coordinates; the best hit is sharpened by coordinate search
+scored by the same kernel, and the witness is read from the kernel's row.  ``minimize_orthant`` computes the exact minimum
 via the Pareto spectrum when the dimension permits and falls back to
 multi-start projected geodesic descent otherwise.
 """
@@ -35,8 +35,10 @@ _GEODESIC_TS = np.array([1, 2, 3, 4, 5, 6, 7], dtype=float) / 8.0
 # columns of a ``_margins`` row: the three test margins, the coefficients
 # (alpha, beta) of the best geodesic point and c = max{q(x), q(y)}
 _PAIR, _GEODESIC, _MIDPOINT, _ALPHA, _BETA, _C = range(6)
-# pairs drawn and scored at a time, so memory does not grow with samples
+# pairs drawn and scored at a time, at most _BLOCK rows and _BLOCK_ENTRIES
+# sampled coordinates per side, so memory grows with neither samples nor n
 _BLOCK = 2**17
+_BLOCK_ENTRIES = 2**21
 # coordinate search: at most this many sweeps, the step halving from 0.1
 _SWEEPS = 200
 _STEP0 = 0.1
@@ -106,8 +108,8 @@ def falsify(
 
     Returns a witness iff the refined margin exceeds ``tol_margin``.
     Deterministic per (A, samples, seed).  Pairs are drawn in blocks of
-    ``_BLOCK`` rows (an X block, then a Y block), so up to ``_BLOCK`` samples
-    draw exactly one X and one Y array.
+    min(_BLOCK, _BLOCK_ENTRIES // n) rows (an X block, then a Y block), so up
+    to that many samples draw exactly one X and one Y array.
     """
     A = as_sym_matrix(A)
     if samples < 1:
@@ -116,8 +118,9 @@ def falsify(
     rng = np.random.default_rng(seed)
     best = np.full(3, -np.inf)
     pairs = [None] * 3
-    for start in range(0, samples, _BLOCK):
-        X = sample_orthant_array(A.n, min(_BLOCK, samples - start), rng)
+    rows = min(_BLOCK, _BLOCK_ENTRIES // A.n)
+    for start in range(0, samples, rows):
+        X = sample_orthant_array(A.n, min(rows, samples - start), rng)
         Y = sample_orthant_array(A.n, X.shape[0], rng)
         M = _margins(a, X, Y)
         for col, i in enumerate(np.argmax(M[:, :3], axis=0)):

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: brute-force grids for
 orthant minima, the closed-form 2x2 eigenproblem, finite differences for
-derivatives along geodesics, a one-support-at-a-time Pareto enumeration, and
-the intrinsic sphere geometry (distances, minimal geodesic segments, the
+derivatives along geodesics, a one-support-at-a-time Pareto enumeration, the
+loop forms of the eigenvector sign step and the eigenvalue clustering, and the
+intrinsic sphere geometry (distances, minimal geodesic segments, the
 spherical gradient of q_A) that the falsifier's Gram-form kernel must agree
 with.
 """
@@ -104,6 +105,32 @@ def reference_pareto(a: np.ndarray, slack_tol=1e-9, strict_tol=1e-12):
         ):
             kept.append(t)
     return kept
+
+
+def reference_sign_normalize(v: np.ndarray) -> np.ndarray:
+    """Flip each column of ``v`` whose first entry of largest magnitude is
+    negative, one column at a time (the loop form of eigen_decompose's sign
+    step)."""
+    v = v.copy()
+    for j in range(v.shape[1]):
+        k = int(np.argmax(np.abs(v[:, j])))
+        if v[k, j] < 0.0:
+            v[:, j] = -v[:, j]
+    return v
+
+
+def reference_clusters(w: np.ndarray, tol: float) -> list:
+    """(mean, size) of each run of ascending ``w`` whose consecutive gaps are
+    at most ``tol``, one element at a time (the loop form of
+    cluster_eigenvalues)."""
+    clusters = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > tol:
+            members = w[start:i]
+            clusters.append((float(members.mean()), int(len(members))))
+            start = i
+    return clusters
 
 
 def as_point(x) -> SpherePoint:

@@ -9,7 +9,6 @@ from quadsphere.certify import (
     Witness,
     WitnessKind,
     certify,
-    construct_diag_witness,
     pair_violation_margin,
     verify_witness,
     _diag_witness,
@@ -287,9 +286,9 @@ def _step5_inputs(corpus):
     config = Config(samples=200)
     for A in corpus:
         E = eigen_decompose(A)
-        S = cluster_eigenvalues(E)
-        two = S.distinct_count == 2 and S.smallest_simple
-        if S.distinct_count == 1 or is_diagonal(A) or two:
+        clusters = cluster_eigenvalues(E)
+        two = len(clusters) == 2 and clusters[0][1] == 1
+        if len(clusters) == 1 or is_diagonal(A) or two:
             continue
         yield A, float(E.eigenvalues[1]), certify(A, config)
 
@@ -362,7 +361,7 @@ class TestEdgeWitness:
 
     def test_diagonal_case(self):
         # for a diagonal matrix the edge points are those of
-        # construct_diag_witness: e_i + t e_k below and above c
+        # step 3's diagonal witness: e_i + t e_k below and above c
         A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
         w = _edge_witness(A, eigen_decompose(A), FAST)
         assert w.kind is WitnessKind.CONE_NONCONVEXITY
@@ -400,9 +399,14 @@ class TestEdgeWitness:
             assert verify_witness(A, v.witness, FAST)
 
 
+def diag_witness(d):
+    """The witness certify returns for diag(d): step 3's diagonal witness."""
+    return certify(SymMatrix(np.diag(d))).witness
+
+
 class TestConstructDiagWitness:
     def test_three_distinct(self):
-        w = construct_diag_witness([1.0, 2.0, 3.0])
+        w = diag_witness([1.0, 2.0, 3.0])
         assert w.data["c"] == pytest.approx(2.5)
         np.testing.assert_allclose(w.data["x"], [1.0, 0.0, np.sqrt(3.0)], atol=1e-12)
         np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
@@ -410,7 +414,7 @@ class TestConstructDiagWitness:
         assert verify_witness(SymMatrix(np.diag([1.0, 2.0, 3.0])), w)
 
     def test_repeated_smallest(self):
-        w = construct_diag_witness([-1.0, -1.0, 1.0])
+        w = diag_witness([-1.0, -1.0, 1.0])
         assert w.data["c"] == pytest.approx(0.0)
         np.testing.assert_allclose(w.data["x"], [1.0, 0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
@@ -418,28 +422,28 @@ class TestConstructDiagWitness:
         assert verify_witness(SymMatrix(np.diag([-1.0, -1.0, 1.0])), w)
 
     def test_repeated_smallest_shifted(self):
-        w = construct_diag_witness([1.0, 1.0, 2.0])
+        w = diag_witness([1.0, 1.0, 2.0])
         assert w.data["c"] == pytest.approx(1.5)
         assert verify_witness(SymMatrix(np.diag([1.0, 1.0, 2.0])), w)
 
     def test_unordered_input(self):
-        w = construct_diag_witness([3.0, 1.0, 2.0])
+        w = diag_witness([3.0, 1.0, 2.0])
         assert verify_witness(SymMatrix(np.diag([3.0, 1.0, 2.0])), w)
 
     def test_rejects_quasiconvex_diag(self):
         # a repeated largest value over a simple smallest one, or a single
-        # value, leaves no witness to build
-        with pytest.raises(ValueError):
-            construct_diag_witness([-1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            construct_diag_witness([2.0, 2.0, 2.0])
+        # value, leaves no witness to build: Yes
+        for d in ([-1.0, 1.0, 1.0], [2.0, 2.0, 2.0]):
+            v = certify(SymMatrix(np.diag(d)))
+            assert v.status is Status.CERTIFIED_QUASICONVEX
+            assert v.witness is None
 
     def test_random_nonquasiconvex_diagonals(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             d = np.sort(rng.choice([-2.0, -1.0, 0.5, 1.0, 3.0], size=4))
             if len(np.unique(d)) >= 3 or (len(np.unique(d)) == 2 and d[0] == d[1]):
-                w = construct_diag_witness(d)
+                w = diag_witness(d)
                 assert verify_witness(SymMatrix(np.diag(d)), w)
 
 
@@ -476,8 +480,7 @@ class TestConstructThreevecWitness:
 
     def test_rejects_equal_eigenvalues(self):
         assert _diag_witness(np.array([1.0, 1.0, 1.0]), np.eye(3), self.TOL) is None
-        with pytest.raises(ValueError, match="single value"):
-            construct_diag_witness([1.0, 1.0, 1.0])
+        assert certify(SymMatrix(np.eye(3))).witness is None
 
 
 class TestNonnegativeEigenbasisWitness:
@@ -571,7 +574,7 @@ class TestVerifyWitness:
     @pytest.mark.parametrize("field", ["x", "y"])
     def test_rejects_wrong_length_cone_points(self, field):
         A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
-        w = construct_diag_witness([1.0, 2.0, 3.0])
+        w = diag_witness([1.0, 2.0, 3.0])
         data = dict(w.data)
         data[field] = np.append(data[field], 1.0)
         bad = Witness(kind=w.kind, data=data, margin=w.margin)

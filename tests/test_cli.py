@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadsphere
-from quadsphere.cli import main
+from quadsphere.cli import _jsonable, _render_text, main
+from quadsphere.config import Config
 from quadsphere.genex import make_negative_positive
 from quadsphere.matrixdoc import MatrixDocument, dumps, loads
 from quadsphere.linalg import SymMatrix
@@ -145,6 +146,66 @@ class TestOtherCommands:
         )
         assert code == 0
         assert json.loads(out)["minimum"]["method"] == "GeodesicDescent"
+
+
+def _api_payload(command, A, cfg):
+    """(report key, payload) of ``command``, built from the library API."""
+    if command == "analyze":
+        return "verdict", quadsphere.certify(A, cfg)
+    if command == "pareto":
+        spectrum = quadsphere.pareto_spectrum(A, cfg)
+        pairs = [
+            {"value": p.value, "vector": p.vector, "support": list(p.support)}
+            for p in spectrum.pairs
+        ]
+        return "pareto", {
+            "min_value": spectrum.min_value, "exact": spectrum.exact, "pairs": pairs,
+        }
+    if command == "copositive":
+        return "copositive", quadsphere.is_copositive(A, cfg)
+    if command == "minimize":
+        res = quadsphere.minimize_orthant(A, cfg)
+        return "minimum", {
+            "value": res.value,
+            "argmin": res.argmin.coords,
+            "method": res.method,
+            "iterations": res.iterations,
+            "boundary_hit": res.boundary_hit,
+        }
+    return "probe", quadsphere.falsify(A, cfg.samples, cfg.seed, tol_margin=cfg.tol_margin)
+
+
+class TestWholeReport:
+    """Each matrix command prints the base fields, then its payload, and
+    nothing else, in either format."""
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize(
+        "command", ["analyze", "pareto", "copositive", "minimize", "probe"]
+    )
+    def test_report_equals_api(self, tmp_path, capsys, command, fmt):
+        A = SymMatrix([[1.0, -0.2, 0.0], [-0.2, 2.0, -0.1], [0.0, -0.1, 3.0]])
+        path = tmp_path / "m.json"
+        path.write_text(dumps(A, name="z3"))
+        code, out, err = run(
+            capsys, command, str(path), "--format", fmt,
+            "--samples", "3000", "--seed", "5", "--tol-margin", "1e-7",
+        )
+        assert (code, err) == (0, "")
+        cfg = Config(tol_margin=1e-7, samples=3000, seed=5)
+        key, payload = _api_payload(command, A, cfg)
+        report = _jsonable({
+            "command": command,
+            "version": quadsphere.__version__,
+            "input_digest": MatrixDocument(A, "z3").digest(),
+            "config": cfg.as_dict(),
+            "name": "z3",
+            key: payload,
+        })
+        if fmt == "structured":
+            assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        else:
+            assert out == "\n".join(_render_text(report)) + "\n"
 
 
 class TestGenerate:

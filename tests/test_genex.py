@@ -43,17 +43,13 @@ class TestThreeEigenvalue:
             make_three_eigenvalue(3, 2.0, 1.0, 3.0)
 
     def test_rejects_spread_violation(self):
-        # mu below the midpoint breaks the default-basis condition
+        # mu below the midpoint breaks the basis condition
         with pytest.raises(ValueError, match="basis condition"):
             make_three_eigenvalue(3, 0.0, 1.0, 4.0)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             make_three_eigenvalue(2, 0.0, 1.0, 2.0)
-
-    def test_custom_basis_checked(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            make_three_eigenvalue(3, 0.0, 3.0, 4.0, V=np.ones((3, 3)))
 
 
 class TestPositiveBasis:

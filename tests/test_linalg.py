@@ -4,11 +4,12 @@ import pytest
 from quadsphere.linalg import (
     SymMatrix,
     cluster_eigenvalues,
+    cluster_tol,
     eigen_decompose,
     is_diagonal,
 )
 
-from oracles import eig_2x2
+from oracles import eig_2x2, reference_clusters, reference_sign_normalize
 
 
 def random_symmetric(rng, n, scale=2.0):
@@ -87,31 +88,78 @@ class TestEigenDecompose:
 class TestClusterEigenvalues:
     def test_repeated_smallest(self):
         E = eigen_decompose(SymMatrix(np.diag([1.0, 1.0, 3.0])))
-        S = cluster_eigenvalues(E)
-        assert S.clusters == [(1.0, 2), (3.0, 1)]
-        assert not S.smallest_simple
+        clusters = cluster_eigenvalues(E)
+        assert clusters == [(1.0, 2), (3.0, 1)]
+        assert clusters[0][1] != 1
 
     def test_simple_smallest(self):
         E = eigen_decompose(SymMatrix(np.diag([-1.0, 1.0, 1.0])))
-        S = cluster_eigenvalues(E)
-        assert S.distinct_count == 2
-        assert S.smallest_simple
+        clusters = cluster_eigenvalues(E)
+        assert len(clusters) == 2
+        assert clusters[0][1] == 1
 
     def test_tolerance_forces_merge(self):
         E = eigen_decompose(SymMatrix(np.diag([0.0, 1e-12, 5.0])))
-        S = cluster_eigenvalues(E)
-        assert S.distinct_count == 2
-        value, mult = S.clusters[0]
+        clusters = cluster_eigenvalues(E)
+        assert len(clusters) == 2
+        value, mult = clusters[0]
         assert mult == 2 and abs(value) < 1e-11
 
     def test_multiplicities_sum(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             E = eigen_decompose(random_symmetric(rng, 6))
-            S = cluster_eigenvalues(E)
-            assert sum(m for _, m in S.clusters) == 6
-            values = [v for v, _ in S.clusters]
+            clusters = cluster_eigenvalues(E)
+            assert sum(m for _, m in clusters) == 6
+            values = [v for v, _ in clusters]
             assert values == sorted(values)
+
+
+def _mixed_inputs(rng, count):
+    """Seeded symmetric matrices of size 2-32: dense at three scales,
+    clustered spectra whose gaps sit below, near and above cluster_tol,
+    diagonals with repeated entries, and reflections whose eigenvectors tie
+    in magnitude."""
+    out = []
+    for m in range(count):
+        n = int(rng.integers(2, 33))
+        kind = m % 4
+        if kind == 0:
+            out.append(random_symmetric(rng, n, scale=10.0 ** rng.integers(-3, 4)))
+            continue
+        if kind == 3:
+            v = rng.choice([1.0, 2.0], n) if m % 8 == 3 else np.ones(n)
+            out.append(SymMatrix(np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)))
+            continue
+        w = np.repeat(rng.standard_normal(3), [1, n // 2, n - 1 - n // 2])
+        w += rng.choice([0.0, 3e-9, 1e-8, 3e-8], n) * rng.random(n)
+        if kind == 1:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            out.append(SymMatrix((q * w) @ q.T))
+        else:
+            out.append(SymMatrix(np.diag(rng.permutation(w))))
+    return out
+
+
+class TestArrayFormsMatchLoops:
+    """The array forms of the sign step and the clustering give the loop
+    forms' output bit for bit."""
+
+    def test_bitwise(self):
+        rng = np.random.default_rng(2025)
+        multi = 0
+        for A in _mixed_inputs(rng, 1200):
+            w, v = np.linalg.eigh(A.a)
+            order = np.argsort(w, kind="stable")
+            expected = reference_sign_normalize(v[:, order])
+            E = eigen_decompose(A)
+            assert E.vectors.tobytes() == expected.tobytes()
+            clusters = cluster_eigenvalues(E)
+            ref = reference_clusters(E.eigenvalues, cluster_tol(E.scale()))
+            assert repr(clusters) == repr(ref)
+            assert [type(m) for _, m in clusters] == [int] * len(ref)
+            multi += any(m > 1 for _, m in ref)
+        assert multi >= 600
 
 
 class TestIsDiagonal:

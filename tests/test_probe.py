@@ -258,14 +258,15 @@ class TestBlockedSampling:
 
     def test_one_block_draws_one_x_and_one_y(self, monkeypatch):
         reference = falsify(self.A, samples=1_000, seed=4)
-        monkeypatch.setattr(probe, "_BLOCK", 1_000)
+        # 6,000 entries at n = 6: blocks of 1,000 rows
+        monkeypatch.setattr(probe, "_BLOCK_ENTRIES", 6_000)
         counts = self.spy(monkeypatch)
         rep = falsify(self.A, samples=1_000, seed=4)
         assert counts == [1_000, 1_000]
         assert report_bytes(rep) == report_bytes(reference)
 
     def test_ten_blocks(self, monkeypatch):
-        monkeypatch.setattr(probe, "_BLOCK", 1_000)
+        monkeypatch.setattr(probe, "_BLOCK_ENTRIES", 6_000)
         counts = self.spy(monkeypatch)
         r1 = falsify(self.A, samples=9_500, seed=4)
         assert counts == [1_000] * 18 + [500, 500]
@@ -276,7 +277,7 @@ class TestBlockedSampling:
         assert verify_witness(self.A, r1.witness)
 
     def test_memory_does_not_grow_with_samples(self, monkeypatch):
-        monkeypatch.setattr(probe, "_BLOCK", 1_000)
+        monkeypatch.setattr(probe, "_BLOCK_ENTRIES", 6_000)
 
         def peak(samples):
             tracemalloc.start()
@@ -288,3 +289,24 @@ class TestBlockedSampling:
 
         one = peak(1_000)
         assert peak(10_000) <= 2 * one
+
+    def test_row_limit_caps_small_n(self, monkeypatch):
+        # at n = 6 the entry budget allows more rows than _BLOCK
+        monkeypatch.setattr(probe, "_BLOCK", 1_000)
+        counts = self.spy(monkeypatch)
+        falsify(self.A, samples=2_500, seed=4)
+        assert counts == [1_000, 1_000, 1_000, 1_000, 500, 500]
+
+    def test_peak_memory_at_n64(self):
+        # 2^16 samples at n = 64 are two blocks of 2^21 / 64 = 2^15 rows; an
+        # X and a Y block hold 2 * 2^21 doubles (32 MiB), and the kernel's
+        # temporaries stay within a few times that.  One 2^16-row block
+        # would peak near 160 MiB.
+        A = SymMatrix(np.diag(np.linspace(0.0, 1.0, 64)))
+        tracemalloc.start()
+        try:
+            falsify(A, samples=2**16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (2 * probe._BLOCK_ENTRIES * 8)
