@@ -8,7 +8,7 @@ falsification.  Yes-verdicts always carry a re-checkable certificate,
 No-verdicts a witness whose defining inequalities re-verify by direct
 arithmetic; anything undecided is an honest Unknown.
 
-The chain, in order:
+The chain, in order (steps 4-6 read one mask of orthant-fitting columns):
 
 1. a single eigenvalue cluster: constant form, Yes;
 2. an off-diagonal entry above tol_margin: the pair (e_i, e_j), No;
@@ -61,7 +61,6 @@ from .linalg import (
     cluster_eigenvalues,
     cluster_tol,
     eigen_decompose,
-    is_diagonal,
 )
 
 __all__ = [
@@ -81,6 +80,8 @@ _EDGE_STEPS = np.arange(1, 65) / 65.0
 _EDGE_BLOCK = 1 << 18
 # rounds of raising c when a built edge point misses the cone by round-off
 _EDGE_NUDGES = 8
+# off-diagonal magnitude step 3 treats as zero, relative to max(1, ||A||_F)
+_DIAGONAL_RTOL = 1e-12
 
 
 class Rule(enum.Enum):
@@ -270,7 +271,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
 
     # 3. diagonal matrices are fully characterized: exactly two distinct
     # values with a simple smallest one
-    if is_diagonal(A):
+    if float(np.abs(off).max()) <= _DIAGONAL_RTOL * max(1.0, A.norm_fro()):
         if two_simple:
             return Verdict(
                 status=Status.CERTIFIED_QUASICONVEX,
@@ -285,21 +286,23 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
         # tolerance edge (values distinct only marginally): fall through
 
+    # steps 4-6 read which eigenvectors fit the orthant; -v fits only where
+    # v does (see EigenSystem), so v is the only sign to test
+    fits = E.vectors.min(axis=0) >= -config.tol_sign
+
     # 4. two eigenvalue clusters with a simple smallest: decided by whether
-    # the smallest eigenvector fits in the orthant (either sign).  When it
-    # does not, steps 5-7 have nothing to build (no nonnegative lambda1
-    # vector, one value over the nonnegative eigenvectors, and
+    # the smallest eigenvector fits in the orthant.  When it does not, steps
+    # 5-7 have nothing to build (no nonnegative lambda1 vector, one value
+    # over the nonnegative eigenvectors, and
     # a_ii = lam2 - (lam2 - lam1) v_i^2 <= lam2), so the input reaches step 8.
-    if two_simple:
-        v1 = _orthant_representative(E.vectors[:, 0], config.tol_sign)
-        if v1 is not None:
-            return Verdict(
-                status=Status.CERTIFIED_QUASICONVEX,
-                certificate=Certificate(
-                    Rule.TWO_EIGENVALUE_CHARACTERIZATION,
-                    {"clusters": clusters, "eigenvector": v1},
-                ),
-            )
+    if two_simple and fits[0]:
+        return Verdict(
+            status=Status.CERTIFIED_QUASICONVEX,
+            certificate=Certificate(
+                Rule.TWO_EIGENVALUE_CHARACTERIZATION,
+                {"clusters": clusters, "eigenvector": E.vectors[:, 0].copy()},
+            ),
+        )
 
     # 5. copositivity sufficiency: a nonnegative smallest eigenvector plus
     # copositivity of (second smallest eigenvalue) I - A.  The second smallest
@@ -313,7 +316,21 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # lam2 - a_kk, and every larger support carries a Perron value at least
     # as large.  Only inside the tolerance band (p > 0), where the bound is
     # loose, does the support enumeration decide what the bound declines.
-    cand = _lambda1_orthant_vector(E, clusters[0][1], config.tol_sign)
+    # The lambda1 vector is the first fitting column of its eigenspace; when
+    # a repeated lambda1 has none, the projection of the all-ones direction
+    # is tried.  That heuristic can miss, which degrades Yes to Unknown only.
+    mult = clusters[0][1]
+    hit = np.flatnonzero(fits[:mult])
+    cand = E.vectors[:, hit[0]].copy() if hit.size else None
+    if cand is None and mult > 1:
+        # BLAS sums in an order that depends on the memory layout; one fixed
+        # layout keeps the certificate's bytes stable
+        basis = np.asfortranarray(E.vectors[:, :mult])
+        proj = basis @ (basis.T @ np.ones(n))
+        nrm = float(np.linalg.norm(proj))
+        if nrm > 1e-12:
+            # not sign-normalized, unlike the columns: both signs are tried
+            cand = _orthant_representative(proj / nrm, config.tol_sign)
     if cand is not None:
         lam2 = float(E.eigenvalues[1])
         p = float(off[i, j])
@@ -332,13 +349,10 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
 
     # 6. q_A is diagonal on the span of the nonnegative eigenvectors, an
     # orthonormal nonnegative basis: the diagonal obstruction in that basis
-    reps = [_orthant_representative(E.vectors[:, k], config.tol_sign) for k in range(n)]
-    nonneg = [k for k in range(n) if reps[k] is not None]
-    if len(nonneg) >= 3:
+    nonneg = np.flatnonzero(fits)
+    if nonneg.size >= 3:
         witness = _diag_witness(
-            E.eigenvalues[nonneg],
-            np.column_stack([reps[k] for k in nonneg]),
-            cluster_tol(E.scale()),
+            E.eigenvalues[nonneg], E.vectors[:, nonneg], cluster_tol(E.scale())
         )
         if witness is not None and verify_witness(A, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
@@ -358,27 +372,6 @@ def _orthant_representative(v: np.ndarray, tol: float) -> np.ndarray | None:
     for cand in (v, -v):
         if float(cand.min()) >= -tol:
             return cand.copy()
-    return None
-
-
-def _lambda1_orthant_vector(E, mult: int, tol: float) -> np.ndarray | None:
-    """Search the smallest-eigenvalue eigenspace for a nonnegative vector.
-
-    For a simple eigenvalue only the two signs are checked.  For a repeated
-    one, the basis columns and the projection of the all-ones direction are
-    tried; this heuristic can miss, which degrades Yes to Unknown but never
-    produces a wrong verdict.
-    """
-    for k in range(mult):
-        cand = _orthant_representative(E.vectors[:, k], tol)
-        if cand is not None:
-            return cand
-    if mult > 1:
-        basis = E.vectors[:, :mult]
-        proj = basis @ (basis.T @ np.ones(E.n))
-        nrm = float(np.linalg.norm(proj))
-        if nrm > 1e-12:
-            return _orthant_representative(proj / nrm, tol)
     return None
 
 

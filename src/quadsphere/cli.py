@@ -3,7 +3,8 @@
 Commands: analyze, pareto, copositive, minimize, probe, generate.
 Reports are deterministic for identical inputs and flags; verdicts are
 payload, not failures, so the exit code contract is simply
-0 = completed, 2 = input/parameter error, 3 = internal numerical failure.
+0 = completed, 2 = input/parameter error (an array too large for memory
+included), 3 = internal numerical failure.
 """
 
 from __future__ import annotations
@@ -167,15 +168,15 @@ def _parse_floats(text: str) -> list[float]:
 
 def cmd_generate(args) -> int:
     family = args.family
+    n = 3 if args.n is None else args.n
     if family == "three-eig":
         eigs = _parse_floats(args.eigs or "")
         if len(eigs) != 3:
             raise ValueError("three-eig needs --eigs lam,mu,nu")
-        A = make_three_eigenvalue(args.n, *eigs)
+        A = make_three_eigenvalue(n, *eigs)
     elif family == "positive-basis":
         eigs = _parse_floats(args.eigs or "")
-        n = args.n or len(eigs)
-        A = make_positive_basis(n, eigs)
+        A = make_positive_basis(len(eigs) if args.n is None else n, eigs)
     elif family == "householder":
         if not args.v:
             raise ValueError("householder needs --v components")
@@ -184,9 +185,9 @@ def cmd_generate(args) -> int:
         eigs = _parse_floats(args.eigs or "")
         if len(eigs) != 2:
             raise ValueError("diag-two-eig needs --eigs lam,mu")
-        A = make_diag_two_eig(args.n, *eigs)
+        A = make_diag_two_eig(n, *eigs)
     elif family == "negative-positive":
-        A = make_negative_positive(args.n, args.seed)
+        A = make_negative_positive(n, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {family!r}")
     text = dumps(A, name=args.name)
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
             "negative-positive",
         ),
     )
-    g.add_argument("--n", type=int, default=3)
+    g.add_argument("--n", type=int, help="dimension (default 3; positive-basis: len of --eigs)")
     g.add_argument("--eigs", help="comma-separated eigenvalue parameters")
     g.add_argument("--v", help="comma-separated vector components")
     g.add_argument("--seed", type=int, default=0)
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConvergenceError, RuntimeError, FloatingPointError) as exc:

@@ -24,6 +24,14 @@ __all__ = [
 _ATTEMPTS = 100
 
 
+def _require_finite(values) -> np.ndarray:
+    """The parameters as a float array, rejected if one is inf or NaN."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("generator parameters must be finite")
+    return values
+
+
 def make_three_eigenvalue(n: int, lam: float, mu: float, nu: float) -> SymMatrix:
     """Family with spectrum (lam, mu, ..., mu, nu), lam < mu < nu.
 
@@ -31,25 +39,26 @@ def make_three_eigenvalue(n: int, lam: float, mu: float, nu: float) -> SymMatrix
     the entrywise sense  v1 - sqrt((nu - mu)/(mu - lam)) |vn| >= 0.  The
     basis is v1 = (e1 + en)/sqrt(2), vn = (e1 - en)/sqrt(2) and canonical
     vectors in between, which satisfies the condition exactly when
-    mu >= (lam + nu)/2.
+    mu >= (lam + nu)/2; that rule is checked in exact rational arithmetic.
     """
+    _require_finite([lam, mu, nu])
     if n < 3:
         raise ValueError("dimension must be at least 3")
     if not lam < mu < nu:
         raise ValueError(f"need lam < mu < nu, got {(lam, mu, nu)}")
+    # imported here: fractions loads decimal, a cost every CLI start would pay
+    from fractions import Fraction
+    if 2 * Fraction(mu) < Fraction(lam) + Fraction(nu):
+        raise ValueError(
+            "basis condition violated: v1 - sqrt((nu-mu)/(mu-lam))|vn| "
+            "has a negative component"
+        )
     V = np.eye(n)
     V[:, 0] = 0.0
     V[0, 0] = V[n - 1, 0] = 1.0 / np.sqrt(2.0)
     V[:, n - 1] = 0.0
     V[0, n - 1] = 1.0 / np.sqrt(2.0)
     V[n - 1, n - 1] = -1.0 / np.sqrt(2.0)
-    ratio = np.sqrt((nu - mu) / (mu - lam))
-    gap = V[:, 0] - ratio * np.abs(V[:, n - 1])
-    if float(gap.min()) < -1e-12:
-        raise ValueError(
-            "basis condition violated: v1 - sqrt((nu-mu)/(mu-lam))|vn| "
-            "has a negative component"
-        )
     w = np.full(n, mu)
     w[0] = lam
     w[n - 1] = nu
@@ -77,9 +86,9 @@ def make_positive_basis(n: int, eigenvalues) -> SymMatrix:
     normalized; the eigenvalues must satisfy the strict spread bound
     lam_n < lam_2 + (1/(n(n-2))) (lam_2 - lam_1).
     """
+    w = _require_finite(eigenvalues)
     if n < 3:
         raise ValueError("dimension must be at least 3")
-    w = np.asarray(eigenvalues, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"expected {n} eigenvalues")
     if not (w[0] < w[1] and np.all(np.diff(w) >= 0)):
@@ -98,7 +107,7 @@ def make_householder(v) -> SymMatrix:
 
     Eigenvalues are -1 (simple, eigenvector v) and +1 (multiplicity n-1).
     """
-    v = np.asarray(v, dtype=float)
+    v = _require_finite(v)
     if v.ndim != 1 or v.shape[0] < 2:
         raise ValueError("v must be a vector of dimension at least 2")
     if float(v.min()) < 0.0:
@@ -114,6 +123,7 @@ def make_householder(v) -> SymMatrix:
 
 def make_diag_two_eig(n: int, lam: float, mu: float) -> SymMatrix:
     """diag(lam, mu, ..., mu) with lam < mu: simple smallest eigenvalue."""
+    _require_finite([lam, mu])
     if n < 3:
         raise ValueError("dimension must be at least 3")
     if not lam < mu:

@@ -15,8 +15,6 @@ __all__ = ["ConvergenceError", "SymMatrix"]
 
 # asymmetry SymMatrix symmetrizes away, relative to max(1, ||A||_F)
 _SYMMETRY_RTOL = 1e-9
-# off-diagonal magnitude is_diagonal treats as zero, relative to max(1, ||A||_F)
-_DIAGONAL_RTOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -95,17 +93,14 @@ class EigenSystem:
     """Ascending eigenvalues with an orthonormal, sign-normalized basis.
 
     ``vectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``; in each
-    column the entry of largest magnitude is nonnegative.  ``residual`` is
-    the Frobenius norm of A - V diag(w) V^T.
+    column the entry m of largest magnitude is nonnegative.  So a column v
+    fits the orthant up to tol >= 0 whenever -v does: max v <= tol gives
+    v >= -m >= -tol.  ``residual`` is the Frobenius norm of A - V diag(w) V^T.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residual: float
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def scale(self) -> float:
         """Frobenius norm of the decomposed matrix."""
@@ -115,17 +110,14 @@ class EigenSystem:
 def eigen_decompose(A: SymMatrix) -> EigenSystem:
     """Full eigendecomposition by LAPACK ``eigh``, sign-normalized.
 
-    Raises ConvergenceError when LAPACK reports non-convergence.
+    ``eigh`` returns the eigenvalues in ascending order, so they are kept as
+    returned.  Raises ConvergenceError when LAPACK reports non-convergence.
     """
     A = as_sym_matrix(A)
     try:
         w, v = np.linalg.eigh(A.a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
 
     # deterministic sign: largest-magnitude entry of each column is >= 0
     flip = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0.0
@@ -135,14 +127,6 @@ def eigen_decompose(A: SymMatrix) -> EigenSystem:
     w.setflags(write=False)
     v.setflags(write=False)
     return EigenSystem(eigenvalues=w, vectors=v, residual=residual)
-
-
-def _max_offdiag(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n < 2:
-        return 0.0
-    mask = ~np.eye(n, dtype=bool)
-    return float(np.abs(a[mask]).max())
 
 
 def cluster_tol(scale: float) -> float:
@@ -166,10 +150,3 @@ def cluster_eigenvalues(E: EigenSystem) -> list:
         (float(w[s:e].mean()) if e - s > 1 else float(w[s]), e - s)
         for s, e in zip(bounds, bounds[1:])
     ]
-
-
-def is_diagonal(A: SymMatrix) -> bool:
-    """True iff every off-diagonal magnitude is at most
-    _DIAGONAL_RTOL * max(1, ||A||_F)."""
-    A = as_sym_matrix(A)
-    return _max_offdiag(A.a) <= _DIAGONAL_RTOL * max(1.0, A.norm_fro())

@@ -22,12 +22,7 @@ from quadsphere.genex import (
     make_positive_basis,
     make_three_eigenvalue,
 )
-from quadsphere.linalg import (
-    SymMatrix,
-    cluster_eigenvalues,
-    eigen_decompose,
-    is_diagonal,
-)
+from quadsphere.linalg import SymMatrix, cluster_eigenvalues, eigen_decompose
 
 # small sampling budget keeps the unit tests fast; the acceptance suite
 # exercises the full default budget
@@ -288,7 +283,8 @@ def _step5_inputs(corpus):
         E = eigen_decompose(A)
         clusters = cluster_eigenvalues(E)
         two = len(clusters) == 2 and clusters[0][1] == 1
-        if len(clusters) == 1 or is_diagonal(A) or two:
+        diagonal = not np.any(A.a - np.diag(np.diag(A.a)))
+        if len(clusters) == 1 or diagonal or two:
             continue
         yield A, float(E.eigenvalues[1]), certify(A, config)
 
@@ -397,6 +393,22 @@ class TestEdgeWitness:
         assert v.status is not Status.CERTIFIED_QUASICONVEX
         if v.status is Status.CERTIFIED_NOT_QUASICONVEX:
             assert verify_witness(A, v.witness, FAST)
+
+
+class TestDiagonalStep:
+    """Step 3 takes off-diagonal entries up to 1e-12 max(1, ||A||_F) as zero."""
+
+    def test_diagonal(self):
+        v = certify(SymMatrix(np.diag([1.0, 2.0, 2.0])), FAST)
+        assert v.certificate.rule is Rule.DIAGONAL_CHARACTERIZATION
+
+    def test_off_diagonal(self):
+        v = certify(sym([[1.0, -0.5], [-0.5, 1.0]]), FAST)
+        assert v.certificate.rule is Rule.TWO_EIGENVALUE_CHARACTERIZATION
+
+    def test_below_tolerance(self):
+        v = certify(sym([[1.0, 1e-15], [1e-15, 2.0]]), FAST)
+        assert v.certificate.rule is Rule.DIAGONAL_CHARACTERIZATION
 
 
 def diag_witness(d):

@@ -1,7 +1,9 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +256,95 @@ class TestGenerate:
         assert code == 2
         assert "eigs" in err
 
+    def test_positive_basis_n_from_eigs(self, capsys):
+        eigs = ("--eigs", "0,1,1.01,1.02")
+        code, out, _ = run(capsys, "generate", "positive-basis", *eigs)
+        assert code == 0
+        assert (code, out) == run(capsys, "generate", "positive-basis", "--n", "4", *eigs)[:2]
+        code, _, err = run(capsys, "generate", "positive-basis", "--n", "3", *eigs)
+        assert code == 2
+        assert "expected 3 eigenvalues" in err
+
+    @pytest.mark.parametrize("params", [
+        ("three-eig", "--eigs", "0,1,inf"),
+        ("positive-basis", "--n", "3", "--eigs", "0,inf,inf"),
+        ("householder", "--v", "1,inf"),
+    ])
+    def test_nonfinite_parameters(self, capsys, params):
+        # a numpy RuntimeWarning before the error would fail this test
+        code, out, err = run(capsys, "generate", *params)
+        assert (code, out) == (2, "")
+        assert err == "error: generator parameters must be finite\n"
+
+
+_GRID_NS = (0, 2, 3, 4, 7)
+_GRID_VALUES = (0.0, 1.0, -1.0, 5e-324, 1e-300, -1e-300, 1e150, -1e150,
+                1e308, -1e308, np.inf, -np.inf, np.nan)
+
+
+def _draw(rng, count):
+    """count values from _GRID_VALUES, ascending in about half the draws so
+    that more of them pass the generators' ordering checks."""
+    values = rng.choice(_GRID_VALUES, count)
+    return np.sort(values) if rng.random() < 0.5 else values
+
+
+def _csv(values):
+    return ",".join(repr(float(x)) for x in values)
+
+
+class TestGenerateGrid:
+    """Seeded parameter draws for every family at n in _GRID_NS, with
+    parameter lists of the right length and of a wrong one: each call exits
+    0 or 2, and no warning escapes (pytest turns one into an error)."""
+
+    def test_three_eig(self, capsys):
+        finite = sorted(x for x in _GRID_VALUES if np.isfinite(x))
+        triples = [list(t) for t in itertools.combinations(finite, 3)]
+        rng = np.random.default_rng(1)
+        triples += [_draw(rng, int(rng.choice([2, 3, 3, 4]))) for _ in range(40)]
+        for k, eigs in enumerate(triples):
+            n = _GRID_NS[k % len(_GRID_NS)]
+            code, _, _ = run(capsys, "generate", "three-eig", "--n", str(n), f"--eigs={_csv(eigs)}")
+            assert code in (0, 2)
+            if code == 0:
+                # every member meets the rule mu >= (lam + nu)/2 exactly
+                lam, mu, nu = (Fraction(float(x)) for x in eigs)
+                assert 2 * mu >= lam + nu, eigs
+
+    def test_positive_basis(self, capsys):
+        rng = np.random.default_rng(2)
+        for n in _GRID_NS:
+            for _ in range(12):
+                count = n + int(rng.random() < 0.2)
+                eigs = f"--eigs={_csv(_draw(rng, count))}"
+                result = run(capsys, "generate", "positive-basis", "--n", str(n), eigs)
+                assert result[0] in (0, 2)
+                if count == n:
+                    # without --n, n is the number of --eigs
+                    assert run(capsys, "generate", "positive-basis", eigs) == result
+
+    def test_householder(self, capsys):
+        rng = np.random.default_rng(3)
+        for n in _GRID_NS:
+            for _ in range(12):
+                v = _draw(rng, n)
+                v = np.abs(v) if rng.random() < 0.5 else v
+                assert run(capsys, "generate", "householder", f"--v={_csv(v)}")[0] in (0, 2)
+
+    def test_diag_two_eig(self, capsys):
+        rng = np.random.default_rng(4)
+        for n in _GRID_NS:
+            for _ in range(12):
+                eigs = f"--eigs={_csv(_draw(rng, int(rng.choice([2, 2, 3]))))}"
+                assert run(capsys, "generate", "diag-two-eig", "--n", str(n), eigs)[0] in (0, 2)
+
+    def test_negative_positive(self, capsys):
+        for n in _GRID_NS:
+            for seed in range(3):
+                code, _, _ = run(capsys, "generate", "negative-positive", "--n", str(n), "--seed", str(seed))
+                assert code == (2 if n < 2 else 0)
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -279,6 +370,16 @@ class TestExitCodes:
     def test_help(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
+
+    @pytest.mark.parametrize("params", [
+        ("three-eig", "--eigs", "0,2,3"),
+        ("negative-positive",),
+    ])
+    def test_out_of_memory(self, capsys, params):
+        # numpy refuses the 71 PiB n x n array at the first allocation
+        code, out, err = run(capsys, "generate", *params, "--n", "100000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate")
 
     @pytest.mark.parametrize(
         "command", ["analyze", "pareto", "copositive", "minimize", "probe"]

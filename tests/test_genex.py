@@ -51,6 +51,34 @@ class TestThreeEigenvalue:
         with pytest.raises(ValueError):
             make_three_eigenvalue(2, 0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("args", [
+        (3, 0.0, 5e-324, 1.0),  # (nu - mu)/(mu - lam) overflows
+        (4, -1e12, -0.5, 1e12),  # mu 0.5 below the midpoint
+        (4, -1e9, 999999999.999, 3e9),
+    ])
+    def test_rejects_below_midpoint(self, args):
+        # certify refutes each of these; the rule is exact, not up to a slack
+        with pytest.raises(ValueError, match="basis condition"):
+            make_three_eigenvalue(*args)
+
+    def test_accepts_exact_midpoint(self):
+        A = make_three_eigenvalue(3, -1e12, 0.0, 1e12)
+        assert certify(A, FAST).status is Status.CERTIFIED_QUASICONVEX
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: make_three_eigenvalue(3, 0.0, 1.0, x),
+    lambda x: make_three_eigenvalue(3, -x, 0.0, 1.0),
+    lambda x: make_positive_basis(3, [0.0, x, x]),
+    lambda x: make_householder([1.0, x]),
+    lambda x: make_diag_two_eig(3, 0.0, x),
+], ids=["three-eig-nu", "three-eig-lam", "positive-basis", "householder", "diag-two-eig"])
+@pytest.mark.parametrize("x", [np.inf, np.nan])
+def test_rejects_nonfinite_before_arithmetic(make, x):
+    # a RuntimeWarning from arithmetic on x would fail the test first
+    with pytest.raises(ValueError, match="generator parameters must be finite"):
+        make(x)
+
 
 class TestPositiveBasis:
     def test_first_eigenvector_positive(self):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from quadsphere.certify import _orthant_representative
 from quadsphere.linalg import (
     SymMatrix,
     cluster_eigenvalues,
     cluster_tol,
     eigen_decompose,
-    is_diagonal,
 )
 
 from oracles import eig_2x2, reference_clusters, reference_sign_normalize
@@ -162,16 +162,24 @@ class TestArrayFormsMatchLoops:
         assert multi >= 600
 
 
-class TestIsDiagonal:
-    def test_diagonal(self):
-        assert is_diagonal(SymMatrix(np.diag([1.0, 2.0, 3.0])))
+class TestContract:
+    """What certify relies on without checking: ascending eigenvalues, and
+    columns oriented so that -v never fits the orthant where v does not."""
 
-    def test_off_diagonal(self):
-        assert not is_diagonal(SymMatrix([[1.0, 0.5], [0.5, 1.0]]))
-
-    def test_below_tolerance(self):
-        A = SymMatrix([[1.0, 1e-15], [1e-15, 2.0]])
-        assert is_diagonal(A)
+    @pytest.mark.parametrize("tol", [0.0, 1e-10, 0.3, 5.0])
+    def test_ascending_and_oriented(self, tol):
+        rng = np.random.default_rng(41)
+        inputs = _mixed_inputs(rng, 200)
+        for _ in range(100):
+            n = int(rng.integers(2, 12))
+            z = -rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+            inputs.append(SymMatrix(np.triu(z, 1) + np.triu(z, 1).T + np.diag(rng.random(n))))
+        for A in inputs:
+            E = eigen_decompose(A)
+            assert np.all(np.diff(E.eigenvalues) >= 0)
+            for v in E.vectors.T:
+                rep = _orthant_representative(v, tol)
+                assert rep is None or np.array_equal(rep, v)
 
 
 class TestPermuteSimilarity:
