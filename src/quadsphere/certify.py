@@ -15,7 +15,8 @@ The chain, in order (steps 4-6 read one mask of orthant-fitting columns):
 3. a diagonal matrix: Yes iff two values with a simple smallest one,
    otherwise the diagonal cone witness (_diag_witness in the standard basis);
 4. two clusters with a simple smallest: Yes if its eigenvector fits the
-   orthant; otherwise steps 5-7 find nothing to build and step 8 decides;
+   orthant (one Yes with step 3's, the rule named by diagonality); otherwise
+   steps 5-7 find nothing to build and step 8 decides;
 5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes,
    decided by the diagonal rule below in O(n^2) at every n;
 6. the same diagonal witness in the basis of the nonnegative eigenvectors,
@@ -26,29 +27,40 @@ The chain, in order (steps 4-6 read one mask of orthant-fitting columns):
    diagonal entry whose sum leaves the cone, No;
 8. the seeded sampling falsifier: No with its witness, otherwise Unknown.
 
+Every Yes is built by _certified.  The witnesses of steps 3, 6 and 7 leave
+through one exit, _refuted, which returns a No only if verify_witness
+accepts.  Step 2 returns its pair directly: its margin is a_ij, the
+comparison verify_witness would make.  Step 8 returns only a witness that
+falsify itself has verified.
+
 After step 2 the matrix is a Z-matrix up to tol_margin: every off-diagonal
 entry is at most p = max(a_ij, 0) <= tol_margin.  For a Z-matrix the
 off-diagonal entries of lambda2 I - A are nonnegative, so it is copositive iff
 lambda2 >= max a_ii, and its least Pareto value is lambda2 - max a_ii
 (Perron-Frobenius).  Step 5 therefore accepts when
-bound = lambda2 - max a_ii - (n - 1) p >= -tol_slack, and the certificate
-stores the bound as pareto_min; the (n - 1) p term is the most the tolerance
-band (0 < a_ij <= tol_margin) can cost on the unit orthant patch.  Only
-inside the band, when the bound declines and n <= cones.enumeration_cap,
-does the support enumeration (cones.pareto_spectrum) decide instead, and
-pareto_min is then its least Pareto value.  That lambda2 >= max a_ii is
-also necessary is a conjecture, supported by seeded fuzzing (every seeded
-random Z-matrix with lambda2 < max a_ii tried so far was refuted) but not
-proven.  The known gap is a maximum diagonal entry tied so that only one
-index lies below any shift, where step 7 has no pair to build:
-[[1,-2,-1,-2],[-2,1,0,-2],[-1,0,1,-2],[-2,-2,-2,-2]] (lambda2 = 0.715) ends
-Unknown.  Soundness does not rest on the conjecture: every No witness is
-re-checked by verify_witness before it is returned.
+bound = lambda2 - max a_ii - (n - 1) p >= -tol_slack min(1, ||A||_F), and
+the certificate stores the bound as pareto_min; the (n - 1) p term is the
+most the tolerance band (0 < a_ij <= tol_margin) can cost on the unit orthant
+patch.  Only inside the band, when the bound declines and
+n <= cones.enumeration_cap, does the support enumeration
+(cones.pareto_spectrum) decide instead, and pareto_min is then its least
+Pareto value.  Since q_{tA} = t q_A, the Yes tolerances (eigenvalue
+clusters, step 3's zero test, step 5's threshold) are relative to ||A||_F,
+the last one below unit norm only; a tiny matrix is never certified for
+being tiny.
+
+That lambda2 >= max a_ii is also necessary is a conjecture, supported by
+seeded fuzzing (every seeded random Z-matrix with lambda2 < max a_ii tried so
+far was refuted) but not proven.  The known gap is a maximum diagonal entry
+tied so that only one index lies below any shift, where step 7 has no pair to
+build: [[1,-2,-1,-2],[-2,1,0,-2],[-1,0,1,-2],[-2,-2,-2,-2]]
+(lambda2 = 0.715) ends Unknown.  Soundness does not rest on the conjecture.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +92,7 @@ _EDGE_STEPS = np.arange(1, 65) / 65.0
 _EDGE_BLOCK = 1 << 18
 # rounds of raising c when a built edge point misses the cone by round-off
 _EDGE_NUDGES = 8
-# off-diagonal magnitude step 3 treats as zero, relative to max(1, ||A||_F)
+# off-diagonal magnitude step 3 treats as zero, relative to ||A||_F
 _DIAGONAL_RTOL = 1e-12
 
 
@@ -156,7 +168,16 @@ def pair_violation_margin(A: SymMatrix, x, y) -> float:
 
 
 def verify_witness(A: SymMatrix, w: Witness, config: Config = DEFAULT) -> bool:
-    """Re-check a witness's defining inequalities by direct arithmetic."""
+    """Re-check a witness's defining inequalities by direct arithmetic.
+
+    A cone witness needs a finite c and orthant points of nonzero finite
+    norm.  A point outside the sublevel cone as computed raises c by the
+    larger overshoot per unit squared norm,
+    shift = max(0, x^T B x / ||x||^2, y^T B y / ||y||^2) with B = A - cI,
+    and the sum must leave the cone of A - (c + shift) I by more than
+    tol_margin.  Both points lie in that cone, which is convex when q_A is
+    quasi-convex, so acceptance needs no slack on the points' side.
+    """
     A = as_sym_matrix(A)
     # a malformed witness (missing or non-numeric field) refutes nothing
     malformed = (KeyError, TypeError, ValueError)
@@ -177,11 +198,13 @@ def verify_witness(A: SymMatrix, w: Witness, config: Config = DEFAULT) -> bool:
             return False
         if float(x.min()) < -1e-12 or float(y.min()) < -1e-12:
             return False
-        ac = A.a - c * np.eye(A.n)
-        if float(x @ ac @ x) > 1e-10 or float(y @ ac @ y) > 1e-10:
+        xx, yy = float(x @ x), float(y @ y)
+        if not (math.isfinite(c) and 0.0 < xx < math.inf and 0.0 < yy < math.inf):
             return False
+        ac = A.a - c * np.eye(A.n)
+        shift = max(0.0, float(x @ ac @ x) / xx, float(y @ ac @ y) / yy)
         s = x + y
-        return float(s @ ac @ s) > config.tol_margin
+        return float(s @ ac @ s) - shift * float(s @ s) > config.tol_margin
     return False
 
 
@@ -245,12 +268,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
 
     # 1. constant form: a single eigenvalue makes q_A constant on the sphere
     if len(clusters) == 1:
-        return Verdict(
-            status=Status.CERTIFIED_QUASICONVEX,
-            certificate=Certificate(
-                Rule.CONSTANT_FORM, {"eigenvalue": clusters[0][0]}
-            ),
-        )
+        return _certified(Rule.CONSTANT_FORM, eigenvalue=clusters[0][0])
 
     # 2. Z-pattern necessity: a positive off-diagonal entry a_ij gives the
     # direct violation pair (e_i, e_j).  The No threshold is tol_margin so the
@@ -258,10 +276,8 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     off = a - np.diag(np.diag(a))
     i, j = np.unravel_index(np.argmax(off), off.shape)
     if off[i, j] > config.tol_margin:
-        x = np.zeros(n)
-        y = np.zeros(n)
-        x[i] = 1.0
-        y[j] = 1.0
+        x, y = np.zeros(n), np.zeros(n)
+        x[i] = y[j] = 1.0
         witness = Witness(
             kind=WitnessKind.PAIR_VIOLATION,
             data={"x": x, "y": y, "entry": (int(i), int(j))},
@@ -269,56 +285,42 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         )
         return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
 
-    # 3. diagonal matrices are fully characterized: exactly two distinct
-    # values with a simple smallest one
-    if float(np.abs(off).max()) <= _DIAGONAL_RTOL * max(1.0, A.norm_fro()):
-        if two_simple:
-            return Verdict(
-                status=Status.CERTIFIED_QUASICONVEX,
-                certificate=Certificate(
-                    Rule.DIAGONAL_CHARACTERIZATION,
-                    {"clusters": clusters, "eigenvector": E.vectors[:, 0].copy()},
-                ),
-            )
-        d = np.diag(a)
-        witness = _diag_witness(d, np.eye(n), cluster_tol(float(np.linalg.norm(d))))
-        if witness is not None and verify_witness(A, witness, config):
-            return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
-        # tolerance edge (values distinct only marginally): fall through
-
+    diagonal = float(np.abs(off).max()) <= _DIAGONAL_RTOL * A.norm_fro()
     # steps 4-6 read which eigenvectors fit the orthant; -v fits only where
     # v does (see EigenSystem), so v is the only sign to test
     fits = E.vectors.min(axis=0) >= -config.tol_sign
 
-    # 4. two eigenvalue clusters with a simple smallest: decided by whether
-    # the smallest eigenvector fits in the orthant.  When it does not, steps
-    # 5-7 have nothing to build (no nonnegative lambda1 vector, one value
-    # over the nonnegative eigenvectors, and
-    # a_ii = lam2 - (lam2 - lam1) v_i^2 <= lam2), so the input reaches step 8.
-    if two_simple and fits[0]:
-        return Verdict(
-            status=Status.CERTIFIED_QUASICONVEX,
-            certificate=Certificate(
-                Rule.TWO_EIGENVALUE_CHARACTERIZATION,
-                {"clusters": clusters, "eigenvector": E.vectors[:, 0].copy()},
-            ),
-        )
+    # 3-4. two eigenvalue clusters with a simple smallest: Yes for a diagonal
+    # matrix, otherwise decided by whether the smallest eigenvector fits in
+    # the orthant.  When it does not, steps 5-7 have nothing to build (no
+    # nonnegative lambda1 vector, one value over the nonnegative
+    # eigenvectors, and a_ii = lam2 - (lam2 - lam1) v_i^2 <= lam2), so the
+    # input reaches step 8.
+    if two_simple and (diagonal or fits[0]):
+        rule = (Rule.DIAGONAL_CHARACTERIZATION if diagonal
+                else Rule.TWO_EIGENVALUE_CHARACTERIZATION)
+        return _certified(rule, clusters=clusters, eigenvector=E.vectors[:, 0].copy())
+
+    # 3. any other diagonal matrix: the diagonal witness in the standard
+    # basis; at the tolerance edge (values distinct only marginally) it may
+    # not verify, and the input falls through
+    if diagonal:
+        d = np.diag(a)
+        witness = _diag_witness(d, np.eye(n), cluster_tol(float(np.linalg.norm(d))))
+        if verdict := _refuted(A, witness, config):
+            return verdict
 
     # 5. copositivity sufficiency: a nonnegative smallest eigenvector plus
-    # copositivity of (second smallest eigenvalue) I - A.  The second smallest
-    # eigenvalue is counted with multiplicity; using the next cluster value
-    # instead would be unsound when the smallest eigenvalue repeats.  Step 2
-    # left every off-diagonal entry at most p = off[i, j] in [0, tol_margin],
-    # so on the unit orthant patch
+    # copositivity of (second smallest eigenvalue, counted with multiplicity;
+    # the next cluster value is unsound for a repeated lambda1) I - A.  With
+    # every off-diagonal entry at most p = off[i, j] in [0, tol_margin],
     #   x^T (lam2 I - A) x >= lam2 - max a_ii - p ((sum x)^2 - 1) >= bound
-    # with bound = lam2 - max a_ii - (n - 1) p.  For an exact Z-matrix (p = 0)
-    # bound is the least Pareto value of lam2 I - A: its 1x1 supports give
-    # lam2 - a_kk, and every larger support carries a Perron value at least
-    # as large.  Only inside the tolerance band (p > 0), where the bound is
-    # loose, does the support enumeration decide what the bound declines.
-    # The lambda1 vector is the first fitting column of its eigenspace; when
-    # a repeated lambda1 has none, the projection of the all-ones direction
-    # is tried.  That heuristic can miss, which degrades Yes to Unknown only.
+    # on the unit orthant patch, bound = lam2 - max a_ii - (n - 1) p; for
+    # p = 0 it is the least Pareto value of lam2 I - A (module docstring).
+    # Inside the tolerance band (p > 0), where the bound is loose, the
+    # support enumeration decides what it declines.  The lambda1 vector is
+    # the first fitting column of its eigenspace, else for a repeated lambda1
+    # the projection of the all-ones direction; a miss only loses a Yes.
     mult = clusters[0][1]
     hit = np.flatnonzero(fits[:mult])
     cand = E.vectors[:, hit[0]].copy() if hit.size else None
@@ -335,16 +337,14 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         lam2 = float(E.eigenvalues[1])
         p = float(off[i, j])
         pareto_min = lam2 - float(np.diag(a).max()) - (n - 1) * p
-        if pareto_min < -config.tol_slack and p > 0.0 and n <= enumeration_cap(config):
+        floor = -config.tol_slack * min(1.0, A.norm_fro())
+        if pareto_min < floor and p > 0.0 and n <= enumeration_cap(config):
             shifted = SymMatrix(lam2 * np.eye(n) - a)
             pareto_min = pareto_spectrum(shifted, config).min_value
-        if pareto_min >= -config.tol_slack:
-            return Verdict(
-                status=Status.CERTIFIED_QUASICONVEX,
-                certificate=Certificate(
-                    Rule.COPOSITIVE_SUFFICIENCY,
-                    {"eigenvector": cand, "lambda2": lam2, "pareto_min": pareto_min},
-                ),
+        if pareto_min >= floor:
+            return _certified(
+                Rule.COPOSITIVE_SUFFICIENCY,
+                eigenvector=cand, lambda2=lam2, pareto_min=pareto_min,
             )
 
     # 6. q_A is diagonal on the span of the nonnegative eigenvectors, an
@@ -354,17 +354,38 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         witness = _diag_witness(
             E.eigenvalues[nonneg], E.vectors[:, nonneg], cluster_tol(E.scale())
         )
-        if witness is not None and verify_witness(A, witness, config):
-            return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
+        if verdict := _refuted(A, witness, config):
+            return verdict
 
     # 7. edge witness: a Z-matrix with lam2 < max a_ii, refuted by boundary
     # points of the sublevel cone near the vertex of a large diagonal entry
-    witness = _edge_witness(A, E, config)
-    if witness is not None:
-        return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
+    if verdict := _refuted(A, _edge_witness(A, E), config):
+        return verdict
 
-    # 8. fall back to seeded falsification
-    return _falsify_verdict(A, config)
+    # 8. seeded falsification: falsify returns only a witness that
+    # verify_witness accepted under config.tol_margin
+    from .probe import falsify
+
+    report = falsify(A, config.samples, config.seed, tol_margin=config.tol_margin)
+    summary = {
+        "samples": report.samples_used,
+        "best_margin": report.best_margin,
+        "seed": report.seed,
+    }
+    status = Status.UNKNOWN if report.witness is None else Status.CERTIFIED_NOT_QUASICONVEX
+    return Verdict(status=status, witness=report.witness, probe_summary=summary)
+
+
+def _certified(rule: Rule, **data) -> Verdict:
+    """A Yes by ``rule``; the certificate keeps ``data`` in keyword order."""
+    return Verdict(status=Status.CERTIFIED_QUASICONVEX, certificate=Certificate(rule, data))
+
+
+def _refuted(A: SymMatrix, witness: Witness | None, config: Config) -> Verdict | None:
+    """A No with ``witness`` if verify_witness accepts it, else None."""
+    if witness is not None and verify_witness(A, witness, config):
+        return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
+    return None
 
 
 def _orthant_representative(v: np.ndarray, tol: float) -> np.ndarray | None:
@@ -375,7 +396,7 @@ def _orthant_representative(v: np.ndarray, tol: float) -> np.ndarray | None:
     return None
 
 
-def _edge_witness(A: SymMatrix, E, config: Config) -> Witness | None:
+def _edge_witness(A: SymMatrix, E) -> Witness | None:
     """Cone-nonconvexity witness for lam2 < max a_ii, or None.
 
     For c in (lam2, max a_ii) and B = A - cI, each vertex e_k with b_kk > 0
@@ -389,8 +410,7 @@ def _edge_witness(A: SymMatrix, E, config: Config) -> Witness | None:
     Step 3's diagonal witness is the case of a diagonal A with c between two
     values.
 
-    Only the best candidate over the grid is built, and only a witness that
-    verify_witness accepts is returned.
+    Only the best candidate over the grid is built; certify verifies it.
     """
     a = A.a
     d = np.diag(a)
@@ -442,12 +462,9 @@ def _edge_witness(A: SymMatrix, E, config: Config) -> Witness | None:
 
     c, k, i, j, ti, tj = found
     n = A.n
-    x = np.zeros(n)
-    y = np.zeros(n)
-    x[i] = 1.0
-    x[k] = ti
-    y[j] = 1.0
-    y[k] = tj
+    x, y = np.zeros(n), np.zeros(n)
+    x[i] = y[j] = 1.0
+    x[k], y[k] = ti, tj
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
     # a boundary point that misses the cone by round-off: raise c by that
@@ -460,29 +477,8 @@ def _edge_witness(A: SymMatrix, E, config: Config) -> Witness | None:
         c = max(c + over, float(np.nextafter(c, np.inf)))
         ac = a - c * np.eye(n)
     s = x + y
-    witness = Witness(
+    return Witness(
         kind=WitnessKind.CONE_NONCONVEXITY,
         data={"c": c, "x": x, "y": y, "vertex": k},
         margin=float(s @ ac @ s),
     )
-    return witness if verify_witness(A, witness, config) else None
-
-
-def _falsify_verdict(A: SymMatrix, config: Config) -> Verdict:
-    """Step 8: falsify returns only a witness that verify_witness accepted
-    under config.tol_margin, so it is not checked again here."""
-    from .probe import falsify
-
-    report = falsify(A, config.samples, config.seed, tol_margin=config.tol_margin)
-    summary = {
-        "samples": report.samples_used,
-        "best_margin": report.best_margin,
-        "seed": report.seed,
-    }
-    if report.witness is not None:
-        return Verdict(
-            status=Status.CERTIFIED_NOT_QUASICONVEX,
-            witness=report.witness,
-            probe_summary=summary,
-        )
-    return Verdict(status=Status.UNKNOWN, probe_summary=summary)

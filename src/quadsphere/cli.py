@@ -31,6 +31,7 @@ from .genex import (
 from .linalg import ConvergenceError
 from .matrixdoc import dumps, load_path
 from .probe import falsify, minimize_orthant
+from .sphere import SpherePoint
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -44,6 +45,8 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
+    if isinstance(obj, SpherePoint):
+        return obj.coords.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _jsonable(getattr(obj, f.name))
@@ -78,61 +81,29 @@ def _render_text(value, indent: int = 0) -> list[str]:
     return lines
 
 
-def _emit(report: dict, args) -> None:
-    report = _jsonable(report)
-    if args.format == "structured":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(_render_text(report)) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, out) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is unset."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _config(args) -> Config:
-    return Config(
-        tol_margin=args.tol_margin,
-        tol_sign=args.tol_sign,
-        max_exact_dim=args.max_exact_dim,
-        samples=args.samples,
-        seed=args.seed,
-    )
-
-
-def _pareto(A, cfg: Config) -> dict:
-    spectrum = pareto_spectrum(A, cfg)
-    return {
-        "min_value": spectrum.min_value,
-        "exact": spectrum.exact,
-        "pairs": [
-            {"value": p.value, "vector": p.vector, "support": list(p.support)}
-            for p in spectrum.pairs
-        ],
-    }
-
-
-def _minimum(A, cfg: Config) -> dict:
-    result = minimize_orthant(A, cfg)
-    return {
-        "value": result.value,
-        "argmin": result.argmin.coords,
-        "method": result.method,
-        "iterations": result.iterations,
-        "boundary_hit": result.boundary_hit,
-    }
-
+# the Config fields the matrix commands take as flags (--tol-margin, ...)
+_FLAGS = ("tol_margin", "tol_sign", "max_exact_dim", "samples", "seed")
 
 # command -> (report key, payload(matrix, config), help); the lambdas look
 # their function up at call time, so patching it on this module takes effect
 COMMANDS = {
     "analyze": ("verdict", lambda A, cfg: certify(A, cfg),
                 "certify or refute quasi-convexity"),
-    "pareto": ("pareto", _pareto, "list all Pareto eigenpairs"),
+    "pareto": ("pareto", lambda A, cfg: pareto_spectrum(A, cfg),
+               "list all Pareto eigenpairs"),
     "copositive": ("copositive", lambda A, cfg: is_copositive(A, cfg),
                    "exact copositivity verdict"),
-    "minimize": ("minimum", _minimum, "minimum of the form on the orthant patch"),
+    "minimize": ("minimum", lambda A, cfg: minimize_orthant(A, cfg),
+                 "minimum of the form on the orthant patch"),
     "probe": ("probe",
               lambda A, cfg: falsify(A, cfg.samples, cfg.seed, tol_margin=cfg.tol_margin),
               "sampling falsifier"),
@@ -144,8 +115,7 @@ def cmd_matrix(args) -> int:
     the base fields, then the payload under the command's report key."""
     key, payload, _ = COMMANDS[args.command]
     doc = load_path(args.matrix)
-    cfg = _config(args)
-    result = payload(doc.matrix, cfg)
+    cfg = Config(**{name: getattr(args, name) for name in _FLAGS})
     report = {
         "command": args.command,
         "version": __version__,
@@ -154,8 +124,12 @@ def cmd_matrix(args) -> int:
     }
     if doc.name:
         report["name"] = doc.name
-    report[key] = result
-    _emit(report, args)
+    report[key] = payload(doc.matrix, cfg)
+    report = _jsonable(report)
+    if args.format == "structured":
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    else:
+        _emit("\n".join(_render_text(report)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -190,21 +164,14 @@ def cmd_generate(args) -> int:
         A = make_negative_positive(n, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {family!r}")
-    text = dumps(A, name=args.name)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(dumps(A, name=args.name), args.out)
     return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-margin", type=float, default=DEFAULT.tol_margin)
-    parser.add_argument("--tol-sign", type=float, default=DEFAULT.tol_sign)
-    parser.add_argument("--max-exact-dim", type=int, default=DEFAULT.max_exact_dim)
-    parser.add_argument("--samples", type=int, default=DEFAULT.samples)
-    parser.add_argument("--seed", type=int, default=DEFAULT.seed)
+    for name in _FLAGS:
+        default = getattr(DEFAULT, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="text (human readable) or structured (JSON)",

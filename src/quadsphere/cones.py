@@ -58,9 +58,9 @@ class ParetoEigenpair:
 class ParetoSpectrum:
     """All Pareto eigenpairs of a symmetric matrix, values ascending."""
 
-    pairs: list
     min_value: float
     exact: bool
+    pairs: list
 
 
 def pareto_spectrum(A: SymMatrix, config: Config = DEFAULT) -> ParetoSpectrum:
@@ -156,18 +156,20 @@ def _dedupe(pairs):
 
 def is_copositive(A: SymMatrix, config: Config = DEFAULT) -> bool:
     """True iff the minimum of <Ax, x> over the unit orthant patch is
-    >= -config.tol_slack.
+    >= -config.tol_slack * min(1, ||A||_F).
 
-    That minimum equals the least Pareto eigenvalue, so this is exact up to
-    the enumeration dimension cap (ValueError beyond it).  The supports are
+    The minimum scales with A, so below unit norm the threshold does too.
+    It equals the least Pareto eigenvalue, so this is exact up to the
+    enumeration dimension cap (ValueError beyond it).  The supports are
     enumerated, with pareto_spectrum's complementarity slack, until the
-    first Pareto eigenvalue below -config.tol_slack.
+    first Pareto eigenvalue below the threshold.
     """
     A = as_sym_matrix(A)
     _check_cap(A.n, config)
+    floor = -config.tol_slack * min(1.0, A.norm_fro())
     found = False
     for p in _pareto_pairs(A.a, config.tol_slack):
-        if p.value < -config.tol_slack:
+        if p.value < floor:
             return False
         found = True
     if not found:

@@ -17,7 +17,10 @@ class Config:
     tol_sign     -- slack for orthant-membership tests of eigenvectors
                     (certify steps 4-6)
     tol_slack    -- complementarity slack for Pareto eigenpairs, and the
-                    copositivity threshold (least Pareto value >= -tol_slack)
+                    copositivity threshold: least Pareto value (or certify
+                    step 5's bound) >= -tol_slack * min(1, ||A||_F), so a
+                    matrix below unit norm gets a threshold that scales
+                    with it, as its Pareto values do
     max_exact_dim -- largest dimension for exhaustive support enumeration
                      (the CLI pareto and copositive commands,
                      minimize_orthant, and certify step 5 inside the

@@ -131,8 +131,9 @@ def eigen_decompose(A: SymMatrix) -> EigenSystem:
 
 def cluster_tol(scale: float) -> float:
     """Largest gap at which two eigenvalues of a matrix with Frobenius norm
-    ``scale`` count as one; eigen_decompose's round-off grows with the norm."""
-    return 1e-8 * max(1.0, scale)
+    ``scale`` count as one; eigen_decompose's round-off is relative to the
+    norm at every scale, so a tiny matrix gets a tiny tolerance."""
+    return 1e-8 * scale
 
 
 def cluster_eigenvalues(E: EigenSystem) -> list:

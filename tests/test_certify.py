@@ -351,7 +351,7 @@ class TestEdgeWitness:
         for A in mats:
             E = eigen_decompose(A)
             if E.eigenvalues[1] >= A.a.diagonal().max():
-                assert _edge_witness(A, E, FAST) is None
+                assert _edge_witness(A, E) is None
                 declined += 1
         assert declined >= 8
 
@@ -359,7 +359,7 @@ class TestEdgeWitness:
         # for a diagonal matrix the edge points are those of
         # step 3's diagonal witness: e_i + t e_k below and above c
         A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
-        w = _edge_witness(A, eigen_decompose(A), FAST)
+        w = _edge_witness(A, eigen_decompose(A))
         assert w.kind is WitnessKind.CONE_NONCONVEXITY
         assert w.data["vertex"] == 2
         assert 2.0 < w.data["c"] < 3.0
@@ -388,7 +388,7 @@ class TestEdgeWitness:
         # lambda2 = 0.715 < max a_ii = 1, tied three ways, so only one index
         # lies below any shift and the edge witness has no pair to build
         A = sym([[1, -2, -1, -2], [-2, 1, 0, -2], [-1, 0, 1, -2], [-2, -2, -2, -2]])
-        assert _edge_witness(A, eigen_decompose(A), FAST) is None
+        assert _edge_witness(A, eigen_decompose(A)) is None
         v = certify(A, FAST)
         assert v.status is not Status.CERTIFIED_QUASICONVEX
         if v.status is Status.CERTIFIED_NOT_QUASICONVEX:
@@ -396,7 +396,7 @@ class TestEdgeWitness:
 
 
 class TestDiagonalStep:
-    """Step 3 takes off-diagonal entries up to 1e-12 max(1, ||A||_F) as zero."""
+    """Step 3 takes off-diagonal entries up to 1e-12 ||A||_F as zero."""
 
     def test_diagonal(self):
         v = certify(SymMatrix(np.diag([1.0, 2.0, 2.0])), FAST)
@@ -583,6 +583,36 @@ class TestVerifyWitness:
             data = {"x": np.array([1.0, 0.0, 0.0]), "y": np.array([0.0, 1.0, 0.0]), **data}
         assert not verify_witness(A, Witness(kind=kind, data=data, margin=1.0))
 
+    def test_rejects_point_just_outside_cone(self):
+        # diag(-1, 1, 1) is quasi-convex; x misses the cone of A - 0 I by
+        # 9.8e-11 and x + y leaves it by 1.4e-5.  Raising c to 1, x's
+        # overshoot per unit squared norm, puts both points inside and the
+        # sum too
+        A = SymMatrix(np.diag([-1.0, 1.0, 1.0]))
+        assert certify(A, FAST).status is Status.CERTIFIED_QUASICONVEX
+        w = Witness(
+            kind=WitnessKind.CONE_NONCONVEXITY,
+            data={
+                "c": 0.0,
+                "x": np.array([0.0, 0.99e-5, 0.0]),
+                "y": np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),
+            },
+            margin=1.4e-5,
+        )
+        assert not verify_witness(A, w)
+
+    def test_rejects_zero_cone_point(self):
+        # with x = 0 the sum is y, a point outside the cone by 5e-11; at
+        # tol_margin = 0 only the zero-point check stands between it and a No
+        A = SymMatrix(np.diag([-1.0, 1.0, 1.0]))
+        y = np.array([1.0, np.sqrt(1.0 + 1e-10), 0.0]) / np.sqrt(2.0)
+        w = Witness(
+            kind=WitnessKind.CONE_NONCONVEXITY,
+            data={"c": 0.0, "x": np.zeros(3), "y": y},
+            margin=5e-11,
+        )
+        assert not verify_witness(A, w, Config(tol_margin=0.0))
+
     @pytest.mark.parametrize("field", ["x", "y"])
     def test_rejects_wrong_length_cone_points(self, field):
         A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
@@ -621,6 +651,39 @@ class TestInvariances:
             base = certify(A, FAST).status
             for s in (0.1, 10.0):
                 assert certify(SymMatrix(s * A.a), FAST).status is base
+
+    def test_small_scale(self):
+        # q_{tA} = t q_A: a Yes stays Yes and a No never becomes Yes at any
+        # scale, however far below the absolute tolerances
+        rng = np.random.default_rng(17)
+        mats = self._instances() + [
+            make_negative_positive(4, 1),
+            make_three_eigenvalue(4, -1.0, 0.5, 1.0),
+            make_positive_basis(4, [-1.0, 1.0, 1.05, 1.1]),
+            SymMatrix(np.diag([-0.5, 2.0, 2.0, 2.0])),
+        ]
+        refuted = 0
+        while refuted < 12:
+            n = int(rng.integers(3, 7))
+            raw = rng.standard_normal((n, n))
+            A = SymMatrix((raw + raw.T) / 2.0 if refuted % 2 else -np.abs(raw + raw.T))
+            if certify(A, FAST).status is Status.CERTIFIED_NOT_QUASICONVEX:
+                mats.append(A)
+                refuted += 1
+        for A in mats:
+            base = certify(A, FAST).status
+            for s in (1e-9, 1e-12):
+                status = certify(SymMatrix(s * A.a), FAST).status
+                if base is Status.CERTIFIED_QUASICONVEX:
+                    assert status is base
+                else:
+                    assert status is not Status.CERTIFIED_QUASICONVEX
+
+    def test_tiny_diagonal_not_yes(self):
+        # diag(1, 2, 3) is refuted at scale 1; at 1e-9 its eigenvalue gaps
+        # are below any absolute cluster tolerance of the size of tol_margin
+        A = SymMatrix(1e-9 * np.diag([1.0, 2.0, 3.0]))
+        assert certify(A, FAST).status is not Status.CERTIFIED_QUASICONVEX
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

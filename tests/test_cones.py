@@ -93,6 +93,14 @@ class TestCopositive:
     def test_not_copositive_with_negative_coupling(self):
         assert not is_copositive(sym([[0.0, -1.0], [-1.0, 0.0]]))
 
+    def test_threshold_scales_below_unit_norm(self):
+        # copositivity does not depend on the scale of A; the least Pareto
+        # value here, -1e-9, equals -tol_slack, so only a threshold that
+        # scales with A rejects it
+        A = SymMatrix(1e-9 * np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        assert not is_copositive(A)
+        assert is_copositive(SymMatrix(1e-9 * np.eye(2)))
+
     def test_threshold_reads_config(self):
         # least Pareto value -1e-6: below the default tol_slack, inside 1e-5
         A = SymMatrix(np.diag([-1e-6, 1.0, 2.0]))
