@@ -69,12 +69,14 @@ def pareto_spectrum(A: SymMatrix, config: Config = DEFAULT) -> ParetoSpectrum:
     For every support J the principal submatrix is eigendecomposed (one
     stacked ``eigh`` call per chunk of supports of one size); eigenpairs
     whose (sign-flipped) eigenvector is strictly positive on J and whose
-    zero-extension keeps (Ax - lambda x) >= -config.tol_slack off J are
-    kept.  Raises ValueError when the dimension exceeds enumeration_cap.
+    zero-extension keeps (Ax - lambda x) >= -config.tol_slack *
+    min(1, ||A||_F) off J are kept; the residual scales with A, so below
+    unit norm the slack does too.  Raises ValueError when the dimension
+    exceeds enumeration_cap.
     """
     A = as_sym_matrix(A)
     _check_cap(A.n, config)
-    found = list(_pareto_pairs(A.a, config.tol_slack))
+    found = list(_pareto_pairs(A.a, config.tol_slack * min(1.0, A.norm_fro())))
     found.sort(key=lambda p: (p.value, p.support))
     pairs = _dedupe(found)
     if not pairs:
@@ -168,7 +170,7 @@ def is_copositive(A: SymMatrix, config: Config = DEFAULT) -> bool:
     _check_cap(A.n, config)
     floor = -config.tol_slack * min(1.0, A.norm_fro())
     found = False
-    for p in _pareto_pairs(A.a, config.tol_slack):
+    for p in _pareto_pairs(A.a, -floor):
         if p.value < floor:
             return False
         found = True

@@ -16,11 +16,13 @@ class Config:
                     Z-pattern threshold of certify step 2)
     tol_sign     -- slack for orthant-membership tests of eigenvectors
                     (certify steps 4-6)
-    tol_slack    -- complementarity slack for Pareto eigenpairs, and the
-                    copositivity threshold: least Pareto value (or certify
-                    step 5's bound) >= -tol_slack * min(1, ||A||_F), so a
-                    matrix below unit norm gets a threshold that scales
-                    with it, as its Pareto values do
+    tol_slack    -- complementarity slack for Pareto eigenpairs,
+                    (Ax - lambda x) >= -tol_slack * min(1, ||A||_F) off the
+                    support, and the copositivity threshold: least Pareto
+                    value (or certify step 5's bound) >= -tol_slack *
+                    min(1, ||A||_F); a matrix below unit norm gets a slack
+                    and a threshold that scale with it, as its Pareto
+                    values and residuals do
     max_exact_dim -- largest dimension for exhaustive support enumeration
                      (the CLI pareto and copositive commands,
                      minimize_orthant, and certify step 5 inside the

@@ -5,9 +5,14 @@ inequality, the geodesic sweep, the sublevel-cone midpoint test) in one kernel,
 ``_margins``, which sweeps the geodesic through the pair's 2x2 Gram form.
 Samples are drawn and scored in blocks of at most ``_BLOCK`` rows and
 ``_BLOCK_ENTRIES`` coordinates; the best hit is sharpened by coordinate search
-scored by the same kernel, and the witness is read from the kernel's row.  ``minimize_orthant`` computes the exact minimum
-via the Pareto spectrum when the dimension permits and falls back to
-multi-start projected geodesic descent otherwise.
+scored by the same kernel, and the witness is read from the kernel's row.
+
+``minimize_orthant`` computes the exact minimum via the Pareto spectrum when
+the dimension permits and falls back to multi-start projected gradient
+descent with a clamp-then-normalize retraction otherwise.  ``_descent``
+advances all starts as the rows of one array: one matmul gives every
+gradient, one more the trial values of ``_ETA_CHUNK`` Armijo step sizes for
+every start still backtracking, and a start leaves the stack when it stops.
 """
 
 from __future__ import annotations
@@ -42,6 +47,12 @@ _BLOCK_ENTRIES = 2**21
 # coordinate search: at most this many sweeps, the step halving from 0.1
 _SWEEPS = 200
 _STEP0 = 0.1
+# descent backtrack: the step sizes 1, 1/2, 1/4, ... down to the last one
+# >= 1e-12, scored _ETA_CHUNK at a time; on the probe-search benchmark
+# inputs 97% of iterations at n = 64 (99.8% at n = 20) pass within the
+# first 4, so one chunk
+_ETAS = 0.5 ** np.arange(40)
+_ETA_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -207,8 +218,10 @@ def _build_witness(x, y, col: int, row) -> Witness:
 def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:
     """Minimum of q_A over the unit orthant patch.
 
-    Exact (least Pareto eigenvalue) when n fits the enumeration budget,
-    multi-start projected geodesic descent otherwise.
+    Exact (least Pareto eigenvalue) when n fits the enumeration budget.
+    Otherwise projected gradient descent with a clamp-then-normalize
+    retraction from 8 seeded starts, all run stacked; the result is the
+    first start with the least value (method ``GeodesicDescent``).
     """
     A = as_sym_matrix(A)
     if A.n <= enumeration_cap(config):
@@ -225,60 +238,80 @@ def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:
 
 def _descent_best(A: SymMatrix, starts: int, seed: int) -> MinResult:
     rng = np.random.default_rng(seed)
-    X0 = sample_orthant_array(A.n, starts, rng)
-    best = None
-    for x0 in X0:
-        value, x, iters, boundary, _ = _descent(A.a, x0)
-        if best is None or value < best.value:
-            best = MinResult(
-                value=value,
-                argmin=SpherePoint(x),
-                method=MinMethod.GEODESIC_DESCENT,
-                iterations=iters,
-                boundary_hit=boundary,
-            )
-    return best
+    values, X, iterations, boundary, _ = _descent(
+        A.a, sample_orthant_array(A.n, starts, rng)
+    )
+    k = int(np.argmin(values))  # the first start with the least value
+    return MinResult(
+        value=float(values[k]),
+        argmin=SpherePoint(X[k]),
+        method=MinMethod.GEODESIC_DESCENT,
+        iterations=int(iterations[k]),
+        boundary_hit=bool(boundary[k]),
+    )
 
 
-def _descent(a: np.ndarray, x0: np.ndarray, max_iter: int = 10_000):
-    """Projected gradient descent with clamp-then-normalize retraction.
+def _descent(a: np.ndarray, X0: np.ndarray, max_iter: int = 10_000):
+    """Projected gradient descent with clamp-then-normalize retraction, one
+    start per row of ``X0``, all starts advanced together.
 
-    Returns (value, argmin, iterations, boundary_hit, value_trajectory);
-    the trajectory is nonincreasing by construction.
+    A start stops at its first iteration without decrease, after a step
+    shorter than 1e-10, or after ``max_iter`` iterations; stopped rows drop
+    out of the stack.  Returns per-start arrays (value, argmin rows,
+    iterations, boundary_hit) and the value trajectory, one row per
+    iteration and one column per start, which is nonincreasing down each
+    column by construction.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    x = np.maximum(x, 0.0)
-    x /= np.linalg.norm(x)
-    q = float(x @ a @ x)
-    trajectory = [q]
-    boundary = False
-    it = 0
+    X = np.maximum(np.asarray(X0, dtype=float), 0.0)
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    Q = np.einsum("ij,ij->i", X @ a, X)
+    iterations = np.zeros(Q.size, dtype=int)
+    boundary = np.zeros(Q.size, dtype=bool)
+    trajectory = [Q.copy()]
+    live = np.arange(Q.size)
     for it in range(1, max_iter + 1):
-        ax = a @ x
-        g = 2.0 * (ax - q * x)
-        eta = 1.0
-        xn, qn = x, q
-        while eta >= 1e-12:
-            clipped = np.maximum(x - eta * g, 0.0)
-            # Armijo sufficient decrease against the projected displacement;
-            # plain decrease stalls when a step length sits exactly at the
-            # zero-improvement boundary, and the raw gradient norm overstates
-            # what is achievable once coordinates are clamped at zero
-            decrease = -1e-4 * float(g @ (clipped - x))
-            nrm = float(np.linalg.norm(clipped))
-            if nrm > 0.0:
-                trial = clipped / nrm
-                qt = float(trial @ a @ trial)
-                if qt <= q - decrease:
-                    xn, qn = trial, qt
-                    break
-            eta /= 2.0
-        if qn >= q:
+        if live.size == 0:
             break
-        step = float(np.linalg.norm(xn - x))
-        boundary = boundary or bool((xn == 0.0).any())
-        x, q = xn, qn
-        trajectory.append(q)
-        if step < 1e-10:
+        x, q = X[live], Q[live]
+        xn, qn = _backtrack(a, x, q, 2.0 * (x @ a - q[:, None] * x))
+        iterations[live] = it
+        moved = qn < q
+        live, x, xn = live[moved], x[moved], xn[moved]
+        boundary[live] |= (xn == 0.0).any(axis=1)
+        X[live], Q[live] = xn, qn[moved]
+        trajectory.append(Q.copy())
+        live = live[np.linalg.norm(xn - x, axis=1) >= 1e-10]
+    return Q, X, iterations, boundary, np.array(trajectory)
+
+
+def _backtrack(a: np.ndarray, x: np.ndarray, q: np.ndarray, g: np.ndarray):
+    """Armijo backtrack for each row: the trial of the first step size in
+    ``_ETAS`` whose value passes q(trial) <= q - 1e-4 g^T (clipped - x),
+    where clipped = max(x - eta g, 0) and trial = clipped / ||clipped||.
+
+    The test is against the projected displacement: plain decrease stalls
+    when a step length sits exactly at the zero-improvement boundary, and
+    the raw gradient norm overstates what is achievable once coordinates
+    are clamped at zero.  ``_ETA_CHUNK`` step sizes are scored at once for
+    every row still undecided; a row where none passes keeps (x, q).
+    """
+    xn, qn = x.copy(), q.copy()
+    rows = np.arange(q.size)
+    for lo in range(0, _ETAS.size, _ETA_CHUNK):
+        xr, gr = x[rows], g[rows]
+        clipped = np.maximum(
+            xr[:, None, :] - _ETAS[lo:lo + _ETA_CHUNK, None] * gr[:, None, :], 0.0
+        )
+        decrease = -1e-4 * np.einsum("rcn,rn->rc", clipped - xr[:, None, :], gr)
+        nrm = np.linalg.norm(clipped, axis=2)
+        trial = clipped / np.where(nrm > 0.0, nrm, 1.0)[:, :, None]
+        flat = trial.reshape(-1, x.shape[1])
+        qt = np.einsum("ij,ij->i", flat @ a, flat).reshape(nrm.shape)
+        passed = (nrm > 0.0) & (qt <= q[rows, None] - decrease)
+        hit = passed.any(axis=1)
+        k = passed[hit].argmax(axis=1)
+        xn[rows[hit]], qn[rows[hit]] = trial[hit, k], qt[hit, k]
+        rows = rows[~hit]
+        if rows.size == 0:
             break
-    return q, x, it, boundary, trajectory
+    return xn, qn

@@ -2,11 +2,11 @@
 
 These deliberately avoid the code paths they check: brute-force grids for
 orthant minima, the closed-form 2x2 eigenproblem, finite differences for
-derivatives along geodesics, a one-support-at-a-time Pareto enumeration, the
-loop forms of the eigenvector sign step and the eigenvalue clustering, and the
-intrinsic sphere geometry (distances, minimal geodesic segments, the
-spherical gradient of q_A) that the falsifier's Gram-form kernel must agree
-with.
+derivatives along geodesics, a one-support-at-a-time Pareto enumeration, a
+one-start-at-a-time descent, the loop forms of the eigenvector sign step and
+the eigenvalue clustering, and the intrinsic sphere geometry (distances,
+minimal geodesic segments, the spherical gradient of q_A) that the
+falsifier's Gram-form kernel must agree with.
 """
 
 from __future__ import annotations
@@ -105,6 +105,50 @@ def reference_pareto(a: np.ndarray, slack_tol=1e-9, strict_tol=1e-12):
         ):
             kept.append(t)
     return kept
+
+
+def reference_descent(a: np.ndarray, x0: np.ndarray, max_iter: int = 10_000):
+    """Projected gradient descent with clamp-then-normalize retraction from
+    one start, one step size at a time (the loop form of probe._descent).
+
+    Each iteration halves eta from 1 while eta >= 1e-12 and takes the first
+    trial passing the Armijo test against the projected displacement.  Stops
+    without decrease, after a step below 1e-10, or after ``max_iter``
+    iterations.  Returns (value, argmin, iterations, boundary_hit,
+    value_trajectory).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    x = np.maximum(x, 0.0)
+    x /= np.linalg.norm(x)
+    q = float(x @ a @ x)
+    trajectory = [q]
+    boundary = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        ax = a @ x
+        g = 2.0 * (ax - q * x)
+        eta = 1.0
+        xn, qn = x, q
+        while eta >= 1e-12:
+            clipped = np.maximum(x - eta * g, 0.0)
+            decrease = -1e-4 * float(g @ (clipped - x))
+            nrm = float(np.linalg.norm(clipped))
+            if nrm > 0.0:
+                trial = clipped / nrm
+                qt = float(trial @ a @ trial)
+                if qt <= q - decrease:
+                    xn, qn = trial, qt
+                    break
+            eta /= 2.0
+        if qn >= q:
+            break
+        step = float(np.linalg.norm(xn - x))
+        boundary = boundary or bool((xn == 0.0).any())
+        x, q = xn, qn
+        trajectory.append(q)
+        if step < 1e-10:
+            break
+    return q, x, it, boundary, trajectory
 
 
 def reference_sign_normalize(v: np.ndarray) -> np.ndarray:

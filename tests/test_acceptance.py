@@ -287,7 +287,7 @@ def test_criterion_7_local_equals_global(capsys):
         exact = minimize_orthant(A).value
         rng = np.random.default_rng(7)
         starts = sample_orthant_array(A.n, 8, rng)
-        values = [_descent(A.a, x0)[0] for x0 in starts]
+        values = _descent(A.a, starts)[0]
         if max(values) - min(values) > 1e-6:
             failures.append((k, "spread", max(values) - min(values)))
         if abs(min(values) - exact) > 1e-6:

@@ -588,3 +588,18 @@ class TestFreshProcess:
         default = self.report_bytes(command, str(path), None)
         assert single == default
         assert command in json.loads(single)
+
+    def test_descent_bytes_identical(self, tmp_path):
+        # an n = 20 Z-matrix is past the default max_exact_dim, so minimize
+        # runs the stacked descent, whose gradients and trial values come
+        # from BLAS matrix products
+        rng = np.random.default_rng(20)
+        off = -rng.uniform(0.01, 0.1, (20, 20))
+        a = (off + off.T) / 2.0
+        np.fill_diagonal(a, np.linspace(-1.0, 1.0, 20))
+        path = tmp_path / "m.json"
+        path.write_text(dumps(SymMatrix(a)))
+        single = self.report_bytes("minimize", str(path), "1")
+        default = self.report_bytes("minimize", str(path), None)
+        assert single == default
+        assert json.loads(single)["minimum"]["method"] == "GeodesicDescent"

@@ -36,6 +36,24 @@ class TestParetoSpectrum:
         S = pareto_spectrum(sym([[0.0, 1.0], [1.0, 0.0]]))
         assert S.min_value == pytest.approx(0.0)
 
+    def test_pairs_scale_with_the_matrix(self):
+        # q_{tA} = t q_A: the Pareto pairs of tA are those of A, values
+        # times t, at every scale t > 0.  For the first matrix (A e_1)_2 =
+        # -t < 0, so only support (0, 1) is a pair, even at t = 1e-9
+        rng = np.random.default_rng(27)
+        corpus = [np.array([[0.0, -1.0], [-1.0, 0.0]])]
+        for n in (2, 3, 4, 5, 6):
+            raw = 2.0 * rng.random((n, n)) - 1.0
+            corpus.append((raw + raw.T) / 2.0)
+        for a in corpus:
+            base = pareto_spectrum(SymMatrix(a)).pairs
+            for t in (1e-9, 1e-7, 1e-5, 1e-3, 1e-1, 1.0):
+                pairs = pareto_spectrum(SymMatrix(t * a)).pairs
+                assert [p.support for p in pairs] == [b.support for b in base], (a, t)
+                for p, b in zip(pairs, base):
+                    assert p.value == pytest.approx(t * b.value, rel=1e-9, abs=t * 1e-12)
+                    np.testing.assert_allclose(p.vector, b.vector, rtol=0.0, atol=1e-9)
+
     def test_pair_structure(self):
         rng = np.random.default_rng(21)
         for _ in range(20):

@@ -25,7 +25,12 @@ from quadsphere.probe import (
 )
 from quadsphere.sphere import sample_orthant_array
 
-from oracles import GeodesicSegment, geodesic_eval, grid_min_quadratic
+from oracles import (
+    GeodesicSegment,
+    geodesic_eval,
+    grid_min_quadratic,
+    reference_descent,
+)
 
 
 def sym(rows):
@@ -134,16 +139,53 @@ class TestDescent:
             raw = 2.0 * rng.random((5, 5)) - 1.0
             a = (raw + raw.T) / 2.0
             x0 = np.abs(rng.standard_normal(5))
-            _, x, _, _, trajectory = _descent(a, x0)
+            _, X, _, _, trajectory = _descent(a, x0[None])
+            x, trajectory = X[0], trajectory[:, 0]
             assert all(b <= s + 1e-15 for s, b in zip(trajectory, trajectory[1:]))
             assert float(x.min()) >= 0.0
             assert np.linalg.norm(x) == pytest.approx(1.0)
 
     def test_stationary_start(self):
         a = np.diag([-1.0, 1.0, 1.0])
-        value, x, _, _, _ = _descent(a, np.array([1.0, 0.0, 0.0]))
-        assert value == pytest.approx(-1.0)
-        np.testing.assert_allclose(x, [1.0, 0.0, 0.0])
+        values, X, _, _, _ = _descent(a, np.array([[1.0, 0.0, 0.0]]))
+        assert values[0] == pytest.approx(-1.0)
+        np.testing.assert_allclose(X[0], [1.0, 0.0, 0.0])
+
+    # the stacked descent sums in other orders than the one-start loop, which
+    # moves its stop by a few iterations but its minimum by no more than the
+    # descent's own step floor, relative to max(1, ||A||_F)
+    REFERENCE_BOUND = 1e-10
+
+    @staticmethod
+    def reference_corpus():
+        """Seeded dense, Z and diagonal matrices at n 3-64, 8 starts each."""
+        rng = np.random.default_rng(15)
+        for n in (3, 5, 8, 13, 21, 34, 64):
+            raw = 2.0 * rng.random((n, n)) - 1.0
+            off = -rng.random((n, n))
+            z = (off + off.T) / 2.0
+            np.fill_diagonal(z, 2.0 * rng.standard_normal(n))
+            for a in ((raw + raw.T) / 2.0, z, np.diag(rng.standard_normal(n))):
+                yield a, sample_orthant_array(n, 8, rng)
+
+    def test_matches_reference_loop(self):
+        for a, starts in self.reference_corpus():
+            bound = self.REFERENCE_BOUND * max(1.0, float(np.linalg.norm(a)))
+            values = _descent(a, starts)[0]
+            ref = [reference_descent(a, x0)[0] for x0 in starts]
+            assert np.abs(values - ref).max() <= bound
+
+            # minimize_orthant past the cap: its seeded starts, its best
+            A = SymMatrix(a)
+            res = minimize_orthant(A, Config(max_exact_dim=2))
+            assert res.method is MinMethod.GEODESIC_DESCENT
+            seeded = sample_orthant_array(A.n, 8, np.random.default_rng(0))
+            best = min(reference_descent(a, x0)[0] for x0 in seeded)
+            assert abs(res.value - best) <= bound
+            x = res.argmin.coords
+            assert float(x.min()) >= 0.0
+            assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
+            assert abs(res.value - float(x @ a @ x)) <= 1e-12
 
 
 class TestLocalGlobal:
@@ -157,7 +199,7 @@ class TestLocalGlobal:
             v = certify(A, Config(samples=2_000))
             assert v.status is Status.CERTIFIED_QUASICONVEX
             starts = sample_orthant_array(A.n, 8, np.random.default_rng(0))
-            values = [_descent(A.a, x0)[0] for x0 in starts]
+            values = _descent(A.a, starts)[0]
             assert max(values) - min(values) <= 1e-6
 
 
