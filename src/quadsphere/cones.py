@@ -1,5 +1,7 @@
 """Matrix-cone machinery for the nonnegative orthant: the full Pareto
-spectrum by support enumeration, and the copositivity verdict derived from it.
+spectrum by support enumeration, the copositivity verdict derived from it,
+and the Perron screen: when the least eigenvector fits the orthant, one
+eigendecomposition gives the least Pareto value and where it is attained.
 
 The supports of one size are enumerated in chunks, each chunk's principal
 submatrices decomposed by one stacked LAPACK ``eigh`` call and its acceptance
@@ -16,7 +18,8 @@ from itertools import combinations, islice, takewhile
 import numpy as np
 
 from .config import Config, DEFAULT
-from .linalg import ConvergenceError, SymMatrix, as_sym_matrix
+from .linalg import ConvergenceError, SymMatrix, as_sym_matrix, eigen_decompose
+from .sphere import SpherePoint
 
 __all__ = [
     "ParetoEigenpair",
@@ -99,6 +102,22 @@ def _check_cap(n: int, config: Config) -> None:
         )
 
 
+def _perron_pair(A: SymMatrix, config: Config):
+    """(lambda1, x): the least eigenvalue of A and, when its unit
+    eigenvector fits the orthant up to config.tol_sign, that vector clipped
+    at 0 as a SpherePoint (else None).
+
+    Every Pareto value is a Rayleigh quotient, so none is below lambda1;
+    when the column fits, lambda1 is the least Pareto value and the minimum
+    of q_A over the orthant patch, attained at x.  By Perron-Frobenius the
+    column fits for every irreducible Z-matrix.
+    """
+    E = eigen_decompose(A)
+    v = E.vectors[:, 0]
+    x = SpherePoint(np.maximum(v, 0.0)) if v.min() >= -config.tol_sign else None
+    return float(E.eigenvalues[0]), x
+
+
 def _pareto_pairs(a: np.ndarray, slack_tol: float):
     """Yield the accepted Pareto eigenpairs of ``a``, support size by size
     and, within a size, in lexicographic support order."""
@@ -161,14 +180,25 @@ def is_copositive(A: SymMatrix, config: Config = DEFAULT) -> bool:
     >= -config.tol_slack * min(1, ||A||_F).
 
     The minimum scales with A, so below unit norm the threshold does too.
-    It equals the least Pareto eigenvalue, so this is exact up to the
-    enumeration dimension cap (ValueError beyond it).  The supports are
-    enumerated, with pareto_spectrum's complementarity slack, until the
-    first Pareto eigenvalue below the threshold.
+    It equals the least Pareto eigenvalue.  Up to the enumeration cap the
+    supports are enumerated, with pareto_spectrum's complementarity slack,
+    until the first Pareto eigenvalue below the threshold.  Past the cap
+    three screens answer where they can: A >= 0 entrywise, or lambda1 at or
+    above the threshold, gives True; a least eigenvector that fits the
+    orthant with q below the threshold gives False.  Any other input past
+    the cap raises ValueError.
     """
     A = as_sym_matrix(A)
-    _check_cap(A.n, config)
     floor = -config.tol_slack * min(1.0, A.norm_fro())
+    if A.n > enumeration_cap(config):
+        if (A.a >= 0.0).all():
+            return True
+        lam1, x = _perron_pair(A, config)
+        if lam1 >= floor:
+            return True
+        if x is not None and A.quad(x.coords) < floor:
+            return False
+    _check_cap(A.n, config)
     found = False
     for p in _pareto_pairs(A.a, -floor):
         if p.value < floor:
@@ -177,3 +207,4 @@ def is_copositive(A: SymMatrix, config: Config = DEFAULT) -> bool:
     if not found:
         raise ConvergenceError("empty Pareto spectrum; tolerances too tight")
     return True
+

@@ -27,7 +27,9 @@ class Config:
                      (the CLI pareto and copositive commands,
                      minimize_orthant, and certify step 5 inside the
                      tolerance band); the enumeration never runs above
-                     n = 18, whatever this says
+                     n = 18, whatever this says.  The Perron screen is
+                     not capped: minimize_orthant runs it at every n, and
+                     is_copositive past the cap
     samples      -- sampling budget for the falsifier
     seed         -- master seed for all randomized search (nonnegative,
                     as numpy's generators require)

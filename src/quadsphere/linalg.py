@@ -95,12 +95,11 @@ class EigenSystem:
     ``vectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``; in each
     column the entry m of largest magnitude is nonnegative.  So a column v
     fits the orthant up to tol >= 0 whenever -v does: max v <= tol gives
-    v >= -m >= -tol.  ``residual`` is the Frobenius norm of A - V diag(w) V^T.
+    v >= -m >= -tol.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    residual: float
 
     def scale(self) -> float:
         """Frobenius norm of the decomposed matrix."""
@@ -123,10 +122,9 @@ def eigen_decompose(A: SymMatrix) -> EigenSystem:
     flip = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0.0
     v *= np.where(flip, -1.0, 1.0)
 
-    residual = float(np.linalg.norm(A.a - (v * w) @ v.T))
     w.setflags(write=False)
     v.setflags(write=False)
-    return EigenSystem(eigenvalues=w, vectors=v, residual=residual)
+    return EigenSystem(eigenvalues=w, vectors=v)
 
 
 def cluster_tol(scale: float) -> float:

@@ -7,9 +7,11 @@ Samples are drawn and scored in blocks of at most ``_BLOCK`` rows and
 ``_BLOCK_ENTRIES`` coordinates; the best hit is sharpened by coordinate search
 scored by the same kernel, and the witness is read from the kernel's row.
 
-``minimize_orthant`` computes the exact minimum via the Pareto spectrum when
-the dimension permits and falls back to multi-start projected gradient
-descent with a clamp-then-normalize retraction otherwise.  ``_descent``
+``minimize_orthant`` first runs the Perron screen: when the least
+eigenvector fits the orthant, its eigenvalue is the exact minimum, at every
+n.  Otherwise it computes the exact minimum via the Pareto spectrum when the
+dimension permits and falls back to multi-start projected gradient descent
+with a clamp-then-normalize retraction past the cap.  ``_descent``
 advances all starts as the rows of one array: one matmul gives every
 gradient, one more the trial values of ``_ETA_CHUNK`` Armijo step sizes for
 every start still backtracking, and a start leaves the stack when it stops.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import Witness, WitnessKind, verify_witness
-from .cones import enumeration_cap, pareto_spectrum
+from .cones import _perron_pair, enumeration_cap, pareto_spectrum
 from .config import Config, DEFAULT
 from .linalg import SymMatrix, as_sym_matrix
 from .sphere import SpherePoint, sample_orthant_array
@@ -218,12 +220,21 @@ def _build_witness(x, y, col: int, row) -> Witness:
 def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:
     """Minimum of q_A over the unit orthant patch.
 
-    Exact (least Pareto eigenvalue) when n fits the enumeration budget.
-    Otherwise projected gradient descent with a clamp-then-normalize
-    retraction from 8 seeded starts, all run stacked; the result is the
-    first start with the least value (method ``GeodesicDescent``).
+    Exact (least Pareto eigenvalue, method ``ExactPareto``) at every n when
+    the least eigenvector fits the orthant up to config.tol_sign: the
+    minimum is then lambda1, attained at that vector clipped at 0, as for
+    every irreducible Z-matrix.  Otherwise exact by support enumeration
+    when n fits the enumeration budget, and past it projected gradient
+    descent with a clamp-then-normalize retraction from 8 seeded starts,
+    all run stacked; the result is the first start with the least value
+    (method ``GeodesicDescent``).
     """
     A = as_sym_matrix(A)
+    lam1, x = _perron_pair(A, config)
+    if x is not None:
+        return MinResult(
+            value=lam1, argmin=x, method=MinMethod.EXACT_PARETO, iterations=0
+        )
     if A.n <= enumeration_cap(config):
         spectrum = pareto_spectrum(A, config)
         least = spectrum.pairs[0]

@@ -17,6 +17,9 @@ from quadsphere.config import Config
 from quadsphere.genex import make_negative_positive
 from quadsphere.matrixdoc import MatrixDocument, dumps, loads
 from quadsphere.linalg import SymMatrix
+from quadsphere.sphere import sample_orthant_array
+
+from oracles import reference_descent
 
 
 def write_doc(tmp_path, rows, name=None):
@@ -140,14 +143,31 @@ class TestOtherCommands:
         assert report["probe"]["witness"] is not None
 
     def test_minimize_past_enumeration_limit(self, tmp_path, capsys):
-        # max_exact_dim admits n = 19, the enumeration limit does not: the
+        # max_exact_dim admits n = 19, the enumeration limit does not: on a
+        # dense matrix, whose least eigenvector leaves the orthant, the
         # descent minimizer answers, as past max_exact_dim
-        path = write_doc(tmp_path, np.diag(np.arange(19.0)))
+        rng = np.random.default_rng(19)
+        raw = rng.uniform(-1.0, 1.0, (19, 19))
+        path = write_doc(tmp_path, (raw + raw.T) / 2.0)
         code, out, _ = run(
             capsys, "minimize", path, "--format", "structured", "--max-exact-dim", "40"
         )
         assert code == 0
         assert json.loads(out)["minimum"]["method"] == "GeodesicDescent"
+        # diag(0, ..., 18) has e_1 as its least eigenvector: the Perron
+        # screen answers, no worse than any of the descent's seeded starts
+        a = np.diag(np.arange(19.0))
+        path = write_doc(tmp_path, a)
+        code, out, _ = run(
+            capsys, "minimize", path, "--format", "structured", "--max-exact-dim", "40"
+        )
+        assert code == 0
+        minimum = json.loads(out)["minimum"]
+        assert minimum["method"] == "ExactPareto"
+        starts = sample_orthant_array(19, 8, np.random.default_rng(0))
+        bound = 1e-10 * max(1.0, float(np.linalg.norm(a)))
+        for x0 in starts:
+            assert minimum["value"] <= reference_descent(a, x0)[0] + bound
 
 
 def _api_payload(command, A, cfg):
@@ -472,8 +492,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["pareto", "copositive"])
     def test_enumeration_limit(self, tmp_path, capsys, command):
-        # 2^19 - 1 supports: an input error however high max_exact_dim is set
-        path = write_doc(tmp_path, np.eye(19))
+        # 2^19 - 1 supports: an input error however high max_exact_dim is set.
+        # No copositivity screen decides this matrix: it has a negative entry,
+        # lambda1 = -1 and a least eigenvector (1, -1, 0, ...)/sqrt(2)
+        a = np.eye(19)
+        a[0, 1] = a[1, 0] = 2.0
+        a[2, 2] = -0.5
+        path = write_doc(tmp_path, a)
         code, out, err = run(capsys, command, path, "--max-exact-dim", "40")
         assert code == 2
         assert out == ""
@@ -590,9 +615,22 @@ class TestFreshProcess:
         assert command in json.loads(single)
 
     def test_descent_bytes_identical(self, tmp_path):
-        # an n = 20 Z-matrix is past the default max_exact_dim, so minimize
-        # runs the stacked descent, whose gradients and trial values come
-        # from BLAS matrix products
+        # an n = 20 dense matrix is past the default max_exact_dim and its
+        # least eigenvector leaves the orthant, so minimize runs the stacked
+        # descent, whose gradients and trial values come from BLAS matrix
+        # products
+        rng = np.random.default_rng(20)
+        raw = rng.uniform(-1.0, 1.0, (20, 20))
+        path = tmp_path / "m.json"
+        path.write_text(dumps(SymMatrix((raw + raw.T) / 2.0)))
+        single = self.report_bytes("minimize", str(path), "1")
+        default = self.report_bytes("minimize", str(path), None)
+        assert single == default
+        assert json.loads(single)["minimum"]["method"] == "GeodesicDescent"
+
+    def test_screen_bytes_identical(self, tmp_path):
+        # an n = 20 Z-matrix with every off-diagonal entry negative: its least
+        # eigenvector is positive, so the Perron screen's one eigh answers
         rng = np.random.default_rng(20)
         off = -rng.uniform(0.01, 0.1, (20, 20))
         a = (off + off.T) / 2.0
@@ -602,4 +640,4 @@ class TestFreshProcess:
         single = self.report_bytes("minimize", str(path), "1")
         default = self.report_bytes("minimize", str(path), None)
         assert single == default
-        assert json.loads(single)["minimum"]["method"] == "GeodesicDescent"
+        assert json.loads(single)["minimum"]["method"] == "ExactPareto"

@@ -204,5 +204,51 @@ class TestAgainstReference:
         assert outcomes == {True, False}
 
     def test_cap_checked_first(self):
+        # no screen decides this matrix past the cap: it has a negative
+        # entry, lambda1 = -1 and a least eigenvector (1, -1, 0, 0, 0)/sqrt(2)
+        a = np.eye(5)
+        a[0, 1] = a[1, 0] = 2.0
+        a[2, 2] = -0.5
         with pytest.raises(ValueError, match="max_exact_dim"):
-            is_copositive(SymMatrix(np.eye(5)), Config(max_exact_dim=4))
+            is_copositive(SymMatrix(a), Config(max_exact_dim=4))
+
+
+def _screen_corpus():
+    """Seeded matrices at n 5-10 for each copositivity screen past the cap,
+    and dense ones that no screen decides."""
+    rng = np.random.default_rng(77)
+    out = []
+    for n in range(5, 11):
+        raw = rng.uniform(-1.0, 1.0, (n, n))
+        sym = (raw + raw.T) / 2.0
+        out.append(np.abs(sym))  # entrywise nonnegative
+        b = rng.standard_normal((n, n))
+        out.append(b @ b.T)  # positive semidefinite
+        for shift in (-1.0, 1.0):
+            z = -np.abs(sym)
+            np.fill_diagonal(z, 0.0)
+            lam1 = float(np.linalg.eigvalsh(z)[0])
+            out.append(z + (shift - lam1) * np.eye(n))  # lambda1 = shift
+        out.append(sym)  # dense
+    return out
+
+
+class TestCopositiveScreens:
+    """Past the cap is_copositive answers by its screens where they decide,
+    and agrees with the enumeration at the default cap."""
+
+    def test_screens_agree_with_enumeration(self):
+        decided = []
+        for a in _screen_corpus():
+            A = SymMatrix(a)
+            try:
+                screened = is_copositive(A, Config(max_exact_dim=4))
+            except ValueError as exc:
+                assert "enumeration cap" in str(exc)
+                continue
+            assert screened == is_copositive(A), a
+            decided.append(screened)
+        # 6 nonnegative, 6 PSD and 6 Z-matrices with lambda1 = 1 say True;
+        # 6 Z-matrices with lambda1 = -1 say False
+        assert decided.count(True) == 18
+        assert decided.count(False) == 6

@@ -64,7 +64,6 @@ class TestEigenDecompose:
             recon = (E.vectors * E.eigenvalues) @ E.vectors.T
             assert np.linalg.norm(A.a - recon) <= 1e-10 * scale
             assert np.linalg.norm(E.vectors.T @ E.vectors - np.eye(n)) <= 1e-10
-            assert E.residual <= 1e-10 * scale
             assert np.all(np.diff(E.eigenvalues) >= 0)
             assert abs(E.eigenvalues.sum() - np.trace(A.a)) <= 1e-9 * scale
 

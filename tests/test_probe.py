@@ -14,6 +14,7 @@ from quadsphere.certify import (
     verify_witness,
 )
 from quadsphere.cli import _jsonable
+from quadsphere.cones import pareto_spectrum
 from quadsphere.config import Config
 from quadsphere.genex import make_householder
 from quadsphere.linalg import SymMatrix
@@ -23,7 +24,7 @@ from quadsphere.probe import (
     minimize_orthant,
     _descent,
 )
-from quadsphere.sphere import sample_orthant_array
+from quadsphere.sphere import SpherePoint, sample_orthant_array
 
 from oracles import (
     GeodesicSegment,
@@ -35,6 +36,13 @@ from oracles import (
 
 def sym(rows):
     return SymMatrix(np.array(rows, dtype=float))
+
+
+def least_eigenvector_fits(a, tol=1e-10):
+    """Whether the least eigenvector of ``a``, with either sign, is
+    nonnegative up to ``tol``."""
+    v = np.linalg.eigh(a)[1][:, 0]
+    return bool(v.min() >= -tol or v.max() <= tol)
 
 
 class TestFalsify:
@@ -106,11 +114,23 @@ class TestMinimize:
             assert res.value >= gmin - 5e-3
 
     def test_descent_fallback(self):
-        A = SymMatrix(np.diag([-1.0, 1.0, 1.0]))
+        # the least eigenvector (0, 1, -1)/sqrt(2) of this matrix leaves the
+        # orthant, so past the cap the descent answers; the minimum -1 is
+        # at e_1
+        A = sym([[-1.0, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]])
         res = minimize_orthant(A, Config(max_exact_dim=2))
         assert res.method is MinMethod.GEODESIC_DESCENT
         assert res.value == pytest.approx(-1.0, abs=1e-6)
         assert res.iterations >= 1
+        # diag(-1, 1, 1) has e_1 as its least eigenvector: the Perron screen
+        # answers past the cap, no worse than any descent start
+        A = SymMatrix(np.diag([-1.0, 1.0, 1.0]))
+        res = minimize_orthant(A, Config(max_exact_dim=2))
+        assert res.method is MinMethod.EXACT_PARETO
+        starts = sample_orthant_array(A.n, 8, np.random.default_rng(0))
+        bound = TestDescent.REFERENCE_BOUND * max(1.0, A.norm_fro())
+        for x0 in starts:
+            assert res.value <= reference_descent(A.a, x0)[0] + bound
 
     def test_descent_matches_exact(self):
         rng = np.random.default_rng(12)
@@ -120,6 +140,49 @@ class TestMinimize:
             exact = minimize_orthant(A).value
             approx = minimize_orthant(A, Config(max_exact_dim=3)).value
             assert approx == pytest.approx(exact, abs=1e-6)
+
+    @staticmethod
+    def z_matrix(rng, n):
+        """Seeded Z-matrix with every off-diagonal entry negative, so
+        irreducible: its least eigenvector is positive."""
+        off = -rng.uniform(0.01, 1.0, (n, n))
+        a = (off + off.T) / 2.0
+        np.fill_diagonal(a, 2.0 * rng.standard_normal(n))
+        return SymMatrix(a)
+
+    def test_perron_screen_at_and_past_cap(self):
+        rng = np.random.default_rng(17)
+        cases = [(n, Config()) for n in (16, 17, 19, 40)]
+        cases += [(n, Config(max_exact_dim=4)) for n in (4, 5, 9)]
+        for n, config in cases:
+            A = self.z_matrix(rng, n)
+            res = minimize_orthant(A, config)
+            assert res.method is MinMethod.EXACT_PARETO
+            assert res.value == float(np.linalg.eigh(A.a)[0][0])
+            x = res.argmin.coords
+            assert float(x.min()) >= 0.0
+            assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
+            assert res.iterations == 0
+
+    def test_perron_screen_matches_enumeration(self):
+        # below the cap the screen's report is the enumeration's, byte for
+        # byte, on irreducible Z-matrices: dense ones and tridiagonal chains
+        rng = np.random.default_rng(18)
+        corpus = []
+        for n in range(1, 13):
+            corpus += [self.z_matrix(rng, n) for _ in range(4)]
+            chain = np.diag(rng.standard_normal(n))
+            link = -rng.uniform(0.1, 1.0, n - 1)
+            corpus.append(SymMatrix(chain + np.diag(link, 1) + np.diag(link, -1)))
+        for A in corpus:
+            least = pareto_spectrum(A).pairs[0]
+            enumerated = probe.MinResult(
+                value=least.value,
+                argmin=SpherePoint(least.vector),
+                method=MinMethod.EXACT_PARETO,
+                iterations=0,
+            )
+            assert report_bytes(minimize_orthant(A)) == report_bytes(enumerated), A
 
     def test_argmin_in_orthant(self):
         rng = np.random.default_rng(20)
@@ -169,23 +232,34 @@ class TestDescent:
                 yield a, sample_orthant_array(n, 8, rng)
 
     def test_matches_reference_loop(self):
+        descended = 0
         for a, starts in self.reference_corpus():
             bound = self.REFERENCE_BOUND * max(1.0, float(np.linalg.norm(a)))
             values = _descent(a, starts)[0]
             ref = [reference_descent(a, x0)[0] for x0 in starts]
             assert np.abs(values - ref).max() <= bound
 
-            # minimize_orthant past the cap: its seeded starts, its best
+            # minimize_orthant past the cap: its seeded starts, its best.
+            # Where the least eigenvector fits the orthant (the Z and
+            # diagonal matrices, and the dense one at n = 3) the Perron
+            # screen answers, no worse than any start; elsewhere the descent
             A = SymMatrix(a)
             res = minimize_orthant(A, Config(max_exact_dim=2))
-            assert res.method is MinMethod.GEODESIC_DESCENT
             seeded = sample_orthant_array(A.n, 8, np.random.default_rng(0))
             best = min(reference_descent(a, x0)[0] for x0 in seeded)
-            assert abs(res.value - best) <= bound
+            if least_eigenvector_fits(a):
+                assert res.method is MinMethod.EXACT_PARETO
+                assert res.value <= best + bound
+            else:
+                descended += 1
+                assert res.method is MinMethod.GEODESIC_DESCENT
+                assert abs(res.value - best) <= bound
             x = res.argmin.coords
             assert float(x.min()) >= 0.0
             assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
             assert abs(res.value - float(x @ a @ x)) <= 1e-12
+        # the dense matrices at n = 5 ... 64
+        assert descended == 6
 
 
 class TestLocalGlobal:
