@@ -1,21 +1,21 @@
 """The decision procedure for spherical quasi-convexity of q_A(x) = <Ax, x>
-on the nonnegative orthant patch of the sphere.
+on the nonnegative orthant patch of the sphere: a Yes carries a re-checkable
+certificate, a No a witness whose defining inequalities re-verify by direct
+arithmetic, and anything undecided is an honest Unknown.
 
-Cheap necessary conditions run first, then full characterizations for the
-structured classes (diagonal, two-eigenvalue), then the copositivity-based
-sufficient condition, then obstruction constructions, and finally seeded
-falsification.  Yes-verdicts always carry a re-checkable certificate,
-No-verdicts a witness whose defining inequalities re-verify by direct
-arithmetic; anything undecided is an honest Unknown.
+As q_{tA + sI} = t q_A + s on the patch (t > 0), every tolerance is a
+multiple of sigma = ||B||_F, B = A - tau I, tau = tr A / n (linalg.centred).
+Step 2 reads A and runs first; the later steps decide B, and eigenvalue
+fields and a witness's c get tau back.  The chain, in order:
 
-The chain, in order (steps 4-6 read one mask of orthant-fitting columns):
-
-1. a single eigenvalue cluster: constant form, Yes;
-2. an off-diagonal entry above tol_margin: the pair (e_i, e_j), No;
-3. a diagonal matrix: Yes iff two values with a simple smallest one,
-   otherwise the diagonal cone witness (_diag_witness in the standard basis);
+2. an off-diagonal entry above tol_margin sigma: the pair (e_i, e_j), No;
+1. one eigenvalue cluster (gaps at most 1e-8 sigma): constant form, Yes;
+3. a diagonal matrix (off-diagonal entries at most 1e-12 sigma): Yes iff
+   two values with a simple smallest one, otherwise the diagonal cone
+   witness (_diag_witness in the standard basis);
 4. two clusters with a simple smallest: Yes if its eigenvector fits the
-   orthant (one Yes with step 3's, the rule named by diagonality); otherwise
+   orthant (steps 4-6 read one mask of orthant-fitting columns; one Yes
+   with step 3's, the rule named by diagonality); otherwise
    steps 5-7 find nothing to build and step 8 decides;
 5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes,
    decided by the diagonal rule below in O(n^2) at every n;
@@ -33,21 +33,19 @@ accepts.  Step 2 returns its pair directly: its margin is a_ij, the
 comparison verify_witness would make.  Step 8 returns only a witness that
 falsify itself has verified.
 
-After step 2 the matrix is a Z-matrix up to tol_margin: every off-diagonal
-entry is at most p = max(a_ij, 0) <= tol_margin.  For a Z-matrix the
-off-diagonal entries of lambda2 I - A are nonnegative, so it is copositive iff
-lambda2 >= max a_ii, and its least Pareto value is lambda2 - max a_ii
-(Perron-Frobenius).  Step 5 therefore accepts when
-bound = lambda2 - max a_ii - (n - 1) p >= -tol_slack min(1, ||A||_F), and
-the certificate stores the bound as pareto_min; the (n - 1) p term is the
-most the tolerance band (0 < a_ij <= tol_margin) can cost on the unit orthant
-patch.  Only inside the band, when the bound declines and
+After step 2 the matrix is a Z-matrix up to tol_margin sigma: every
+off-diagonal entry is at most p = max(a_ij, 0) <= tol_margin sigma.  For a
+Z-matrix the off-diagonal entries of lambda2 I - A are nonnegative, so it is
+copositive iff lambda2 >= max a_ii, and its least Pareto value is
+lambda2 - max a_ii (Perron-Frobenius).  Step 5 therefore accepts when
+bound = lambda2 - max a_ii - (n - 1) p >= -tol_slack sigma, and the
+certificate stores the bound as pareto_min; the (n - 1) p term is the most
+the tolerance band (0 < a_ij <= tol_margin sigma) can cost on the unit
+orthant patch, where x^T (lambda2 I - A) x >= lambda2 - max a_ii -
+p ((sum x)^2 - 1).  Only inside the band, when the bound declines and
 n <= cones.enumeration_cap, does the support enumeration
-(cones.pareto_spectrum) decide instead, and pareto_min is then its least
-Pareto value.  Since q_{tA} = t q_A, the Yes tolerances (eigenvalue
-clusters, step 3's zero test, step 5's threshold) are relative to ||A||_F,
-the last one below unit norm only; a tiny matrix is never certified for
-being tiny.
+(cones.pareto_spectrum, on (lambda2 I - B) / sigma) decide instead, and
+pareto_min is then its least Pareto value times sigma.
 
 That lambda2 >= max a_ii is also necessary is a conjecture, supported by
 seeded fuzzing (every seeded random Z-matrix with lambda2 < max a_ii tried so
@@ -61,7 +59,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,8 +68,8 @@ from .cones import enumeration_cap, pareto_spectrum
 from .linalg import (
     SymMatrix,
     as_sym_matrix,
+    centred,
     cluster_eigenvalues,
-    cluster_tol,
     eigen_decompose,
 )
 
@@ -90,9 +88,9 @@ __all__ = [
 _EDGE_STEPS = np.arange(1, 65) / 65.0
 # candidate scores held at once by the edge witness: (c, k) rows x (indices below c)^2
 _EDGE_BLOCK = 1 << 18
-# rounds of raising c when a built edge point misses the cone by round-off
-_EDGE_NUDGES = 8
-# off-diagonal magnitude step 3 treats as zero, relative to ||A||_F
+# relative to sigma: the eigenvalue gap steps 1-6 take as a tie, and the
+# off-diagonal magnitude step 3 takes as zero
+_CLUSTER_RTOL = 1e-8
 _DIAGONAL_RTOL = 1e-12
 
 
@@ -129,7 +127,7 @@ class Witness:
     PairViolation: data has unit orthant vectors ``x``, ``y`` with
         <Ax, y> - <x, y> max{q(x), q(y)} = margin > 0.
     ConeNonconvexity: data has ``c``, ``x``, ``y`` in the orthant with
-        q(x) - c||x||^2 <= 0, q(y) - c||y||^2 <= 0 but
+        q(x) - c||x||^2 <= 0, q(y) - c||y||^2 <= 0 (up to round-off) but
         q(x + y) - c||x + y||^2 = margin > 0; the edge witness also records
         the ``vertex`` k whose e_k both points lean towards.
     """
@@ -168,25 +166,35 @@ def pair_violation_margin(A: SymMatrix, x, y) -> float:
 
 
 def verify_witness(A: SymMatrix, w: Witness, config: Config = DEFAULT) -> bool:
-    """Re-check a witness's defining inequalities by direct arithmetic.
-
-    A cone witness needs a finite c and orthant points of nonzero finite
-    norm.  A point outside the sublevel cone as computed raises c by the
-    larger overshoot per unit squared norm,
-    shift = max(0, x^T B x / ||x||^2, y^T B y / ||y||^2) with B = A - cI,
-    and the sum must leave the cone of A - (c + shift) I by more than
-    tol_margin.  Both points lie in that cone, which is convex when q_A is
-    quasi-convex, so acceptance needs no slack on the points' side.
+    """Re-check a witness's defining inequalities by direct arithmetic, on
+    B = A - tau I (linalg.centred), where a pair margin is A's and a cone
+    witness's c is c - tau.  A cone witness needs a finite c and orthant
+    points of nonzero finite norm; c is raised to the larger Rayleigh
+    quotient of B at x and y, which puts both points in the sublevel cone
+    of B - cI, convex when q_A is quasi-convex, and s = x + y must leave it.
+    Every margin must exceed _refutation_limit.
     """
-    A = as_sym_matrix(A)
+    return _verifies(centred(as_sym_matrix(A)), w, config)
+
+
+def _refutation_limit(n: int, sigma: float, ss: float, config: Config) -> float:
+    """tol_margin * sigma plus the round-off of s^T B s and the Rayleigh
+    quotients for ||s||^2 = ss (ss = 1 for a pair of unit points)."""
+    return sigma * (config.tol_margin + 2.0 * (n + 1) * math.ulp(1.0) * ss)
+
+
+def _verifies(C, w: Witness, config: Config) -> bool:
+    """verify_witness on the centred form C = (tau, B, sigma) of A."""
+    tau, B, sigma = C
+    b, n = B.a, B.n
     # a malformed witness (missing or non-numeric field) refutes nothing
     malformed = (KeyError, TypeError, ValueError)
     if w.kind is WitnessKind.PAIR_VIOLATION:
         try:
-            margin = pair_violation_margin(A, w.data["x"], w.data["y"])
+            margin = pair_violation_margin(B, w.data["x"], w.data["y"])
         except malformed:
             return False
-        return margin > config.tol_margin
+        return margin > _refutation_limit(n, sigma, 1.0, config)
     if w.kind is WitnessKind.CONE_NONCONVEXITY:
         try:
             c = float(w.data["c"])
@@ -194,17 +202,17 @@ def verify_witness(A: SymMatrix, w: Witness, config: Config = DEFAULT) -> bool:
             y = np.asarray(w.data["y"], dtype=float)
         except malformed:
             return False
-        if x.shape != (A.n,) or y.shape != (A.n,):
+        if x.shape != (n,) or y.shape != (n,):
             return False
         if float(x.min()) < -1e-12 or float(y.min()) < -1e-12:
             return False
         xx, yy = float(x @ x), float(y @ y)
         if not (math.isfinite(c) and 0.0 < xx < math.inf and 0.0 < yy < math.inf):
             return False
-        ac = A.a - c * np.eye(A.n)
-        shift = max(0.0, float(x @ ac @ x) / xx, float(y @ ac @ y) / yy)
+        c = max(c - tau, float(x @ b @ x) / xx, float(y @ b @ y) / yy)
         s = x + y
-        return float(s @ ac @ s) - shift * float(s @ s) > config.tol_margin
+        ss = float(s @ s)
+        return float(s @ b @ s) - c * ss > _refutation_limit(n, sigma, ss, config)
     return False
 
 
@@ -260,32 +268,29 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     A = as_sym_matrix(A)
     if A.n < 2:
         raise ValueError("dimension must be at least 2")
-    a = A.a
-    n = A.n
-    E = eigen_decompose(A)
-    clusters = cluster_eigenvalues(E)
+    C = tau, B, sigma = centred(A)
+    b, n = B.a, A.n
+
+    # 2. Z-pattern necessity, before any eigh: the pair (e_i, e_j) has
+    # margin a_ij exactly, and verify_witness makes the same comparison
+    off = b.copy()
+    off.reshape(-1)[:: n + 1] = 0.0
+    i, j = divmod(int(off.argmax()), n)
+    if off[i, j] > _refutation_limit(n, sigma, 1.0, config):
+        x, y = np.eye(n)[[i, j]]
+        data = {"x": x, "y": y, "entry": (int(i), int(j))}
+        witness = Witness(WitnessKind.PAIR_VIOLATION, data, float(off[i, j]))
+        return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
+
+    E = eigen_decompose(B)
+    clusters = cluster_eigenvalues(E, _CLUSTER_RTOL * sigma)
     two_simple = len(clusters) == 2 and clusters[0][1] == 1
 
     # 1. constant form: a single eigenvalue makes q_A constant on the sphere
     if len(clusters) == 1:
-        return _certified(Rule.CONSTANT_FORM, eigenvalue=clusters[0][0])
+        return _certified(Rule.CONSTANT_FORM, eigenvalue=clusters[0][0] + tau)
 
-    # 2. Z-pattern necessity: a positive off-diagonal entry a_ij gives the
-    # direct violation pair (e_i, e_j).  The No threshold is tol_margin so the
-    # emitted witness always re-verifies.
-    off = a - np.diag(np.diag(a))
-    i, j = np.unravel_index(np.argmax(off), off.shape)
-    if off[i, j] > config.tol_margin:
-        x, y = np.zeros(n), np.zeros(n)
-        x[i] = y[j] = 1.0
-        witness = Witness(
-            kind=WitnessKind.PAIR_VIOLATION,
-            data={"x": x, "y": y, "entry": (int(i), int(j))},
-            margin=float(off[i, j]),
-        )
-        return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
-
-    diagonal = float(np.abs(off).max()) <= _DIAGONAL_RTOL * A.norm_fro()
+    diagonal = float(np.abs(off).max()) <= _DIAGONAL_RTOL * sigma
     # steps 4-6 read which eigenvectors fit the orthant; -v fits only where
     # v does (see EigenSystem), so v is the only sign to test
     fits = E.vectors.min(axis=0) >= -config.tol_sign
@@ -299,28 +304,22 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     if two_simple and (diagonal or fits[0]):
         rule = (Rule.DIAGONAL_CHARACTERIZATION if diagonal
                 else Rule.TWO_EIGENVALUE_CHARACTERIZATION)
+        clusters = [(value + tau, mult) for value, mult in clusters]
         return _certified(rule, clusters=clusters, eigenvector=E.vectors[:, 0].copy())
 
     # 3. any other diagonal matrix: the diagonal witness in the standard
     # basis; at the tolerance edge (values distinct only marginally) it may
     # not verify, and the input falls through
     if diagonal:
-        d = np.diag(a)
-        witness = _diag_witness(d, np.eye(n), cluster_tol(float(np.linalg.norm(d))))
-        if verdict := _refuted(A, witness, config):
+        witness = _diag_witness(np.diag(b), np.eye(n), _CLUSTER_RTOL * sigma)
+        if verdict := _refuted(C, witness, config):
             return verdict
 
-    # 5. copositivity sufficiency: a nonnegative smallest eigenvector plus
-    # copositivity of (second smallest eigenvalue, counted with multiplicity;
-    # the next cluster value is unsound for a repeated lambda1) I - A.  With
-    # every off-diagonal entry at most p = off[i, j] in [0, tol_margin],
-    #   x^T (lam2 I - A) x >= lam2 - max a_ii - p ((sum x)^2 - 1) >= bound
-    # on the unit orthant patch, bound = lam2 - max a_ii - (n - 1) p; for
-    # p = 0 it is the least Pareto value of lam2 I - A (module docstring).
-    # Inside the tolerance band (p > 0), where the bound is loose, the
-    # support enumeration decides what it declines.  The lambda1 vector is
-    # the first fitting column of its eigenspace, else for a repeated lambda1
-    # the projection of the all-ones direction; a miss only loses a Yes.
+    # 5. copositivity sufficiency by the bound of the module docstring, with
+    # lam2 counted with multiplicity (the next cluster value is unsound for a
+    # repeated lambda1), p = off[i, j].  The lambda1 vector is the first
+    # fitting column of its eigenspace, else for a repeated lambda1 the
+    # projection of the all-ones direction; a miss only loses a Yes.
     mult = clusters[0][1]
     hit = np.flatnonzero(fits[:mult])
     cand = E.vectors[:, hit[0]].copy() if hit.size else None
@@ -336,15 +335,16 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     if cand is not None:
         lam2 = float(E.eigenvalues[1])
         p = float(off[i, j])
-        pareto_min = lam2 - float(np.diag(a).max()) - (n - 1) * p
-        floor = -config.tol_slack * min(1.0, A.norm_fro())
+        pareto_min = lam2 - float(np.diag(b).max()) - (n - 1) * p
+        floor = -config.tol_slack * sigma
         if pareto_min < floor and p > 0.0 and n <= enumeration_cap(config):
-            shifted = SymMatrix(lam2 * np.eye(n) - a)
-            pareto_min = pareto_spectrum(shifted, config).min_value
+            # cones' slacks are absolute from unit norm up: units of sigma
+            shifted = SymMatrix((lam2 * np.eye(n) - b) / sigma)
+            pareto_min = sigma * pareto_spectrum(shifted, config).min_value
         if pareto_min >= floor:
             return _certified(
                 Rule.COPOSITIVE_SUFFICIENCY,
-                eigenvector=cand, lambda2=lam2, pareto_min=pareto_min,
+                eigenvector=cand, lambda2=lam2 + tau, pareto_min=pareto_min,
             )
 
     # 6. q_A is diagonal on the span of the nonnegative eigenvectors, an
@@ -352,14 +352,14 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     nonneg = np.flatnonzero(fits)
     if nonneg.size >= 3:
         witness = _diag_witness(
-            E.eigenvalues[nonneg], E.vectors[:, nonneg], cluster_tol(E.scale())
+            E.eigenvalues[nonneg], E.vectors[:, nonneg], _CLUSTER_RTOL * sigma
         )
-        if verdict := _refuted(A, witness, config):
+        if verdict := _refuted(C, witness, config):
             return verdict
 
     # 7. edge witness: a Z-matrix with lam2 < max a_ii, refuted by boundary
     # points of the sublevel cone near the vertex of a large diagonal entry
-    if verdict := _refuted(A, _edge_witness(A, E), config):
+    if verdict := _refuted(C, _edge_witness(B, E), config):
         return verdict
 
     # 8. seeded falsification: falsify returns only a witness that
@@ -381,10 +381,13 @@ def _certified(rule: Rule, **data) -> Verdict:
     return Verdict(status=Status.CERTIFIED_QUASICONVEX, certificate=Certificate(rule, data))
 
 
-def _refuted(A: SymMatrix, witness: Witness | None, config: Config) -> Verdict | None:
-    """A No with ``witness`` if verify_witness accepts it, else None."""
-    if witness is not None and verify_witness(A, witness, config):
-        return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
+def _refuted(C, witness: Witness | None, config: Config) -> Verdict | None:
+    """A No with the cone ``witness`` built on B, its c moved to A's units,
+    if it verifies on C = (tau, B, sigma), else None."""
+    if witness is not None:
+        witness = replace(witness, data={**witness.data, "c": witness.data["c"] + C[0]})
+        if _verifies(C, witness, config):
+            return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
     return None
 
 
@@ -467,18 +470,9 @@ def _edge_witness(A: SymMatrix, E) -> Witness | None:
     x[k], y[k] = ti, tj
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
-    # a boundary point that misses the cone by round-off: raise c by that
-    # round-off (a few ulps) until both points are inside as computed
-    ac = a - c * np.eye(n)
-    for _ in range(_EDGE_NUDGES):
-        over = max(float(x @ ac @ x), float(y @ ac @ y))
-        if over <= 0.0:
-            break
-        c = max(c + over, float(np.nextafter(c, np.inf)))
-        ac = a - c * np.eye(n)
     s = x + y
     return Witness(
         kind=WitnessKind.CONE_NONCONVEXITY,
         data={"c": c, "x": x, "y": y, "vertex": k},
-        margin=float(s @ ac @ s),
+        margin=float(s @ (a - c * np.eye(n)) @ s),
     )

@@ -1,7 +1,7 @@
 """Matrix-cone machinery for the nonnegative orthant: the full Pareto
 spectrum by support enumeration, the copositivity verdict derived from it,
-and the Perron screen: when the least eigenvector fits the orthant, one
-eigendecomposition gives the least Pareto value and where it is attained.
+and the Perron screen: one eigendecomposition gives the least Pareto value
+and where it is attained when the least eigenvector fits the orthant.
 
 The supports of one size are enumerated in chunks, each chunk's principal
 submatrices decomposed by one stacked LAPACK ``eigh`` call and its acceptance
@@ -105,17 +105,20 @@ def _check_cap(n: int, config: Config) -> None:
 def _perron_pair(A: SymMatrix, config: Config):
     """(lambda1, x): the least eigenvalue of A and, when its unit
     eigenvector fits the orthant up to config.tol_sign, that vector clipped
-    at 0 as a SpherePoint (else None).
+    at 0 as a SpherePoint, if unclipped or still attaining lambda1 within
+    tol_slack * min(1, ||A||_F) (else None).
 
-    Every Pareto value is a Rayleigh quotient, so none is below lambda1;
-    when the column fits, lambda1 is the least Pareto value and the minimum
-    of q_A over the orthant patch, attained at x.  By Perron-Frobenius the
-    column fits for every irreducible Z-matrix.
+    Every Pareto value is a Rayleigh quotient, so none is below lambda1,
+    which is then the minimum of q_A over the orthant patch, attained at x.
+    By Perron-Frobenius the column fits for every irreducible Z-matrix.
     """
     E = eigen_decompose(A)
-    v = E.vectors[:, 0]
+    lam1, v = float(E.eigenvalues[0]), E.vectors[:, 0]
     x = SpherePoint(np.maximum(v, 0.0)) if v.min() >= -config.tol_sign else None
-    return float(E.eigenvalues[0]), x
+    if x is not None and v.min() < 0.0:
+        if A.quad(x.coords) - lam1 > config.tol_slack * min(1.0, A.norm_fro()):
+            x = None
+    return lam1, x
 
 
 def _pareto_pairs(a: np.ndarray, slack_tol: float):

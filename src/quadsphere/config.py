@@ -12,17 +12,17 @@ __all__ = ["Config", "DEFAULT"]
 class Config:
     """Tolerances and budgets used across the certifier and probes.
 
-    tol_margin   -- a violation counts only beyond this margin (also the
-                    Z-pattern threshold of certify step 2)
+    tol_margin   -- a violation counts only beyond tol_margin * sigma
+                    (plus round-off), sigma = ||A - (tr A / n) I||_F; also
+                    the Z-pattern threshold of certify step 2
     tol_sign     -- slack for orthant-membership tests of eigenvectors
-                    (certify steps 4-6)
-    tol_slack    -- complementarity slack for Pareto eigenpairs,
-                    (Ax - lambda x) >= -tol_slack * min(1, ||A||_F) off the
-                    support, and the copositivity threshold: least Pareto
-                    value (or certify step 5's bound) >= -tol_slack *
-                    min(1, ||A||_F); a matrix below unit norm gets a slack
-                    and a threshold that scale with it, as its Pareto
-                    values and residuals do
+                    (certify steps 4-6, the Perron screen)
+    tol_slack    -- certify step 5's floor, -tol_slack * sigma; in cones,
+                    times min(1, ||A||_F), which a shift moves: the
+                    complementarity slack of Pareto eigenpairs off the
+                    support, the copositivity threshold on the least Pareto
+                    value, and how far above lambda1 the Perron screen's
+                    clipped point may lie
     max_exact_dim -- largest dimension for exhaustive support enumeration
                      (the CLI pareto and copositive commands,
                      minimize_orthant, and certify step 5 inside the

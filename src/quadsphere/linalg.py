@@ -88,6 +88,20 @@ def as_sym_matrix(a) -> SymMatrix:
     return SymMatrix(a)
 
 
+def centred(A: SymMatrix) -> tuple[float, SymMatrix, float]:
+    """(tau, B, sigma): tau = tr A / n, B = A - tau I, sigma = ||B||_F, the
+    one scale of certify, which A -> tA + sI (t > 0) multiplies by t.  B, a
+    copy less tau on the diagonal, is exactly symmetric: no re-validation."""
+    b = A.a.copy()
+    tau = float(b.trace()) / A.n
+    flat = b.reshape(-1)
+    flat[:: A.n + 1] -= tau
+    b.setflags(write=False)
+    B = object.__new__(SymMatrix)
+    object.__setattr__(B, "a", b)
+    return tau, B, float(np.sqrt(flat @ flat))  # np.linalg.norm's arithmetic
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues with an orthonormal, sign-normalized basis.
@@ -100,10 +114,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-    def scale(self) -> float:
-        """Frobenius norm of the decomposed matrix."""
-        return float(np.linalg.norm(self.eigenvalues))
 
 
 def eigen_decompose(A: SymMatrix) -> EigenSystem:
@@ -127,22 +137,15 @@ def eigen_decompose(A: SymMatrix) -> EigenSystem:
     return EigenSystem(eigenvalues=w, vectors=v)
 
 
-def cluster_tol(scale: float) -> float:
-    """Largest gap at which two eigenvalues of a matrix with Frobenius norm
-    ``scale`` count as one; eigen_decompose's round-off is relative to the
-    norm at every scale, so a tiny matrix gets a tiny tolerance."""
-    return 1e-8 * scale
-
-
-def cluster_eigenvalues(E: EigenSystem) -> list:
-    """Merge consecutive eigenvalues within cluster_tol(||A||_F) into
+def cluster_eigenvalues(E: EigenSystem, tol: float) -> list:
+    """Merge consecutive eigenvalues whose gap is at most ``tol`` into
     clusters: a list of (value, multiplicity), values strictly increasing.
 
     Merging is transitive: a chain of gaps each below the tolerance forms a
     single cluster.  A cluster's value is the mean of its members.
     """
     w = E.eigenvalues
-    cut = np.flatnonzero(np.diff(w) > cluster_tol(E.scale())) + 1
+    cut = np.flatnonzero(np.diff(w) > tol) + 1
     bounds = [0, *cut.tolist(), w.size]
     # a singleton's mean is its value; skipping .mean() there is bit-identical
     return [

@@ -8,13 +8,14 @@ Samples are drawn and scored in blocks of at most ``_BLOCK`` rows and
 scored by the same kernel, and the witness is read from the kernel's row.
 
 ``minimize_orthant`` first runs the Perron screen: when the least
-eigenvector fits the orthant, its eigenvalue is the exact minimum, at every
-n.  Otherwise it computes the exact minimum via the Pareto spectrum when the
-dimension permits and falls back to multi-start projected gradient descent
-with a clamp-then-normalize retraction past the cap.  ``_descent``
-advances all starts as the rows of one array: one matmul gives every
-gradient, one more the trial values of ``_ETA_CHUNK`` Armijo step sizes for
-every start still backtracking, and a start leaves the stack when it stops.
+eigenvector fits the orthant and, clipped at 0, attains its eigenvalue, that
+eigenvalue is the exact minimum, at every n.  Otherwise it computes the
+exact minimum via the Pareto spectrum when the dimension permits and falls
+back to multi-start projected gradient descent with a clamp-then-normalize
+retraction past the cap.  ``_descent`` advances all starts as the rows of
+one array: one matmul gives every gradient, one more the trial values of
+``_ETA_CHUNK`` Armijo step sizes for every start still backtracking, and a
+start leaves the stack when it stops.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .certify import Witness, WitnessKind, verify_witness
 from .cones import _perron_pair, enumeration_cap, pareto_spectrum
 from .config import Config, DEFAULT
-from .linalg import SymMatrix, as_sym_matrix
+from .linalg import SymMatrix, as_sym_matrix, centred
 from .sphere import SpherePoint, sample_orthant_array
 
 __all__ = [
@@ -119,7 +120,9 @@ def falsify(
 ) -> ProbeReport:
     """Seeded search for a quasi-convexity violation.
 
-    Returns a witness iff the refined margin exceeds ``tol_margin``.
+    Scores B = A - tau I (linalg.centred), where margins are A's; returns a
+    witness (c in A's units) iff verify_witness accepts it under
+    ``tol_margin``, else caps a positive margin at tol_margin * sigma.
     Deterministic per (A, samples, seed).  Pairs are drawn in blocks of
     min(_BLOCK, _BLOCK_ENTRIES // n) rows (an X block, then a Y block), so up
     to that many samples draw exactly one X and one Y array.
@@ -127,7 +130,8 @@ def falsify(
     A = as_sym_matrix(A)
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    a = A.a
+    tau, B, sigma = centred(A)
+    a = B.a
     rng = np.random.default_rng(seed)
     best = np.full(3, -np.inf)
     pairs = [None] * 3
@@ -147,14 +151,10 @@ def falsify(
     if best_margin > 0.0:
         x, y, row = _refine(a, *pairs[col], col)
         best_margin = float(row[col])
-        if best_margin > tol_margin:
-            witness = _build_witness(x, y, col, row)
-            if not verify_witness(A, witness, Config(tol_margin=tol_margin)):
-                witness = None
-    if witness is None and best_margin > tol_margin:
-        # refined margin is positive but the witness form did not verify;
-        # report the margin honestly without a witness claim
-        best_margin = min(best_margin, tol_margin)
+        witness = _build_witness(x, y, col, row, tau)
+        if not verify_witness(A, witness, Config(tol_margin=tol_margin)):
+            witness = None  # reported honestly, without a witness claim
+            best_margin = min(best_margin, tol_margin * sigma)
     return ProbeReport(
         samples_used=samples,
         best_margin=float(best_margin),
@@ -205,9 +205,9 @@ def _refine(a, x, y, col: int):
     return P[0], P[1], row
 
 
-def _build_witness(x, y, col: int, row) -> Witness:
-    """Witness for kernel column ``col`` from the pair's kernel ``row``."""
-    margin, c = float(row[col]), float(row[_C])
+def _build_witness(x, y, col: int, row, tau: float) -> Witness:
+    """Witness, in A's units, for column ``col`` of the kernel ``row`` on A - tau I."""
+    margin, c = float(row[col]), float(row[_C]) + tau
     if col == _PAIR:
         return Witness(WitnessKind.PAIR_VIOLATION, {"x": x, "y": y}, margin)
     if col == _GEODESIC:
@@ -221,9 +221,9 @@ def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:
     """Minimum of q_A over the unit orthant patch.
 
     Exact (least Pareto eigenvalue, method ``ExactPareto``) at every n when
-    the least eigenvector fits the orthant up to config.tol_sign: the
-    minimum is then lambda1, attained at that vector clipped at 0, as for
-    every irreducible Z-matrix.  Otherwise exact by support enumeration
+    the least eigenvector fits the orthant up to config.tol_sign and its
+    clipped point attains lambda1 (cones._perron_pair), as for every
+    irreducible Z-matrix.  Otherwise exact by support enumeration
     when n fits the enumeration budget, and past it projected gradient
     descent with a clamp-then-normalize retraction from 8 seeded starts,
     all run stacked; the result is the first start with the least value

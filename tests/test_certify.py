@@ -22,7 +22,7 @@ from quadsphere.genex import (
     make_positive_basis,
     make_three_eigenvalue,
 )
-from quadsphere.linalg import SymMatrix, cluster_eigenvalues, eigen_decompose
+from quadsphere.linalg import SymMatrix, centred, cluster_eigenvalues, eigen_decompose
 
 # small sampling budget keeps the unit tests fast; the acceptance suite
 # exercises the full default budget
@@ -111,6 +111,29 @@ class TestGoldenVerdicts:
         assert float(np.asarray(cert["eigenvector"]).min()) >= -1e-10
         assert cert["pareto_min"] >= -1e-9
 
+    def test_far_shifted_diagonal(self):
+        # q_{A + cI} = q_A + c: diag(1, 2, 3) stays refuted by step 3's
+        # witness, with c in the shifted matrix's units
+        A = SymMatrix(1e8 * np.eye(3) + np.diag([1.0, 2.0, 3.0]))
+        v = certify(A, FAST)
+        assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+        assert v.witness.kind is WitnessKind.CONE_NONCONVEXITY
+        assert v.witness.data["c"] == pytest.approx(1e8 + 2.5, abs=1e-6)
+        assert verify_witness(A, v.witness)
+
+    def test_far_shifted_positive_entry(self):
+        # step 2 runs before the eigenvalue clusters: the pair (e_1, e_2) has
+        # margin 0.5 whatever the shift
+        a = 1e8 * np.eye(3)
+        a[0, 1] = a[1, 0] = 0.5
+        A = SymMatrix(a)
+        v = certify(A, FAST)
+        assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+        assert v.witness.kind is WitnessKind.PAIR_VIOLATION
+        assert v.witness.data["entry"] == (0, 1)
+        assert v.witness.margin == 0.5
+        assert verify_witness(A, v.witness)
+
     def test_negative_coupling_indefinite(self):
         # simple smallest eigenvalue, nonneg eigenvector (1,1)/sqrt2
         v = certify(sym([[0.0, -1.0], [-1.0, 0.0]]), FAST)
@@ -137,20 +160,21 @@ class TestStructuralInvariants:
             certify(sym([[1.0]]), FAST)
 
     def test_unknown_when_exact_engine_unavailable(self):
-        # tolerance-band instance (a_02 = 4e-10 <= tol_margin): lambda2 sits
-        # 4e-10 below max a_ii, so the diagonal bound lambda2 - max a_ii -
-        # (n - 1) p = -1.2e-9 misses -tol_slack while the least Pareto value
-        # (-8e-10) does not.  The enumeration certifies it at the default
-        # cap; capping it leaves the edge witness, which declines (every
-        # diagonal entry lies above its shifts, so no pair exists), and the
-        # probe, which finds no violation
-        p = 4e-10
+        # tolerance-band instance (a_02 = 8e-10 <= tol_margin sigma, with
+        # sigma = ||A - 2I||_F = 2): lambda2 sits 8e-10 below max a_ii, so
+        # the diagonal bound lambda2 - max a_ii - (n - 1) p = -2.4e-9 misses
+        # -tol_slack sigma = -2e-9 while the least Pareto value (-1.6e-9)
+        # does not.  The enumeration certifies it at the default cap;
+        # capping it leaves the edge witness, which declines (every diagonal
+        # entry lies above its shifts, so no pair exists), and the probe,
+        # which finds no violation
+        p = 8e-10
         A = sym([[2.0, -1.0, p], [-1.0, 2.0, -1.0], [p, -1.0, 2.0]])
         lam2 = float(eigen_decompose(A).eigenvalues[1])
-        assert lam2 - 2.0 - 2 * p < -1e-9
+        assert lam2 - 2.0 - 2 * p < -2e-9
         v = certify(A, Config(samples=2_000))
         assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
-        assert -1e-9 <= v.certificate.data["pareto_min"] < -5e-10
+        assert -2e-9 <= v.certificate.data["pareto_min"] < -1e-9
         v = certify(A, Config(samples=2_000, max_exact_dim=2))
         assert v.status is Status.UNKNOWN
         assert v.probe_summary is not None
@@ -168,7 +192,7 @@ class TestStructuralInvariants:
             return pareto_spectrum(A, config)
 
         monkeypatch.setattr(sys.modules["quadsphere.certify"], "pareto_spectrum", spy)
-        p = 4e-10
+        p = 8e-10
         A = sym([[2.0, -1.0, p], [-1.0, 2.0, -1.0], [p, -1.0, 2.0]])
         config = Config(samples=2_000)
         assert certify(A, config).certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
@@ -201,11 +225,13 @@ class TestStructuralInvariants:
 
     def test_entrywise_rule_allows_slack(self):
         # lambda2 I - A has a diagonal entry of about -2e-10, inside
-        # -tol_slack: a Yes at every cap, with pareto_min equal to the least
-        # Pareto value that the enumeration computes
+        # -tol_slack sigma: a Yes at every cap, with pareto_min equal to the
+        # least Pareto value that the enumeration computes on B = A - tau I,
+        # the matrix certify decides
         A = sym([[2.0 + 4e-10, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        lam2 = float(eigen_decompose(A).eigenvalues[1])
-        exact = pareto_spectrum(SymMatrix(lam2 * np.eye(3) - A.a)).min_value
+        _, B, _ = centred(A)
+        lam2 = float(eigen_decompose(B).eigenvalues[1])
+        exact = pareto_spectrum(SymMatrix(lam2 * np.eye(3) - B.a)).min_value
         assert -1e-9 < exact < 0.0
         for cap in (16, 2):
             v = certify(A, Config(samples=2_000, max_exact_dim=cap))
@@ -276,17 +302,21 @@ def _band_corpus(seed=2027):
 
 
 def _step5_inputs(corpus):
-    """(A, lambda2, certify verdict) for the inputs that reach step 5; a
+    """(B, lambda2 of B, sigma, certify verdict) for the inputs that pass
+    step 2 and reach step 5, with B = A - tau I as certify decides it; a
     small sampling budget, which only the steps after 5 use."""
     config = Config(samples=200)
     for A in corpus:
-        E = eigen_decompose(A)
-        clusters = cluster_eigenvalues(E)
+        _, B, sigma = centred(A)
+        if float((A.a - np.diag(np.diag(A.a))).max()) > config.tol_margin * sigma:
+            continue  # step 2's pair
+        E = eigen_decompose(B)
+        clusters = cluster_eigenvalues(E, 1e-8 * sigma)
         two = len(clusters) == 2 and clusters[0][1] == 1
         diagonal = not np.any(A.a - np.diag(np.diag(A.a)))
         if len(clusters) == 1 or diagonal or two:
             continue
-        yield A, float(E.eigenvalues[1]), certify(A, config)
+        yield B, float(E.eigenvalues[1]), sigma, certify(A, config)
 
 
 class TestStep5Oracle:
@@ -294,11 +324,11 @@ class TestStep5Oracle:
 
     def test_exact_z_matches_enumeration(self):
         yes = declined = 0
-        for A, lam2, v in _step5_inputs(_z_step5_corpus()):
-            assert float((A.a - np.diag(np.diag(A.a))).max()) <= 0.0
-            exact = pareto_spectrum(SymMatrix(lam2 * np.eye(A.n) - A.a)).min_value
+        for B, lam2, sigma, v in _step5_inputs(_z_step5_corpus()):
+            assert float((B.a - np.diag(np.diag(B.a))).max()) <= 0.0
+            exact = pareto_spectrum(SymMatrix(lam2 * np.eye(B.n) - B.a)).min_value
             rule = v.certificate.rule if v.certificate else None
-            if exact >= -FAST.tol_slack:
+            if exact >= -FAST.tol_slack * sigma:
                 yes += 1
                 assert rule is Rule.COPOSITIVE_SUFFICIENCY
                 assert v.certificate.data["pareto_min"] == exact
@@ -309,18 +339,20 @@ class TestStep5Oracle:
 
     def test_band_bound_is_sound(self):
         by_bound = by_enumeration = 0
-        for A, lam2, v in _step5_inputs(_band_corpus()):
-            off = A.a - np.diag(np.diag(A.a))
+        for B, lam2, sigma, v in _step5_inputs(_band_corpus()):
+            off = B.a - np.diag(np.diag(B.a))
             p = float(off.max())
-            assert 0.0 < p <= FAST.tol_margin
-            bound = lam2 - float(np.diag(A.a).max()) - (A.n - 1) * p
-            exact = pareto_spectrum(SymMatrix(lam2 * np.eye(A.n) - A.a)).min_value
-            if bound >= -FAST.tol_slack:
+            assert 0.0 < p <= FAST.tol_margin * sigma
+            floor = -FAST.tol_slack * sigma
+            bound = lam2 - float(np.diag(B.a).max()) - (B.n - 1) * p
+            shifted = SymMatrix((lam2 * np.eye(B.n) - B.a) / sigma)
+            exact = sigma * pareto_spectrum(shifted).min_value
+            if bound >= floor:
                 by_bound += 1
-                assert exact >= -FAST.tol_slack
+                assert exact >= floor
                 assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
                 assert v.certificate.data["pareto_min"] == bound
-            elif exact >= -FAST.tol_slack:
+            elif exact >= floor:
                 # the enumeration keeps every Yes the bound is too loose for
                 by_enumeration += 1
                 assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
@@ -613,6 +645,35 @@ class TestVerifyWitness:
         )
         assert not verify_witness(A, w, Config(tol_margin=0.0))
 
+    def test_rejects_far_shift_on_identity(self):
+        # q_I = 1 on the sphere, so I has no cone witness; raising a c far
+        # below the spectrum by subtracting it cancels to round-off above
+        # tol_margin, while the Rayleigh quotients of I - I = 0 leave none
+        w = Witness(
+            kind=WitnessKind.CONE_NONCONVEXITY,
+            data={
+                "c": -1e8,
+                "x": [0.8518339359821577, 0.8848929540768634, 0.7657085265575656],
+                "y": [0.032198600883155404, 0.05019972732826783, 0.3294150344639729],
+            },
+            margin=1.0,
+        )
+        assert not verify_witness(SymMatrix(np.eye(3)), w)
+
+    def test_far_shift_sweep_accepts_nothing(self):
+        # 6,400 made-up cone witnesses on t I with c far below t
+        rng = np.random.default_rng(0)
+        accepted = 0
+        for t in (1.0, 1e3):
+            for n in (2, 3, 5, 8):
+                A = SymMatrix(t * np.eye(n))
+                for c in (-1e6, -1e8, -1e10, -1e12):
+                    for _ in range(200):
+                        data = {"c": c, "x": rng.random(n), "y": rng.random(n)}
+                        w = Witness(WitnessKind.CONE_NONCONVEXITY, data, 1.0)
+                        accepted += verify_witness(A, w)
+        assert accepted == 0
+
     @pytest.mark.parametrize("field", ["x", "y"])
     def test_rejects_wrong_length_cone_points(self, field):
         A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
@@ -640,9 +701,12 @@ class TestInvariances:
         return out
 
     def test_shift_invariance(self):
+        # q_{A + cI} = q_A + c on the sphere; certify decides A - (tr A / n) I,
+        # so a shift far beyond the spread of A moves no verdict either
         for A in self._instances():
             base = certify(A, FAST).status
-            for c in (-1.0, 2.0):
+            far = 1e8 * A.norm_fro()
+            for c in (-1.0, 2.0, far, -far):
                 shifted = SymMatrix(A.a + c * np.eye(A.n))
                 assert certify(shifted, FAST).status is base
 
@@ -653,8 +717,9 @@ class TestInvariances:
                 assert certify(SymMatrix(s * A.a), FAST).status is base
 
     def test_small_scale(self):
-        # q_{tA} = t q_A: a Yes stays Yes and a No never becomes Yes at any
-        # scale, however far below the absolute tolerances
+        # q_{tA} = t q_A, and every tolerance of certify is relative to the
+        # spread sigma = ||A - (tr A / n) I||_F: the status is the same at
+        # any scale
         rng = np.random.default_rng(17)
         mats = self._instances() + [
             make_negative_positive(4, 1),
@@ -673,17 +738,16 @@ class TestInvariances:
         for A in mats:
             base = certify(A, FAST).status
             for s in (1e-9, 1e-12):
-                status = certify(SymMatrix(s * A.a), FAST).status
-                if base is Status.CERTIFIED_QUASICONVEX:
-                    assert status is base
-                else:
-                    assert status is not Status.CERTIFIED_QUASICONVEX
+                assert certify(SymMatrix(s * A.a), FAST).status is base
 
     def test_tiny_diagonal_not_yes(self):
         # diag(1, 2, 3) is refuted at scale 1; at 1e-9 its eigenvalue gaps
-        # are below any absolute cluster tolerance of the size of tol_margin
+        # and its witness margin are below the absolute tol_margin, but not
+        # below tol_margin sigma
         A = SymMatrix(1e-9 * np.diag([1.0, 2.0, 3.0]))
-        assert certify(A, FAST).status is not Status.CERTIFIED_QUASICONVEX
+        v = certify(A, FAST)
+        assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+        assert verify_witness(A, v.witness, FAST)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

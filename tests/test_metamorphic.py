@@ -1,0 +1,148 @@
+"""Metamorphic soundness corpus: shift, scale and permutation.
+
+On the orthant patch q_{tA + sI} = t q_A + s for t > 0, and a simultaneous
+permutation of the coordinates maps the patch onto itself, so certify(A),
+certify(tA + sI) and certify(P A P^T) must not contradict each other.  The
+corpus mixes seeded dense, Z, tied-maximum, tolerance-band, three-eigenvalue
+and negative-positive inputs of size 2-7.  For every transform:
+
+- no transform of an input refuted at unit scale gets a Yes;
+- every No carries a witness that verify_witness accepts on its own matrix;
+- under t and s, Z and dense inputs keep their unit-scale status.
+
+Under the permutation only the first two hold as asserted: the sampling
+falsifier of step 8 draws its points in coordinate order, so a tied input it
+decides can move between No and Unknown.
+"""
+
+import numpy as np
+import pytest
+
+from quadsphere.certify import Status, certify, verify_witness
+from quadsphere.config import Config
+from quadsphere.genex import make_negative_positive, make_three_eigenvalue
+from quadsphere.linalg import SymMatrix, centred
+
+CFG = Config(samples=2_000)
+SCALES = (1e-9, 1.0, 1e9)
+# shifts as multiples of ||tA||_F
+SHIFTS = (0.0, 1e8, -1e8)
+
+
+def _z(rng, n):
+    off = -rng.random((n, n))
+    if rng.random() < 0.5:
+        off *= rng.random((n, n)) < 0.4
+    a = np.triu(off, 1)
+    a = a + a.T
+    np.fill_diagonal(a, rng.standard_normal(n))
+    return a
+
+
+def _dense(rng, n):
+    raw = rng.standard_normal((n, n))
+    return (raw + raw.T) / 2.0
+
+
+def _tied(rng, n):
+    """Off-diagonal entries in {0, -1, -2}; diagonal entries below m, then
+    2 to n - 1 of them set to the maximum m in {1, 2}."""
+    n = max(n, 3)
+    a = np.triu(-rng.integers(0, 3, (n, n)).astype(float), 1)
+    a = a + a.T
+    m = int(rng.integers(1, 3))
+    d = rng.integers(-3, m, n).astype(float)
+    d[rng.choice(n, int(rng.integers(2, n)), replace=False)] = m
+    np.fill_diagonal(a, d)
+    return a
+
+
+def _band(rng, n):
+    """A Z-matrix with one off-diagonal entry raised into the tolerance
+    band (0, tol_margin sigma]."""
+    a = _z(rng, n)
+    i, j = rng.choice(n, 2, replace=False)
+    a[i, j] = a[j, i] = 0.0
+    sigma = centred(SymMatrix(a))[2]
+    a[i, j] = a[j, i] = float(rng.choice([1e-12, 1e-10, 1e-9, 5e-9])) * sigma
+    return a
+
+
+def _three_eigenvalue(rng, n):
+    lam, nu = np.sort(rng.uniform(-2.0, 2.0, 2))
+    mu = (lam + nu) / 2.0 + rng.uniform(0.01, 0.49) * (nu - lam)
+    return make_three_eigenvalue(max(n, 3), lam, mu, nu).a
+
+
+def _negative_positive(rng, n):
+    return make_negative_positive(n, int(rng.integers(0, 2**16))).a
+
+
+KINDS = {
+    "z": _z,
+    "dense": _dense,
+    "tied": _tied,
+    "band": _band,
+    "three-eigenvalue": _three_eigenvalue,
+    "negative-positive": _negative_positive,
+}
+
+
+def corpus(seed=2031, per_kind=40):
+    """(kind, A) pairs, ``per_kind`` of each kind, sizes 2-7."""
+    rng = np.random.default_rng(seed)
+    return [
+        (kind, SymMatrix(make(rng, int(rng.integers(2, 8)))))
+        for kind, make in KINDS.items()
+        for _ in range(per_kind)
+    ]
+
+
+def transforms(A, rng):
+    """(name, matrix) for every scale t and shift s, and one permutation."""
+    for t in SCALES:
+        tA = t * A.a
+        norm = float(np.linalg.norm(tA))
+        for s in SHIFTS:
+            yield f"t={t:g} s={s:g}", SymMatrix(tA + s * norm * np.eye(A.n))
+    p = rng.permutation(A.n)
+    yield "permuted", SymMatrix(A.a[np.ix_(p, p)])
+
+
+@pytest.fixture(scope="module")
+def runs():
+    rng = np.random.default_rng(7)
+    out = []
+    for kind, A in corpus():
+        base = certify(A, CFG).status
+        variants = [(name, M, certify(M, CFG)) for name, M in transforms(A, rng)]
+        out.append((kind, A, base, variants))
+    return out
+
+
+def test_corpus_covers_every_verdict(runs):
+    bases = [base for _, _, base, _ in runs]
+    for status in Status:
+        assert bases.count(status) >= 3, status
+
+
+def test_refuted_inputs_never_get_a_yes(runs):
+    for kind, A, base, variants in runs:
+        if base is Status.CERTIFIED_NOT_QUASICONVEX:
+            for name, _, v in variants:
+                assert v.status is not Status.CERTIFIED_QUASICONVEX, (kind, name, A)
+
+
+def test_every_no_verifies_on_its_own_matrix(runs):
+    for kind, A, _, variants in runs:
+        for name, M, v in variants:
+            if v.status is Status.CERTIFIED_NOT_QUASICONVEX:
+                assert verify_witness(M, v.witness, CFG), (kind, name, A)
+
+
+def test_z_and_dense_status_under_scale_and_shift(runs):
+    for kind, A, base, variants in runs:
+        if kind in ("z", "dense"):
+            for name, _, v in variants:
+                if name != "permuted":
+                    assert v.status is base, (kind, name, A)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadsphere import probe
 from quadsphere.certify import (
@@ -183,6 +185,32 @@ class TestMinimize:
                 iterations=0,
             )
             assert report_bytes(minimize_orthant(A)) == report_bytes(enumerated), A
+
+    def test_perron_screen_claims_only_what_it_attains(self):
+        # at tol_sign = 0.8 the least eigenvector (0, 1, -1)/sqrt(2) passes
+        # the orientation test, but clipped to e_2 it gives q = 1, not
+        # lambda1 = -2; the enumeration answers, -1 at e_1
+        A = sym([[-1.0, 0.0, 0.0], [0.0, 1.0, 3.0], [0.0, 3.0, 1.0]])
+        res = minimize_orthant(A, Config(tol_sign=0.8))
+        assert res.method is MinMethod.EXACT_PARETO
+        assert res.value == -1.0
+        np.testing.assert_array_equal(res.argmin.coords, [1.0, 0.0, 0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tol_sign=st.floats(0.0, 1e6),
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 6),
+    )
+    def test_value_is_attained_at_any_tol_sign(self, tol_sign, seed, n):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, n))
+        A = SymMatrix((raw + raw.T) / 2.0)
+        config = Config(tol_sign=tol_sign)
+        res = minimize_orthant(A, config)
+        norm = A.norm_fro()
+        slack = config.tol_slack * min(1.0, norm) + 1e-12 * max(1.0, norm)
+        assert abs(A.quad(res.argmin.coords) - res.value) <= slack
 
     def test_argmin_in_orthant(self):
         rng = np.random.default_rng(20)
