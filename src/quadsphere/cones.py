@@ -1,7 +1,9 @@
 """Matrix-cone machinery for the nonnegative orthant: the full Pareto
-spectrum by support enumeration, the copositivity verdict derived from it,
-and the Perron screen: one eigendecomposition gives the least Pareto value
-and where it is attained when the least eigenvector fits the orthant.
+spectrum by support enumeration, the copositivity verdict (exact screens at
+every n, then the same enumeration), and the Perron screen: one
+eigendecomposition gives the least Pareto value and where it is attained
+when the least eigenvector fits the orthant.  Every slack and threshold is
+tol_slack * ||A||_F, so each scales with A.
 
 The supports of one size are enumerated in chunks, each chunk's principal
 submatrices decomposed by one stacked LAPACK ``eigh`` call and its acceptance
@@ -72,14 +74,13 @@ def pareto_spectrum(A: SymMatrix, config: Config = DEFAULT) -> ParetoSpectrum:
     For every support J the principal submatrix is eigendecomposed (one
     stacked ``eigh`` call per chunk of supports of one size); eigenpairs
     whose (sign-flipped) eigenvector is strictly positive on J and whose
-    zero-extension keeps (Ax - lambda x) >= -config.tol_slack *
-    min(1, ||A||_F) off J are kept; the residual scales with A, so below
-    unit norm the slack does too.  Raises ValueError when the dimension
-    exceeds enumeration_cap.
+    zero-extension keeps (Ax - lambda x) >= -config.tol_slack * ||A||_F
+    off J are kept; the residual scales with A, so the slack does too.
+    Raises ValueError when the dimension exceeds enumeration_cap.
     """
     A = as_sym_matrix(A)
     _check_cap(A.n, config)
-    found = list(_pareto_pairs(A.a, config.tol_slack * min(1.0, A.norm_fro())))
+    found = list(_pareto_pairs(A.a, config.tol_slack * A.norm_fro()))
     found.sort(key=lambda p: (p.value, p.support))
     pairs = _dedupe(found)
     if not pairs:
@@ -106,7 +107,7 @@ def _perron_pair(A: SymMatrix, config: Config):
     """(lambda1, x): the least eigenvalue of A and, when its unit
     eigenvector fits the orthant up to config.tol_sign, that vector clipped
     at 0 as a SpherePoint, if unclipped or still attaining lambda1 within
-    tol_slack * min(1, ||A||_F) (else None).
+    tol_slack * ||A||_F (else None).
 
     Every Pareto value is a Rayleigh quotient, so none is below lambda1,
     which is then the minimum of q_A over the orthant patch, attained at x.
@@ -116,7 +117,7 @@ def _perron_pair(A: SymMatrix, config: Config):
     lam1, v = float(E.eigenvalues[0]), E.vectors[:, 0]
     x = SpherePoint(np.maximum(v, 0.0)) if v.min() >= -config.tol_sign else None
     if x is not None and v.min() < 0.0:
-        if A.quad(x.coords) - lam1 > config.tol_slack * min(1.0, A.norm_fro()):
+        if A.quad(x.coords) - lam1 > config.tol_slack * A.norm_fro():
             x = None
     return lam1, x
 
@@ -179,35 +180,38 @@ def _dedupe(pairs):
 
 
 def is_copositive(A: SymMatrix, config: Config = DEFAULT) -> bool:
-    """True iff the minimum of <Ax, x> over the unit orthant patch is
-    >= -config.tol_slack * min(1, ||A||_F).
+    """True iff the minimum of <Ax, x> over the unit orthant patch, the
+    least Pareto eigenvalue, is >= -config.tol_slack * ||A||_F.
 
-    The minimum scales with A, so below unit norm the threshold does too.
-    It equals the least Pareto eigenvalue.  Up to the enumeration cap the
-    supports are enumerated, with pareto_spectrum's complementarity slack,
-    until the first Pareto eigenvalue below the threshold.  Past the cap
-    three screens answer where they can: A >= 0 entrywise, or lambda1 at or
-    above the threshold, gives True; a least eigenvector that fits the
-    orthant with q below the threshold gives False.  Any other input past
-    the cap raises ValueError.
+    Four exact screens run first, in this order, at every n: A >= 0
+    entrywise gives True; a diagonal entry below the threshold gives False
+    (at e_i); one eigendecomposition then gives True when lambda1 is at or
+    above the threshold, and False when the least eigenvector clipped at 0,
+    in either sign, is an x >= 0 with q(x) below the threshold * ||x||^2.
+    Only when no screen decides are the supports enumerated, with
+    pareto_spectrum's slack, until the first Pareto value below the
+    threshold; past the enumeration cap that raises ValueError.
     """
     A = as_sym_matrix(A)
-    floor = -config.tol_slack * min(1.0, A.norm_fro())
-    if A.n > enumeration_cap(config):
-        if (A.a >= 0.0).all():
-            return True
-        lam1, x = _perron_pair(A, config)
-        if lam1 >= floor:
-            return True
-        if x is not None and A.quad(x.coords) < floor:
+    floor = -config.tol_slack * A.norm_fro()
+    a = A.a
+    if (a >= 0.0).all():
+        return True
+    if a.diagonal().min() < floor:
+        return False
+    E = eigen_decompose(A)
+    if E.eigenvalues[0] >= floor:
+        return True
+    v = E.vectors[:, 0]
+    for x in (np.maximum(v, 0.0), np.maximum(-v, 0.0)):
+        if x @ a @ x < floor * (x @ x):
             return False
     _check_cap(A.n, config)
     found = False
-    for p in _pareto_pairs(A.a, -floor):
+    for p in _pareto_pairs(a, -floor):
         if p.value < floor:
             return False
         found = True
     if not found:
         raise ConvergenceError("empty Pareto spectrum; tolerances too tight")
     return True
-

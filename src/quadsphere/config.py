@@ -18,7 +18,7 @@ class Config:
     tol_sign     -- slack for orthant-membership tests of eigenvectors
                     (certify steps 4-6, the Perron screen)
     tol_slack    -- certify step 5's floor, -tol_slack * sigma; in cones,
-                    times min(1, ||A||_F), which a shift moves: the
+                    times ||A||_F, which a shift moves: the
                     complementarity slack of Pareto eigenpairs off the
                     support, the copositivity threshold on the least Pareto
                     value, and how far above lambda1 the Perron screen's
@@ -27,9 +27,10 @@ class Config:
                      (the CLI pareto and copositive commands,
                      minimize_orthant, and certify step 5 inside the
                      tolerance band); the enumeration never runs above
-                     n = 18, whatever this says.  The Perron screen is
-                     not capped: minimize_orthant runs it at every n, and
-                     is_copositive past the cap
+                     n = 18, whatever this says.  The screens are not
+                     capped: minimize_orthant runs the Perron screen at
+                     every n, and is_copositive its screens at every n,
+                     before it walks any support
     samples      -- sampling budget for the falsifier
     seed         -- master seed for all randomized search (nonnegative,
                     as numpy's generators require)

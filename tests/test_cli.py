@@ -124,6 +124,36 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["copositive"] is True
 
+    def test_cone_commands_at_large_norm(self, tmp_path, capsys):
+        # M = 1e6 (lambda2 I - a) for a band input: m_33 = -9.92e5, so e_3
+        # refutes copositivity, and support {3} is a Pareto pair whose
+        # off-support residual -9.5e-7 passes only a slack that scales with M
+        a = np.array([[-0.6548, 0.0, 9.52e-13], [0.0, -0.3619, 0.0], [9.52e-13, 0.0, 0.6301]])
+        m = 1e6 * (np.linalg.eigvalsh(a)[1] * np.eye(3) - a)
+        path = write_doc(tmp_path, m)
+        code, out, _ = run(capsys, "copositive", path, "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["copositive"] is False
+        code, out, _ = run(capsys, "pareto", path, "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["pareto"]["min_value"] == pytest.approx(-9.92e5)
+
+    def test_copositive_past_the_cap(self, tmp_path, capsys):
+        # n = 24, positive diagonal, one block of five coupled by
+        # -0.8 sqrt(d_i d_j): every 2x2 block is copositive, but the clipped
+        # least eigenvector refutes it without walking a support
+        rng = np.random.default_rng(24)
+        d = rng.uniform(1.0, 2.0, 24)
+        off = rng.uniform(-0.2, 1.0, (24, 24))
+        a = (off + off.T) / 2.0
+        block = np.ix_(range(5), range(5))
+        a[block] = -0.8 * np.sqrt(np.outer(d[:5], d[:5]))
+        np.fill_diagonal(a, d)
+        path = write_doc(tmp_path, a)
+        code, out, err = run(capsys, "copositive", path, "--format", "structured")
+        assert code == 0, err
+        assert json.loads(out)["copositive"] is False
+
     def test_minimize(self, tmp_path, capsys):
         path = write_doc(tmp_path, np.diag([-1.0, 1.0, 1.0]))
         code, out, _ = run(capsys, "minimize", path, "--format", "structured")
@@ -493,11 +523,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["pareto", "copositive"])
     def test_enumeration_limit(self, tmp_path, capsys, command):
         # 2^19 - 1 supports: an input error however high max_exact_dim is set.
-        # No copositivity screen decides this matrix: it has a negative entry,
-        # lambda1 = -1 and a least eigenvector (1, -1, 0, ...)/sqrt(2)
+        # No copositivity screen decides this matrix: it has a negative entry
+        # off the diagonal, lambda1 = -1 and a least eigenvector
+        # (1, -1, 0, ...)/sqrt(2), whose clipped halves give q = 1/2
         a = np.eye(19)
         a[0, 1] = a[1, 0] = 2.0
-        a[2, 2] = -0.5
+        a[2, 3] = a[3, 2] = -0.5
         path = write_doc(tmp_path, a)
         code, out, err = run(capsys, command, path, "--max-exact-dim", "40")
         assert code == 2

@@ -188,34 +188,38 @@ class TestAgainstReference:
         for a in self.CORPUS:
             for slack in (DEFAULT.tol_slack, 1e-4):
                 got = pareto_spectrum(SymMatrix(a), Config(tol_slack=slack)).pairs
-                ref = reference_pareto(a, slack_tol=slack)
+                ref = reference_pareto(a, slack_tol=slack * np.linalg.norm(a))
                 assert [p.support for p in got] == [t[1] for t in ref], (a, slack)
                 for p, (value, _, vector) in zip(got, ref):
                     assert p.value == pytest.approx(value, abs=1e-12)
                     np.testing.assert_allclose(p.vector, vector, rtol=0.0, atol=1e-12)
 
     def test_is_copositive_matches(self):
-        tol = 1e-9
         outcomes = set()
         for a in self.CORPUS:
-            expected = reference_pareto(a)[0][0] >= -tol
+            tol = DEFAULT.tol_slack * np.linalg.norm(a)
+            expected = reference_pareto(a, slack_tol=tol)[0][0] >= -tol
             assert is_copositive(SymMatrix(a)) == expected, a
             outcomes.add(expected)
         assert outcomes == {True, False}
 
     def test_cap_checked_first(self):
         # no screen decides this matrix past the cap: it has a negative
-        # entry, lambda1 = -1 and a least eigenvector (1, -1, 0, 0, 0)/sqrt(2)
+        # entry off the diagonal, lambda1 = -1 and a least eigenvector
+        # (1, -1, 0, 0, 0)/sqrt(2), whose clipped halves give q = 1/2
         a = np.eye(5)
         a[0, 1] = a[1, 0] = 2.0
-        a[2, 2] = -0.5
+        a[2, 3] = a[3, 2] = -0.5
         with pytest.raises(ValueError, match="max_exact_dim"):
             is_copositive(SymMatrix(a), Config(max_exact_dim=4))
+        # a diagonal entry below the threshold refutes at e_i, at any n
+        a[2, 2] = -0.5
+        assert not is_copositive(SymMatrix(a), Config(max_exact_dim=4))
 
 
 def _screen_corpus():
     """Seeded matrices at n 5-10 for each copositivity screen past the cap,
-    and dense ones that no screen decides."""
+    and dense ones with entries in [-1, 1]."""
     rng = np.random.default_rng(77)
     out = []
     for n in range(5, 11):
@@ -249,6 +253,65 @@ class TestCopositiveScreens:
             assert screened == is_copositive(A), a
             decided.append(screened)
         # 6 nonnegative, 6 PSD and 6 Z-matrices with lambda1 = 1 say True;
-        # 6 Z-matrices with lambda1 = -1 say False
+        # 6 Z-matrices with lambda1 = -1 say False, and so do the 6 dense
+        # ones, each refuted at a negative diagonal entry (and by its
+        # clipped least eigenvector in either sign)
         assert decided.count(True) == 18
-        assert decided.count(False) == 6
+        assert decided.count(False) == 12
+
+
+def _agreement_corpus():
+    """About 600 seeded matrices at n 2-10 in six families: dense, dense
+    with a positive diagonal, a positive diagonal with one negatively coupled
+    block, Z-matrices, PSD and entrywise nonnegative."""
+    rng = np.random.default_rng(2027)
+    out = []
+    for n in range(2, 11):
+        for _ in range(11):
+            raw = rng.uniform(-1.0, 1.0, (n, n))
+            dense = (raw + raw.T) / 2.0
+            out.append(dense)
+            pos = dense.copy()
+            np.fill_diagonal(pos, rng.uniform(0.1, 2.0, n))
+            out.append(pos)
+            d = rng.uniform(1.0, 2.0, n)
+            block = pos.copy()
+            k = int(rng.integers(min(n, 3), min(n, 5) + 1))
+            support = rng.choice(n, size=k, replace=False)
+            t = rng.uniform(0.7, 0.9)
+            block[np.ix_(support, support)] = -t * np.sqrt(np.outer(d[support], d[support]))
+            np.fill_diagonal(block, d)
+            out.append(block)
+            z = -np.abs(dense)
+            np.fill_diagonal(z, rng.uniform(-0.5, 2.0, n))
+            out.append(z)
+            b = rng.standard_normal((n, n))
+            out.append(b @ b.T)
+            out.append(np.abs(dense))
+    return out
+
+
+class TestScreensAgreeWithWalk:
+    """is_copositive's screens never disagree with the enumeration, and each
+    False they give rests on an explicit vector x >= 0 with q(x) below the
+    threshold times ||x||^2."""
+
+    def test_agreement(self):
+        fired = {"diagonal": 0, "eigenvector": 0}
+        for a in _agreement_corpus():
+            A = SymMatrix(a)
+            floor = -DEFAULT.tol_slack * A.norm_fro()
+            verdict = is_copositive(A)
+            assert verdict == (pareto_spectrum(A).min_value >= floor), a
+            if (a >= 0.0).all():
+                continue
+            if a.diagonal().min() < floor:
+                candidates, screen = [np.eye(A.n)[int(np.argmin(a.diagonal()))]], "diagonal"
+            else:
+                v = np.linalg.eigh(a)[1][:, 0]
+                candidates, screen = [np.maximum(v, 0.0), np.maximum(-v, 0.0)], "eigenvector"
+            hits = [x for x in candidates if x @ a @ x < floor * (x @ x)]
+            for x in hits:
+                assert x.min() >= 0.0 and not verdict, a
+            fired[screen] += bool(hits)
+        assert fired["diagonal"] > 0 and fired["eigenvector"] > 0, fired
