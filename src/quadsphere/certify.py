@@ -338,7 +338,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         pareto_min = lam2 - float(np.diag(b).max()) - (n - 1) * p
         floor = -config.tol_slack * sigma
         if pareto_min < floor and p > 0.0 and n <= enumeration_cap(config):
-            # cones' slacks are absolute from unit norm up: units of sigma
+            # in units of sigma, as the floor is (unscaled, a floor tie moved)
             shifted = SymMatrix((lam2 * np.eye(n) - b) / sigma)
             pareto_min = sigma * pareto_spectrum(shifted, config).min_value
         if pareto_min >= floor:

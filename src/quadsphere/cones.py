@@ -1,9 +1,9 @@
 """Matrix-cone machinery for the nonnegative orthant: the full Pareto
 spectrum by support enumeration, the copositivity verdict (exact screens at
-every n, then the same enumeration), and the Perron screen: one
-eigendecomposition gives the least Pareto value and where it is attained
-when the least eigenvector fits the orthant.  Every slack and threshold is
-tol_slack * ||A||_F, so each scales with A.
+every n, then the same enumeration), and the Perron screen: the least Pareto
+value and where it is attained when the least eigenvector fits the orthant,
+from one ``eigh`` up to the enumeration cap, past it from ``eigvalsh`` and
+one shifted solve.  Every slack and threshold is tol_slack * ||A||_F.
 
 The supports of one size are enumerated in chunks, each chunk's principal
 submatrices decomposed by one stacked LAPACK ``eigh`` call and its acceptance
@@ -43,6 +43,7 @@ _MAX_DIM = 18
 # pairs closer than this in value and in vector are one Pareto eigenpair
 _DEDUPE_VALUE_TOL = 1e-9
 _DEDUPE_VECTOR_TOL = 1e-7
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -104,19 +105,33 @@ def _check_cap(n: int, config: Config) -> None:
 
 
 def _perron_pair(A: SymMatrix, config: Config):
-    """(lambda1, x): the least eigenvalue of A and, when its unit
-    eigenvector fits the orthant up to config.tol_sign, that vector clipped
-    at 0 as a SpherePoint, if unclipped or still attaining lambda1 within
-    tol_slack * ||A||_F (else None).
+    """(lambda1, x): the least eigenvalue of A and, if its unit eigenvector
+    v fits the orthant up to config.tol_sign and v clipped at 0 is v or
+    attains lambda1 within tol_slack * ||A||_F, that SpherePoint x (else None).
+
+    Up to enumeration_cap the pair is eigen_decompose's first.  Past it
+    lambda1 is eigvalsh's and v, sign-fixed and always checked, solves
+    (A - (lambda1 - d) I) v = d 1, d = 4 n eps max|lambda| or the least normal.
 
     Every Pareto value is a Rayleigh quotient, so none is below lambda1,
     which is then the minimum of q_A over the orthant patch, attained at x.
     By Perron-Frobenius the column fits for every irreducible Z-matrix.
     """
-    E = eigen_decompose(A)
-    lam1, v = float(E.eigenvalues[0]), E.vectors[:, 0]
+    solved = A.n > enumeration_cap(config)
+    if solved:
+        try:
+            w = np.linalg.eigvalsh(A.a)
+            d = max(4.0 * A.n * _EPS * max(-w[0], w[-1]), _TINY)
+            v = np.linalg.solve(A.a - (w[0] - d) * np.eye(A.n), np.full(A.n, d))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+        lam1, v = float(w[0]), v / np.linalg.norm(v)
+        v = -v if v[np.abs(v).argmax()] < 0.0 else v
+    else:
+        E = eigen_decompose(A)
+        lam1, v = float(E.eigenvalues[0]), E.vectors[:, 0]
     x = SpherePoint(np.maximum(v, 0.0)) if v.min() >= -config.tol_sign else None
-    if x is not None and v.min() < 0.0:
+    if x is not None and (solved or v.min() < 0.0):
         if A.quad(x.coords) - lam1 > config.tol_slack * A.norm_fro():
             x = None
     return lam1, x

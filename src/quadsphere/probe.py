@@ -9,13 +9,14 @@ scored by the same kernel, and the witness is read from the kernel's row.
 
 ``minimize_orthant`` first runs the Perron screen: when the least
 eigenvector fits the orthant and, clipped at 0, attains its eigenvalue, that
-eigenvalue is the exact minimum, at every n.  Otherwise it computes the
-exact minimum via the Pareto spectrum when the dimension permits and falls
-back to multi-start projected gradient descent with a clamp-then-normalize
-retraction past the cap.  ``_descent`` advances all starts as the rows of
-one array: one matmul gives every gradient, one more the trial values of
-``_ETA_CHUNK`` Armijo step sizes for every start still backtracking, and a
-start leaves the stack when it stops.
+eigenvalue is the exact minimum, at every n (one ``eigh`` up to the
+enumeration cap, ``eigvalsh`` and one shifted solve past it).  Otherwise the
+minimum is exact via the Pareto spectrum up to the cap, and past it comes
+from multi-start projected gradient descent with a clamp-then-normalize
+retraction: ``_descent`` advances all starts as the rows of one array, one
+matmul gives every gradient, one more the trial values of ``_ETA_CHUNK``
+Armijo step sizes for every start still backtracking, and a start leaves
+the stack when it stops.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ _BLOCK_ENTRIES = 2**21
 _SWEEPS = 200
 _STEP0 = 0.1
 # descent backtrack: the step sizes 1, 1/2, 1/4, ... down to the last one
-# >= 1e-12, scored _ETA_CHUNK at a time; on the probe-search benchmark
-# inputs 97% of iterations at n = 64 (99.8% at n = 20) pass within the
-# first 4, so one chunk
+# >= 1e-12, scored _ETA_CHUNK at a time; on seeded standard-normal inputs
+# past the cap 91% of iterations pass within the first 4 at n = 20, 8% at n = 64
 _ETAS = 0.5 ** np.arange(40)
 _ETA_CHUNK = 4
 
@@ -223,11 +223,11 @@ def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:
     Exact (least Pareto eigenvalue, method ``ExactPareto``) at every n when
     the least eigenvector fits the orthant up to config.tol_sign and its
     clipped point attains lambda1 (cones._perron_pair), as for every
-    irreducible Z-matrix.  Otherwise exact by support enumeration
-    when n fits the enumeration budget, and past it projected gradient
-    descent with a clamp-then-normalize retraction from 8 seeded starts,
-    all run stacked; the result is the first start with the least value
-    (method ``GeodesicDescent``).
+    irreducible Z-matrix: one ``eigh`` up to the enumeration cap, past it
+    ``eigvalsh`` and one shifted solve.  Otherwise exact by support
+    enumeration up to the cap, and past it projected gradient descent with a
+    clamp-then-normalize retraction from 8 seeded starts, all run stacked;
+    the result is the first start with the least value (``GeodesicDescent``).
     """
     A = as_sym_matrix(A)
     lam1, x = _perron_pair(A, config)

@@ -499,6 +499,20 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in err
 
+    def test_eigvalsh_failure_past_the_cap(self, tmp_path, capsys, monkeypatch):
+        # past the cap the Perron screen reads lambda1 from eigvalsh, whose
+        # LinAlgError must end as a numerical failure too
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        off = -np.random.default_rng(20).uniform(0.01, 0.1, (20, 20))
+        path = write_doc(tmp_path, off + off.T)
+        code, out, err = run(capsys, "minimize", path)
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -661,7 +675,7 @@ class TestFreshProcess:
 
     def test_screen_bytes_identical(self, tmp_path):
         # an n = 20 Z-matrix with every off-diagonal entry negative: its least
-        # eigenvector is positive, so the Perron screen's one eigh answers
+        # eigenvector is positive, so the Perron screen answers past the cap
         rng = np.random.default_rng(20)
         off = -rng.uniform(0.01, 0.1, (20, 20))
         a = (off + off.T) / 2.0

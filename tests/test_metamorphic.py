@@ -13,15 +13,20 @@ and negative-positive inputs of size 2-7.  For every transform:
 Under the permutation only the first two hold as asserted: the sampling
 falsifier of step 8 draws its points in coordinate order, so a tied input it
 decides can move between No and Unknown.
+
+The cone functions (pareto_spectrum, is_copositive, minimize_orthant) are
+checked under the scale t alone, on the corpus and on lambda2 I - A.
 """
 
 import numpy as np
 import pytest
 
 from quadsphere.certify import Status, certify, verify_witness
+from quadsphere.cones import _perron_pair, is_copositive, pareto_spectrum
 from quadsphere.config import Config
 from quadsphere.genex import make_negative_positive, make_three_eigenvalue
 from quadsphere.linalg import SymMatrix, centred
+from quadsphere.probe import MinMethod, minimize_orthant
 
 CFG = Config(samples=2_000)
 SCALES = (1e-9, 1.0, 1e9)
@@ -146,3 +151,50 @@ def test_z_and_dense_status_under_scale_and_shift(runs):
             for name, _, v in variants:
                 if name != "permuted":
                     assert v.status is base, (kind, name, A)
+
+
+def _cone_inputs():
+    """The corpus and, for each input, lambda2 I - A, the matrix whose
+    copositivity step 5 decides."""
+    for kind, A in corpus():
+        yield kind, A
+        lam2 = float(np.linalg.eigvalsh(A.a)[1])
+        yield kind, SymMatrix(lam2 * np.eye(A.n) - A.a)
+
+
+def test_cone_commands_under_scale():
+    # q_{tA} = t q_A: the minimum and the least Pareto value scale by t, the
+    # argmin and the copositivity verdict stay.  minimize runs at and past
+    # the cap (cap 3: sizes 4-7 take the Perron screen's shifted solve or
+    # the descent).  Where the descent answers, only the screen's decline is
+    # checked at every t: the descent's first step and step floor do not
+    # scale with A, a known gap that makes it run to its iteration cap at
+    # t = 1e-9
+    verdicts = {True: 0, False: 0}
+    past_cap = 0
+    for kind, A in _cone_inputs():
+        norm = max(1.0, A.norm_fro())
+        scaled = [(t, SymMatrix(t * A.a)) for t in SCALES]
+        least = pareto_spectrum(A).min_value
+        copositive = is_copositive(A)
+        verdicts[copositive] += 1
+        for t, tA in scaled:
+            assert abs(pareto_spectrum(tA).min_value - t * least) <= 1e-12 * t * norm
+            assert is_copositive(tA) is copositive, (kind, t, A)
+        for config in (Config(), Config(max_exact_dim=3)):
+            beyond = A.n > config.max_exact_dim
+            if beyond and _perron_pair(A, config)[1] is None:
+                for t, tA in scaled:
+                    assert _perron_pair(tA, config)[1] is None, (kind, t, A)
+                continue
+            base = minimize_orthant(A, config)
+            assert base.method is MinMethod.EXACT_PARETO
+            past_cap += beyond
+            for t, tA in scaled:
+                res = minimize_orthant(tA, config)
+                assert res.method is MinMethod.EXACT_PARETO, (kind, t, A)
+                assert abs(res.value - t * base.value) <= 1e-12 * t * norm
+                np.testing.assert_allclose(
+                    res.argmin.coords, base.argmin.coords, rtol=0.0, atol=1e-12
+                )
+    assert min(verdicts.values()) >= 20 and past_cap >= 100

@@ -16,10 +16,10 @@ from quadsphere.certify import (
     verify_witness,
 )
 from quadsphere.cli import _jsonable
-from quadsphere.cones import pareto_spectrum
+from quadsphere.cones import _perron_pair, pareto_spectrum
 from quadsphere.config import Config
 from quadsphere.genex import make_householder
-from quadsphere.linalg import SymMatrix
+from quadsphere.linalg import SymMatrix, eigen_decompose
 from quadsphere.probe import (
     MinMethod,
     falsify,
@@ -160,7 +160,13 @@ class TestMinimize:
             A = self.z_matrix(rng, n)
             res = minimize_orthant(A, config)
             assert res.method is MinMethod.EXACT_PARETO
-            assert res.value == float(np.linalg.eigh(A.a)[0][0])
+            # at or below the cap the screen reads eigh's lambda1, past it
+            # eigvalsh's
+            if n > config.max_exact_dim:
+                least = np.linalg.eigvalsh(A.a)[0]
+            else:
+                least = np.linalg.eigh(A.a)[0][0]
+            assert res.value == float(least)
             x = res.argmin.coords
             assert float(x.min()) >= 0.0
             assert abs(float(np.linalg.norm(x)) - 1.0) <= 1e-12
@@ -185,6 +191,88 @@ class TestMinimize:
                 iterations=0,
             )
             assert report_bytes(minimize_orthant(A)) == report_bytes(enumerated), A
+
+    @staticmethod
+    def screen_corpus():
+        """(family, A, config) past the cap: seeded dense and sparse
+        Z-matrices, block-diagonal Z-matrices with tied or nearly tied
+        (gap 1e-12 to 1e-4) component minima, their coordinates shuffled,
+        A = 0 and cI, and dense, PSD and entrywise-nonnegative matrices; half
+        at n 17-40 under the default cap, half at n 5-12 under cap 4."""
+        rng = np.random.default_rng(30)
+
+        def z(n, density=1.0):
+            off = -rng.uniform(0.01, 1.0, (n, n)) * (rng.random((n, n)) < density)
+            a = np.triu(off, 1)
+            return a + a.T + np.diag(2.0 * rng.standard_normal(n))
+
+        def blocks(n, gap):
+            b = z(n // 2)
+            c = b if gap is None else z(n - n // 2)
+            if gap is not None:
+                shift = np.linalg.eigvalsh(b)[0] - np.linalg.eigvalsh(c)[0] + gap
+                c = c + shift * np.eye(c.shape[0])
+            a = np.zeros((n, n))
+            a[: b.shape[0], : b.shape[0]] = b
+            a[n - c.shape[0]:, n - c.shape[0]:] = c[::-1, ::-1]
+            if gap is None and n % 2:
+                a[n // 2, n // 2] = 10.0  # the middle index between the blocks
+            p = rng.permutation(n)
+            return a[np.ix_(p, p)]
+
+        def dense(n):
+            raw = rng.standard_normal((n, n))
+            return (raw + raw.T) / 2.0
+
+        def psd(n):
+            g = rng.standard_normal((n, n))
+            return g @ g.T / n
+
+        families = {
+            "z-dense": z,
+            "z-sparse": lambda n: z(n, 0.15),
+            "tied": lambda n: blocks(n, None),
+            "near-tie": lambda n: blocks(n, 10.0 ** rng.uniform(-12, -4)),
+            "scalar": lambda n: float(rng.choice([0.0, -3.0, 1e-7, 1e7])) * np.eye(n),
+            "dense": dense,
+            "psd": psd,
+            "nonneg": lambda n: np.abs(dense(n)),
+        }
+        for family, make in families.items():
+            for i in range(12):
+                if i % 2:
+                    n, config = int(rng.integers(17, 41)), Config()
+                else:
+                    n, config = int(rng.integers(5, 13)), Config(max_exact_dim=4)
+                yield family, SymMatrix(make(n)), config
+
+    def test_perron_screen_past_cap_corpus(self):
+        # past the cap the screen takes lambda1 from eigvalsh and its vector
+        # from one shifted solve; it must fire wherever the eigh column did,
+        # and on every Z-matrix, where (A - sigma I)^-1 >= 0 for sigma below
+        # lambda1 (an M-matrix inverse), ties among the component minima too
+        gained = 0
+        for family, A, config in self.screen_corpus():
+            lam1, x = _perron_pair(A, config)
+            assert lam1 == float(np.linalg.eigvalsh(A.a)[0])
+            # the screen as it was at every n: eigen_decompose's first pair
+            E = eigen_decompose(A)
+            v = E.vectors[:, 0]
+            reference = v.min() >= -config.tol_sign and (
+                v.min() >= 0.0
+                or A.quad(SpherePoint(np.maximum(v, 0.0)).coords) - E.eigenvalues[0]
+                <= config.tol_slack * A.norm_fro()
+            )
+            if reference or family in ("z-dense", "z-sparse", "tied", "near-tie", "scalar"):
+                assert x is not None, (family, A)
+            if x is not None:
+                gained += not reference
+                c = x.coords
+                assert float(c.min()) >= 0.0
+                assert abs(float(np.linalg.norm(c)) - 1.0) <= 1e-12
+                assert A.quad(c) - lam1 <= config.tol_slack * A.norm_fro()
+        # the eigh column of a tied lambda1 can mix the blocks' signs
+        assert gained > 0
 
     def test_perron_screen_claims_only_what_it_attains(self):
         # at tol_sign = 0.8 the least eigenvector (0, 1, -1)/sqrt(2) passes
