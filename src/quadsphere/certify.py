@@ -22,9 +22,16 @@ fields and a witness's c get tau back.  The chain, in order:
 6. the same diagonal witness in the basis of the nonnegative eigenvectors,
    on whose span q_A is diagonal: three or more of them over more than two
    distinct eigenvalues, or with a repeated smallest one, give a No;
-7. the edge witness (_edge_witness): for lambda2 < max a_ii, boundary points
-   e_i + t e_k of the shifted sublevel cone around the vertex e_k of a large
-   diagonal entry whose sum leaves the cone, No;
+7. the edge witness (_edge_witness, scanned by quadsphere.edge): for
+   lambda2 < max a_ii, boundary points e_i + t e_k of the shifted sublevel
+   cone around the vertex e_k of a large diagonal entry whose sum leaves
+   the cone, No.  One pass scores every (c, k) row of the shift grid; past
+   _EDGE_BLOCK scores, rows go in descending order of a bound,
+   2 (p u_1 u_2 + b_kk h_1 h_2) plus a 32 eps round-off allowance, and stop
+   when the next bound is below the best.  A skipped row cannot hold the
+   first maximum: its pairs have i != j below c, where
+   b_ij, b_kj <= p = max(0, max a_ij) (so the band counts), and the
+   allowance covers the rounding of the scores and of the bound;
 8. the seeded sampling falsifier: No with its witness, otherwise Unknown.
 
 Every Yes is built by _certified.  The witnesses of steps 3, 6 and 7 leave
@@ -65,6 +72,7 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .cones import enumeration_cap, pareto_spectrum
+from .edge import best_edge_pair
 from .linalg import (
     SymMatrix,
     as_sym_matrix,
@@ -84,10 +92,6 @@ __all__ = [
     "verify_witness",
 ]
 
-# interior shifts of (lam2, max a_ii) that the edge witness tries, as fractions
-_EDGE_STEPS = np.arange(1, 65) / 65.0
-# candidate scores held at once by the edge witness: (c, k) rows x (indices below c)^2
-_EDGE_BLOCK = 1 << 18
 # relative to sigma: the eigenvalue gap steps 1-6 take as a tie, and the
 # off-diagonal magnitude step 3 takes as zero
 _CLUSTER_RTOL = 1e-8
@@ -402,67 +406,21 @@ def _orthant_representative(v: np.ndarray, tol: float) -> np.ndarray | None:
 def _edge_witness(A: SymMatrix, E) -> Witness | None:
     """Cone-nonconvexity witness for lam2 < max a_ii, or None.
 
-    For c in (lam2, max a_ii) and B = A - cI, each vertex e_k with b_kk > 0
-    lies outside the sublevel cone {x : x^T B x <= 0}.  Each i with b_ii < 0
-    gives the cone boundary point x_i = e_i + t_i e_k, t_i the positive root
-    of b_ii + 2 t b_ik + t^2 b_kk; two such unit points whose sum leaves the
-    cone refute quasi-convexity (for a Z-matrix, bordered-matrix inertia
-    predicts that the cap cut off around e_k bends the wrong way).  The pair
-    scores (x_i + x_j)^T B (x_i + x_j) = 2 x_i^T B x_j are, per (c, k), a
-    rank-2 update of B[L, L] over the indices L below c, scaled by the norms.
-    Step 3's diagonal witness is the case of a diagonal A with c between two
-    values.
-
-    Only the best candidate over the grid is built; certify verifies it.
+    edge.best_edge_pair scans the shifts c in (lam2, max a_ii), the vertices
+    e_k with b_kk > 0 of B = A - cI and the cone boundary points
+    e_i + t_i e_k with b_ii < 0; its best pair is built here as unit points
+    x, y with the vertex k and the margin (x + y)^T B (x + y).  Step 3's
+    diagonal witness is the case of a diagonal A with c between two values.
+    The scan scores every (c, k) row in one pass and, past _EDGE_BLOCK
+    scores, skips the rows whose bound 2 (p u_1 u_2 + b_kk h_1 h_2), round-off
+    allowance included, lies below the best score; as a skipped pair has
+    i != j below c and p = max(0, max a_ij) bounds its off-diagonal terms,
+    band included, no skipped row holds the first maximum (quadsphere.edge
+    gives the argument).  certify verifies the witness.
     """
-    a = A.a
-    d = np.diag(a)
-    lam2 = float(E.eigenvalues[1])
-    top = float(d.max())
-    if not top > lam2:
-        return None
-    cs = lam2 + (top - lam2) * _EDGE_STEPS
-    # grid points between the same two diagonal values share the vertices
-    # (b_kk > 0) and the indices below c (b_ii < 0), so they are scored as
-    # one stack of (c, k) rows
-    srt = np.sort(d)
-    key = np.searchsorted(srt, cs, "left") * (A.n + 1)
-    key += np.searchsorted(srt, cs, "right")
-    best = -np.inf
-    found = None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for group in np.split(cs, np.flatnonzero(np.diff(key)) + 1):
-            low = np.flatnonzero(d < group[0])
-            high = np.flatnonzero(d > group[0])
-            if low.size < 2 or high.size == 0:
-                continue
-            c_rows = np.repeat(group, high.size)
-            k_rows = np.tile(high, group.size)
-            q = a[np.ix_(low, low)]  # b_ij for i != j
-            off = ~np.eye(low.size, dtype=bool)
-            step = max(1, _EDGE_BLOCK // low.size**2)
-            for r0 in range(0, c_rows.size, step):
-                c = c_rows[r0:r0 + step, None]
-                g = a[np.ix_(k_rows[r0:r0 + step], low)]  # b_ik
-                bkk = d[k_rows[r0:r0 + step], None] - c
-                bii = d[low] - c
-                r = np.sqrt(g * g - bii * bkk)
-                # the positive root, in the form without cancellation
-                t = np.where(g <= 0.0, (r - g) / bkk, -bii / (g + r))
-                s = 1.0 / np.sqrt(1.0 + t * t)
-                tg = t[:, :, None] * g[:, None, :]
-                m = q + tg + tg.transpose(0, 2, 1)
-                m += (bkk * t)[:, :, None] * t[:, None, :]
-                score = np.where(off, 2.0 * m * s[:, :, None] * s[:, None, :], -np.inf)
-                at = int(np.nanargmax(score))
-                if score.flat[at] > best:
-                    best = float(score.flat[at])
-                    row, i, j = np.unravel_index(at, score.shape)
-                    found = (float(c[row, 0]), int(k_rows[r0 + row]), int(low[i]),
-                             int(low[j]), float(t[row, i]), float(t[row, j]))
+    found = best_edge_pair(A.a, float(E.eigenvalues[1]))
     if found is None:
         return None
-
     c, k, i, j, ti, tj = found
     n = A.n
     x, y = np.zeros(n), np.zeros(n)
@@ -474,5 +432,5 @@ def _edge_witness(A: SymMatrix, E) -> Witness | None:
     return Witness(
         kind=WitnessKind.CONE_NONCONVEXITY,
         data={"c": c, "x": x, "y": y, "vertex": k},
-        margin=float(s @ (a - c * np.eye(n)) @ s),
+        margin=float(s @ (A.a - c * np.eye(n)) @ s),
     )

@@ -107,7 +107,8 @@ def _check_cap(n: int, config: Config) -> None:
 def _perron_pair(A: SymMatrix, config: Config):
     """(lambda1, x): the least eigenvalue of A and, if its unit eigenvector
     v fits the orthant up to config.tol_sign and v clipped at 0 is v or
-    attains lambda1 within tol_slack * ||A||_F, that SpherePoint x (else None).
+    attains lambda1 within (tol_slack + n eps) * ||A||_F, that SpherePoint x
+    (else None).
 
     Up to enumeration_cap the pair is eigen_decompose's first.  Past it
     lambda1 is eigvalsh's and v, sign-fixed and always checked, solves
@@ -132,7 +133,9 @@ def _perron_pair(A: SymMatrix, config: Config):
         lam1, v = float(E.eigenvalues[0]), E.vectors[:, 0]
     x = SpherePoint(np.maximum(v, 0.0)) if v.min() >= -config.tol_sign else None
     if x is not None and (solved or v.min() < 0.0):
-        if A.quad(x.coords) - lam1 > config.tol_slack * A.norm_fro():
+        # n eps ||A||_F covers the round-off of q(x) and lambda1, so that
+        # tol_slack = 0 keeps every exact pair
+        if A.quad(x.coords) - lam1 > (config.tol_slack + A.n * _EPS) * A.norm_fro():
             x = None
     return lam1, x
 

@@ -22,7 +22,7 @@ class Config:
                     complementarity slack of Pareto eigenpairs off the
                     support, the copositivity threshold on the least Pareto
                     value, and how far above lambda1 the Perron screen's
-                    clipped point may lie
+                    clipped point may lie (plus n eps of round-off)
     max_exact_dim -- largest dimension for exhaustive support enumeration
                      (the CLI pareto and copositive commands,
                      minimize_orthant, and certify step 5 inside the

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from quadsphere.certify import (
 )
 from quadsphere.config import Config
 from quadsphere.cones import pareto_spectrum
+from quadsphere.edge import _EDGE_BLOCK, _EDGE_STEPS
 from quadsphere.genex import (
     make_householder,
     make_negative_positive,
@@ -23,6 +25,9 @@ from quadsphere.genex import (
     make_three_eigenvalue,
 )
 from quadsphere.linalg import SymMatrix, centred, cluster_eigenvalues, eigen_decompose
+
+from oracles import reference_edge_witness
+from test_zmatrix_corpus import corpus as zmatrix_corpus
 
 # small sampling budget keeps the unit tests fast; the acceptance suite
 # exercises the full default budget
@@ -425,6 +430,155 @@ class TestEdgeWitness:
         assert v.status is not Status.CERTIFIED_QUASICONVEX
         if v.status is Status.CERTIFIED_NOT_QUASICONVEX:
             assert verify_witness(A, v.witness, FAST)
+
+
+def witness_bytes(w):
+    """The fields of an edge witness, as bytes, for byte-for-byte equality."""
+    if w is None:
+        return None
+    data = w.data
+    return (w.kind, np.float64(data["c"]).tobytes(), data["vertex"],
+            data["x"].tobytes(), data["y"].tobytes(), np.float64(w.margin).tobytes())
+
+
+def edge_scores(A, E):
+    """How many candidate scores _edge_witness's grid holds: (c, k) rows
+    times n^2; above _EDGE_BLOCK its rows are pruned by their bound."""
+    d = A.a.diagonal()
+    lam2 = float(E.eigenvalues[1])
+    cs = lam2 + (float(d.max()) - lam2) * _EDGE_STEPS
+    rows = sum(int((d > c).sum()) for c in cs if (d < c).sum() >= 2)
+    return rows * A.n**2
+
+
+def spread_z(rng, n):
+    """A weakly coupled Z-matrix whose diagonal spreads over [-1, 1]."""
+    off = -rng.uniform(0.01, 0.1, (n, n))
+    a = (off + off.T) / 2.0
+    np.fill_diagonal(a, rng.permutation(np.linspace(-1.0, 1.0, n)) + rng.uniform(-0.1, 0.1, n))
+    return a
+
+
+class TestEdgeWitnessBytes:
+    """The one-pass, pruned scan returns reference_edge_witness's witness
+    (the group-by-group loop it replaced) byte for byte."""
+
+    @staticmethod
+    def compare(mats):
+        """Both scans on each A and on its centred B (what certify passes);
+        returns the number of witnesses compared."""
+        witnesses = 0
+        for A in mats:
+            for M in (A, centred(A)[1]):
+                E = eigen_decompose(M)
+                w = _edge_witness(M, E)
+                assert witness_bytes(w) == witness_bytes(reference_edge_witness(M, E)), M
+                witnesses += w is not None
+        return witnesses
+
+    def test_zmatrix_corpus(self):
+        assert self.compare(zmatrix_corpus()) > 600
+
+    def test_integer_ties(self):
+        # entries in {0, -1, -2} off the diagonal and {-2, ..., 2} on it:
+        # tied diagonal maxima, tied t and tied scores
+        rng = np.random.default_rng(41)
+        mats = []
+        for _ in range(400):
+            n = int(rng.integers(3, 6))
+            a = np.triu(-rng.integers(0, 3, (n, n)).astype(float), 1)
+            a = a + a.T
+            np.fill_diagonal(a, rng.integers(-2, 3, n))
+            mats.append(SymMatrix(a))
+        assert self.compare(mats) > 200
+
+    def test_band_inputs(self):
+        # one entry in (0, tol_margin sigma]: p > 0 in the pruning bound
+        rng = np.random.default_rng(42)
+        mats = []
+        for n in [3, 4, 5, 6] * 20 + [20, 32, 48, 64] * 2:
+            a = spread_z(rng, n)
+            i, j = rng.choice(n, 2, replace=False)
+            a[i, j] = a[j, i] = 0.0
+            sigma = centred(SymMatrix(a))[2]
+            a[i, j] = a[j, i] = rng.uniform(0.1, 1.0) * FAST.tol_margin * sigma
+            mats.append(SymMatrix(a))
+        assert self.compare(mats) > 100
+
+    def test_diagonal_matrices(self):
+        rng = np.random.default_rng(43)
+        mats = [SymMatrix(np.diag(rng.standard_normal(int(n)))) for n in rng.integers(3, 9, 60)]
+        mats += [SymMatrix(np.diag(rng.integers(-2, 3, int(n)).astype(float)))
+                 for n in rng.integers(3, 9, 60)]
+        mats += [SymMatrix(np.diag(rng.standard_normal(n))) for n in (20, 40)]
+        assert self.compare(mats) > 100
+
+    def test_pruned_path(self):
+        # spread-diagonal Z-matrices at n 20-64 (and dense non-Z input, as a
+        # direct call may pass) hold more scores than one block
+        rng = np.random.default_rng(44)
+        mats = [SymMatrix(spread_z(rng, n)) for n in (20, 24, 32, 40, 48, 64)]
+        for n in (20, 28):
+            raw = rng.standard_normal((n, n))
+            mats.append(SymMatrix((raw + raw.T) / 2.0))
+        for A in mats[:6]:
+            assert edge_scores(A, eigen_decompose(A)) > _EDGE_BLOCK
+        assert self.compare(mats) >= 12
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_tie_goes_to_the_first_vertex(self, monkeypatch, rows, reverse):
+        # A = [[M, N], [N, M]] is unchanged by swapping the halves, so the
+        # rows (c, k) and (c, k + 12) score alike, bit for bit; the first
+        # (c, k, i, j) wins, so the vertex lies in the first half.  With one
+        # or three rows per block the tied rows lie in different blocks;
+        # with bounds that are valid but rise along the grid, the later row
+        # is scored first
+        rng = np.random.default_rng(45)
+        m = spread_z(rng, 12)
+        off = -rng.uniform(0.0, 0.02, (12, 12))
+        a = np.block([[m, off + off.T], [off + off.T, m]])
+        A = SymMatrix(a)
+        E = eigen_decompose(A)
+        module = sys.modules["quadsphere.edge"]
+        if rows is not None:
+            monkeypatch.setattr(module, "_EDGE_BLOCK", rows * 24**2)
+        if reverse:
+            rising = lambda a, d, c, k: np.linspace(1e300, 2e300, k.size)  # noqa: E731
+            monkeypatch.setattr(module, "_edge_bounds", rising)
+        assert edge_scores(A, E) > _EDGE_BLOCK
+        w = _edge_witness(A, E)
+        assert w.data["vertex"] < 12
+        assert witness_bytes(w) == witness_bytes(reference_edge_witness(A, E))
+
+    def test_tie_small(self):
+        # indices 2 and 3 are interchangeable: the whole-stack argmax takes
+        # the vertex 2, the first of the tied rows
+        A = sym([
+            [-1.0, -0.1, -0.2, -0.2],
+            [-0.1, -0.5, -0.3, -0.3],
+            [-0.2, -0.3, 1.0, -0.05],
+            [-0.2, -0.3, -0.05, 1.0],
+        ])
+        E = eigen_decompose(A)
+        w = _edge_witness(A, E)
+        assert w.data["vertex"] == 2
+        assert witness_bytes(w) == witness_bytes(reference_edge_witness(A, E))
+        v = certify(A, FAST)
+        assert v.witness.data["vertex"] == 2
+
+    def test_memory_bounded(self):
+        # the rows x n prelude is computed a block at a time: at n = 256 the
+        # grid holds about 16,000 (c, k) rows, 4 million prelude entries
+        A = SymMatrix(spread_z(np.random.default_rng(46), 256))
+        E = eigen_decompose(A)
+        tracemalloc.start()
+        try:
+            assert _edge_witness(A, E) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestDiagonalStep:

@@ -274,6 +274,20 @@ class TestMinimize:
         # the eigh column of a tied lambda1 can mix the blocks' signs
         assert gained > 0
 
+    def test_perron_screen_exact_at_zero_slack(self):
+        # at tol_slack = 0 only the n eps ||A||_F round-off term is left
+        # between q(x) and lambda1: it must still fire on every irreducible
+        # Z-matrix past the cap (without that term round-off alone declined
+        # about a third of these)
+        rng = np.random.default_rng(31)
+        config = Config(tol_slack=0.0)
+        for _ in range(200):
+            A = self.z_matrix(rng, int(rng.integers(17, 65)))
+            lam1, x = _perron_pair(A, config)
+            assert x is not None, A
+            assert lam1 == float(np.linalg.eigvalsh(A.a)[0])
+            assert A.quad(x.coords) - lam1 <= A.n * np.finfo(float).eps * A.norm_fro()
+
     def test_perron_screen_claims_only_what_it_attains(self):
         # at tol_sign = 0.8 the least eigenvector (0, 1, -1)/sqrt(2) passes
         # the orientation test, but clipped to e_2 it gives q = 1, not
