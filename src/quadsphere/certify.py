@@ -6,7 +6,10 @@ arithmetic, and anything undecided is an honest Unknown.
 As q_{tA + sI} = t q_A + s on the patch (t > 0), every tolerance is a
 multiple of sigma = ||B||_F, B = A - tau I, tau = tr A / n (linalg.centred).
 Step 2 reads A and runs first; the later steps decide B, and eigenvalue
-fields and a witness's c get tau back.  The chain, in order:
+fields and a witness's c get tau back.  Steps 1 and 3 read only the ascending
+eigenvalues and the first eigenvector: for a B with every off-diagonal entry
+exactly zero these are the diagonal in stable sorted order and a unit vector
+e_k, so no eigh runs unless the input gets past step 3.  The chain, in order:
 
 2. an off-diagonal entry above tol_margin sigma: the pair (e_i, e_j), No;
 1. one eigenvalue cluster (gaps at most 1e-8 sigma): constant form, Yes;
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -232,22 +235,19 @@ def _diag_witness(values, basis, tol: float) -> Witness | None:
     where no such witness exists.
     """
     order = np.argsort(values, kind="stable")
-    distinct = []  # (value, [indices])
-    for idx in order:
-        if distinct and values[idx] - distinct[-1][0] <= tol:
-            distinct[-1][1].append(int(idx))
-        else:
-            distinct.append((float(values[idx]), [int(idx)]))
-
-    if len(distinct) >= 2 and len(distinct[0][1]) >= 2:
-        i, j = distinct[0][1][:2]
-        k = distinct[1][1][0]
-        c = (distinct[0][0] + distinct[1][0]) / 2.0
-    elif len(distinct) >= 3:
-        i, j, k = (distinct[r][1][0] for r in range(3))
-        c = (distinct[1][0] + distinct[2][0]) / 2.0
+    s = values[order]
+    # the second and third clusters start at h1 and h2: as s ascends, so does
+    # s - s[h], and each cluster is one run of s
+    h1 = int(np.count_nonzero(s - s[0] <= tol))
+    h2 = h1 + int(np.count_nonzero(s[h1:] - s[h1] <= tol)) if h1 < s.size else h1
+    if 2 <= h1 < s.size:
+        (i, j, k), c = order[[0, 1, h1]], (s[0] + s[h1]) / 2.0
+    elif h2 < s.size:
+        (i, j, k), c = order[[0, h1, h2]], (s[h1] + s[h2]) / 2.0
     else:
         return None
+    if c < values[j]:
+        return None  # a tie member above c at the tolerance edge: no cone pair
 
     ti = np.sqrt((c - values[i]) / (values[k] - c))
     tj = np.sqrt((c - values[j]) / (values[k] - c))
@@ -286,18 +286,24 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         witness = Witness(WitnessKind.PAIR_VIOLATION, data, float(off[i, j]))
         return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
 
-    E = eigen_decompose(B)
-    clusters = cluster_eigenvalues(E, _CLUSTER_RTOL * sigma)
+    # steps 1 and 3 read the ascending eigenvalues w and the first column v0,
+    # for an exactly diagonal B from its diagonal: eigh runs past step 3 only
+    tol = _CLUSTER_RTOL * sigma
+    largest = max(float(off[i, j]), -float(off.min()))  # max |b_ij|, i != j
+    diagonal = largest <= _DIAGONAL_RTOL * sigma
+    if largest == 0.0:
+        E, d = None, b.diagonal()
+        w, v0 = np.sort(d, kind="stable"), np.zeros(n)
+        v0[d.argmin()] = 1.0
+    else:
+        E = eigen_decompose(B)
+        w, v0 = E.eigenvalues, E.vectors[:, 0]
+    clusters = cluster_eigenvalues(w, tol)
     two_simple = len(clusters) == 2 and clusters[0][1] == 1
 
     # 1. constant form: a single eigenvalue makes q_A constant on the sphere
     if len(clusters) == 1:
         return _certified(Rule.CONSTANT_FORM, eigenvalue=clusters[0][0] + tau)
-
-    diagonal = float(np.abs(off).max()) <= _DIAGONAL_RTOL * sigma
-    # steps 4-6 read which eigenvectors fit the orthant; -v fits only where
-    # v does (see EigenSystem), so v is the only sign to test
-    fits = E.vectors.min(axis=0) >= -config.tol_sign
 
     # 3-4. two eigenvalue clusters with a simple smallest: Yes for a diagonal
     # matrix, otherwise decided by whether the smallest eigenvector fits in
@@ -305,19 +311,24 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # nonnegative lambda1 vector, one value over the nonnegative
     # eigenvectors, and a_ii = lam2 - (lam2 - lam1) v_i^2 <= lam2), so the
     # input reaches step 8.
-    if two_simple and (diagonal or fits[0]):
+    if two_simple and (diagonal or float(v0.min()) >= -config.tol_sign):
         rule = (Rule.DIAGONAL_CHARACTERIZATION if diagonal
                 else Rule.TWO_EIGENVALUE_CHARACTERIZATION)
         clusters = [(value + tau, mult) for value, mult in clusters]
-        return _certified(rule, clusters=clusters, eigenvector=E.vectors[:, 0].copy())
+        return _certified(rule, clusters=clusters, eigenvector=v0.copy())
 
     # 3. any other diagonal matrix: the diagonal witness in the standard
     # basis; at the tolerance edge (values distinct only marginally) it may
     # not verify, and the input falls through
     if diagonal:
-        witness = _diag_witness(np.diag(b), np.eye(n), _CLUSTER_RTOL * sigma)
+        witness = _diag_witness(np.diag(b), np.eye(n), tol)
         if verdict := _refuted(C, witness, config):
             return verdict
+        if E is None:
+            E = eigen_decompose(B)
+    # steps 4-6 read which eigenvectors fit the orthant; -v fits only where
+    # v does (see EigenSystem), so v is the only sign to test
+    fits = E.vectors.min(axis=0) >= -config.tol_sign
 
     # 5. copositivity sufficiency by the bound of the module docstring, with
     # lam2 counted with multiplicity (the next cluster value is unsound for a
@@ -355,9 +366,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # orthonormal nonnegative basis: the diagonal obstruction in that basis
     nonneg = np.flatnonzero(fits)
     if nonneg.size >= 3:
-        witness = _diag_witness(
-            E.eigenvalues[nonneg], E.vectors[:, nonneg], _CLUSTER_RTOL * sigma
-        )
+        witness = _diag_witness(E.eigenvalues[nonneg], E.vectors[:, nonneg], tol)
         if verdict := _refuted(C, witness, config):
             return verdict
 
@@ -389,7 +398,8 @@ def _refuted(C, witness: Witness | None, config: Config) -> Verdict | None:
     """A No with the cone ``witness`` built on B, its c moved to A's units,
     if it verifies on C = (tau, B, sigma), else None."""
     if witness is not None:
-        witness = replace(witness, data={**witness.data, "c": witness.data["c"] + C[0]})
+        data = {**witness.data, "c": witness.data["c"] + C[0]}
+        witness = Witness(witness.kind, data, witness.margin)
         if _verifies(C, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
     return None

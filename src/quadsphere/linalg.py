@@ -137,18 +137,19 @@ def eigen_decompose(A: SymMatrix) -> EigenSystem:
     return EigenSystem(eigenvalues=w, vectors=v)
 
 
-def cluster_eigenvalues(E: EigenSystem, tol: float) -> list:
-    """Merge consecutive eigenvalues whose gap is at most ``tol`` into
-    clusters: a list of (value, multiplicity), values strictly increasing.
+def cluster_eigenvalues(w: np.ndarray, tol: float) -> list:
+    """Merge consecutive values of the ascending array ``w`` whose gap is at
+    most ``tol`` into clusters: a list of (value, multiplicity), values
+    strictly increasing.
 
     Merging is transitive: a chain of gaps each below the tolerance forms a
     single cluster.  A cluster's value is the mean of its members.
     """
-    w = E.eigenvalues
     cut = np.flatnonzero(np.diff(w) > tol) + 1
     bounds = [0, *cut.tolist(), w.size]
-    # a singleton's mean is its value; skipping .mean() there is bit-identical
+    # the sum over the count is .mean()'s arithmetic, without its Python
+    # layer; a singleton's mean is its value
     return [
-        (float(w[s:e].mean()) if e - s > 1 else float(w[s]), e - s)
+        (float(w[s:e].sum() / (e - s)) if e - s > 1 else float(w[s]), e - s)
         for s, e in zip(bounds, bounds[1:])
     ]

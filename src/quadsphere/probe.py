@@ -52,9 +52,12 @@ _BLOCK_ENTRIES = 2**21
 _SWEEPS = 200
 _STEP0 = 0.1
 # descent backtrack: the step sizes 1, 1/2, 1/4, ... down to the last one
-# >= 1e-12, scored _ETA_CHUNK at a time; on seeded standard-normal inputs
-# past the cap 91% of iterations pass within the first 4 at n = 20, 8% at n = 64
+# >= 1e-12, times sqrt(n) / ||A||_F, so the descent on tA takes the steps it
+# takes on A (bit for bit when t is a power of two)
 _ETAS = 0.5 ** np.arange(40)
+# step sizes scored at once; on 10 seeded standard-normal inputs each, 99%
+# of backtracks pass within the first 4 at n = 20 and at n = 64 (71% and 4%
+# when the sizes started at 1 whatever ||A||)
 _ETA_CHUNK = 4
 
 
@@ -226,8 +229,10 @@ def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:
     irreducible Z-matrix: one ``eigh`` up to the enumeration cap, past it
     ``eigvalsh`` and one shifted solve.  Otherwise exact by support
     enumeration up to the cap, and past it projected gradient descent with a
-    clamp-then-normalize retraction from 8 seeded starts, all run stacked;
-    the result is the first start with the least value (``GeodesicDescent``).
+    clamp-then-normalize retraction from 8 seeded starts, all run stacked,
+    whose first trial step is sqrt(n) / ||A||_F, so that it runs the same on
+    every positive multiple of A; the result is the first start with the
+    least value (``GeodesicDescent``).
     """
     A = as_sym_matrix(A)
     lam1, x = _perron_pair(A, config)
@@ -264,7 +269,8 @@ def _descent_best(A: SymMatrix, starts: int, seed: int) -> MinResult:
 
 def _descent(a: np.ndarray, X0: np.ndarray, max_iter: int = 10_000):
     """Projected gradient descent with clamp-then-normalize retraction, one
-    start per row of ``X0``, all starts advanced together.
+    start per row of ``X0``, all starts advanced together, each backtrack
+    over the step sizes ``_ETAS`` times sqrt(n) / ||A||_F.
 
     A start stops at its first iteration without decrease, after a step
     shorter than 1e-10, or after ``max_iter`` iterations; stopped rows drop
@@ -275,6 +281,8 @@ def _descent(a: np.ndarray, X0: np.ndarray, max_iter: int = 10_000):
     """
     X = np.maximum(np.asarray(X0, dtype=float), 0.0)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
+    norm = float(np.linalg.norm(a))
+    etas = _ETAS * (np.sqrt(a.shape[0]) / norm if norm > 0.0 else 1.0)
     Q = np.einsum("ij,ij->i", X @ a, X)
     iterations = np.zeros(Q.size, dtype=int)
     boundary = np.zeros(Q.size, dtype=bool)
@@ -284,7 +292,7 @@ def _descent(a: np.ndarray, X0: np.ndarray, max_iter: int = 10_000):
         if live.size == 0:
             break
         x, q = X[live], Q[live]
-        xn, qn = _backtrack(a, x, q, 2.0 * (x @ a - q[:, None] * x))
+        xn, qn = _backtrack(a, x, q, 2.0 * (x @ a - q[:, None] * x), etas)
         iterations[live] = it
         moved = qn < q
         live, x, xn = live[moved], x[moved], xn[moved]
@@ -295,9 +303,11 @@ def _descent(a: np.ndarray, X0: np.ndarray, max_iter: int = 10_000):
     return Q, X, iterations, boundary, np.array(trajectory)
 
 
-def _backtrack(a: np.ndarray, x: np.ndarray, q: np.ndarray, g: np.ndarray):
+def _backtrack(
+    a: np.ndarray, x: np.ndarray, q: np.ndarray, g: np.ndarray, etas: np.ndarray
+):
     """Armijo backtrack for each row: the trial of the first step size in
-    ``_ETAS`` whose value passes q(trial) <= q - 1e-4 g^T (clipped - x),
+    ``etas`` whose value passes q(trial) <= q - 1e-4 g^T (clipped - x),
     where clipped = max(x - eta g, 0) and trial = clipped / ||clipped||.
 
     The test is against the projected displacement: plain decrease stalls
@@ -308,10 +318,10 @@ def _backtrack(a: np.ndarray, x: np.ndarray, q: np.ndarray, g: np.ndarray):
     """
     xn, qn = x.copy(), q.copy()
     rows = np.arange(q.size)
-    for lo in range(0, _ETAS.size, _ETA_CHUNK):
+    for lo in range(0, etas.size, _ETA_CHUNK):
         xr, gr = x[rows], g[rows]
         clipped = np.maximum(
-            xr[:, None, :] - _ETAS[lo:lo + _ETA_CHUNK, None] * gr[:, None, :], 0.0
+            xr[:, None, :] - etas[lo:lo + _ETA_CHUNK, None] * gr[:, None, :], 0.0
         )
         decrease = -1e-4 * np.einsum("rcn,rn->rc", clipped - xr[:, None, :], gr)
         nrm = np.linalg.norm(clipped, axis=2)

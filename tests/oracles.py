@@ -4,23 +4,34 @@ These deliberately avoid the code paths they check: brute-force grids for
 orthant minima, the closed-form 2x2 eigenproblem, finite differences for
 derivatives along geodesics, a one-support-at-a-time Pareto enumeration, a
 one-start-at-a-time descent, the loop forms of the eigenvector sign step and
-the eigenvalue clustering, the per-group loop of the edge witness, and the
-intrinsic sphere geometry (distances, minimal geodesic segments, the
-spherical gradient of q_A) that the falsifier's Gram-form kernel must agree
-with.
+the eigenvalue clustering, the per-group loop of the edge witness, certify's
+steps 1 and 3 as they ran through the eigendecomposition with the
+one-value-at-a-time diagonal witness, and the intrinsic sphere geometry
+(distances, minimal geodesic segments, the spherical gradient of q_A) that
+the falsifier's Gram-form kernel must agree with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from quadsphere.certify import Witness, WitnessKind
+from quadsphere.certify import (
+    _CLUSTER_RTOL,
+    Certificate,
+    Rule,
+    Status,
+    Verdict,
+    Witness,
+    WitnessKind,
+    verify_witness,
+)
+from quadsphere.config import DEFAULT, Config
 from quadsphere.edge import _EDGE_STEPS
-from quadsphere.linalg import SymMatrix, as_sym_matrix
+from quadsphere.linalg import SymMatrix, as_sym_matrix, centred, eigen_decompose
 from quadsphere.sphere import SpherePoint
 
 # candidate scores held at once by reference_edge_witness: (c, k) rows x
@@ -117,8 +128,9 @@ def reference_descent(a: np.ndarray, x0: np.ndarray, max_iter: int = 10_000):
     """Projected gradient descent with clamp-then-normalize retraction from
     one start, one step size at a time (the loop form of probe._descent).
 
-    Each iteration halves eta from 1 while eta >= 1e-12 and takes the first
-    trial passing the Armijo test against the projected displacement.  Stops
+    Each iteration halves eta from eta0 = sqrt(n) / ||A||_F (1 for A = 0)
+    while eta >= 1e-12 eta0 and takes the first trial passing the Armijo
+    test against the projected displacement.  Stops
     without decrease, after a step below 1e-10, or after ``max_iter``
     iterations.  Returns (value, argmin, iterations, boundary_hit,
     value_trajectory).
@@ -127,15 +139,17 @@ def reference_descent(a: np.ndarray, x0: np.ndarray, max_iter: int = 10_000):
     x = np.maximum(x, 0.0)
     x /= np.linalg.norm(x)
     q = float(x @ a @ x)
+    norm = float(np.linalg.norm(a))
+    eta0 = np.sqrt(a.shape[0]) / norm if norm > 0.0 else 1.0
     trajectory = [q]
     boundary = False
     it = 0
     for it in range(1, max_iter + 1):
         ax = a @ x
         g = 2.0 * (ax - q * x)
-        eta = 1.0
+        eta = eta0
         xn, qn = x, q
-        while eta >= 1e-12:
+        while eta >= 1e-12 * eta0:
             clipped = np.maximum(x - eta * g, 0.0)
             decrease = -1e-4 * float(g @ (clipped - x))
             nrm = float(np.linalg.norm(clipped))
@@ -181,6 +195,66 @@ def reference_clusters(w: np.ndarray, tol: float) -> list:
             clusters.append((float(members.mean()), int(len(members))))
             start = i
     return clusters
+
+
+def reference_diag_witness(values, basis, tol: float) -> Witness | None:
+    """certify._diag_witness with its clusters gathered one value at a time:
+    a value within ``tol`` of the current cluster's first value joins it."""
+    order = np.argsort(values, kind="stable")
+    distinct = []  # (value, [indices])
+    for idx in order:
+        if distinct and values[idx] - distinct[-1][0] <= tol:
+            distinct[-1][1].append(int(idx))
+        else:
+            distinct.append((float(values[idx]), [int(idx)]))
+
+    if len(distinct) >= 2 and len(distinct[0][1]) >= 2:
+        i, j = distinct[0][1][:2]
+        k = distinct[1][1][0]
+        c = (distinct[0][0] + distinct[1][0]) / 2.0
+    elif len(distinct) >= 3:
+        i, j, k = (distinct[r][1][0] for r in range(3))
+        c = (distinct[1][0] + distinct[2][0]) / 2.0
+    else:
+        return None
+
+    ti = np.sqrt((c - values[i]) / (values[k] - c))
+    tj = np.sqrt((c - values[j]) / (values[k] - c))
+    margin = 2.0 * np.sqrt((c - values[i]) * (c - values[j]))
+    return Witness(
+        kind=WitnessKind.CONE_NONCONVEXITY,
+        data={
+            "c": float(c),
+            "x": basis[:, i] + ti * basis[:, k],
+            "y": basis[:, j] + tj * basis[:, k],
+        },
+        margin=float(margin),
+    )
+
+
+def reference_diagonal_route(A: SymMatrix, config: Config = DEFAULT) -> Verdict | None:
+    """certify's steps 1 and 3 on a diagonal A (step 2 declines there), read
+    from the full eigendecomposition of B = A - tau I: the Verdict they
+    return, or None where the chain goes on past step 3."""
+    A = as_sym_matrix(A)
+    tau, B, sigma = centred(A)
+    b, n = B.a, A.n
+    E = eigen_decompose(B)
+    clusters = reference_clusters(E.eigenvalues, _CLUSTER_RTOL * sigma)
+    if len(clusters) == 1:
+        data = {"eigenvalue": clusters[0][0] + tau}
+        return Verdict(Status.CERTIFIED_QUASICONVEX, Certificate(Rule.CONSTANT_FORM, data))
+    if len(clusters) == 2 and clusters[0][1] == 1:
+        clusters = [(value + tau, mult) for value, mult in clusters]
+        data = {"clusters": clusters, "eigenvector": E.vectors[:, 0].copy()}
+        certificate = Certificate(Rule.DIAGONAL_CHARACTERIZATION, data)
+        return Verdict(Status.CERTIFIED_QUASICONVEX, certificate)
+    witness = reference_diag_witness(np.diag(b), np.eye(n), _CLUSTER_RTOL * sigma)
+    if witness is not None:
+        witness = replace(witness, data={**witness.data, "c": witness.data["c"] + tau})
+        if verify_witness(A, witness, config):
+            return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
+    return None
 
 
 def reference_edge_witness(A: SymMatrix, E) -> Witness | None:

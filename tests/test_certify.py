@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quadsphere.certify import (
+    _CLUSTER_RTOL,
     Rule,
     Status,
     Witness,
@@ -26,7 +27,7 @@ from quadsphere.genex import (
 )
 from quadsphere.linalg import SymMatrix, centred, cluster_eigenvalues, eigen_decompose
 
-from oracles import reference_edge_witness
+from oracles import reference_diagonal_route, reference_edge_witness
 from test_zmatrix_corpus import corpus as zmatrix_corpus
 
 # small sampling budget keeps the unit tests fast; the acceptance suite
@@ -316,7 +317,7 @@ def _step5_inputs(corpus):
         if float((A.a - np.diag(np.diag(A.a))).max()) > config.tol_margin * sigma:
             continue  # step 2's pair
         E = eigen_decompose(B)
-        clusters = cluster_eigenvalues(E, 1e-8 * sigma)
+        clusters = cluster_eigenvalues(E.eigenvalues, 1e-8 * sigma)
         two = len(clusters) == 2 and clusters[0][1] == 1
         diagonal = not np.any(A.a - np.diag(np.diag(A.a)))
         if len(clusters) == 1 or diagonal or two:
@@ -595,6 +596,116 @@ class TestDiagonalStep:
     def test_below_tolerance(self):
         v = certify(sym([[1.0, 1e-15], [1e-15, 2.0]]), FAST)
         assert v.certificate.rule is Rule.DIAGONAL_CHARACTERIZATION
+
+
+def verdict_bytes(v):
+    """A verdict as its status, rule or witness kind, and the bytes of every
+    field."""
+    def raw(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str, x.shape, x.tobytes()
+        if isinstance(x, float):
+            return x.hex()
+        if isinstance(x, (list, tuple)):
+            return tuple(raw(y) for y in x)
+        return x
+
+    fields = None
+    if v.certificate is not None:
+        fields = v.certificate.rule, [(k, raw(x)) for k, x in v.certificate.data.items()]
+    elif v.witness is not None:
+        w = v.witness
+        fields = w.kind, [(k, raw(x)) for k, x in w.data.items()], raw(w.margin)
+    return v.status, fields, v.probe_summary
+
+
+def exact_diagonals(rng, count):
+    """Seeded exactly diagonal matrices at n 2-40: constants, integer ties,
+    spread values, two values with a simple smallest one, and gaps at the
+    clustering tolerance, permuted and scaled by 2^-30 ... 2^30."""
+    for r in range(count):
+        n = int(rng.integers(2, 41))
+        kind = r % 5
+        if kind == 0:
+            d = np.full(n, rng.standard_normal())
+        elif kind == 1:
+            d = rng.integers(-3, 4, n).astype(float)
+        elif kind == 2:
+            d = rng.standard_normal(n)
+        elif kind == 3:
+            d = np.full(n, rng.standard_normal())
+            d[0] -= rng.uniform(0.1, 2.0)
+        else:
+            d = rng.integers(-2, 3, n).astype(float)
+            sigma = float(np.linalg.norm(d - d.mean())) or 1.0
+            steps = [0.0, 0.5, 1.0 - 2.0**-20, 1.0, 1.0 + 2.0**-20, 2.0]
+            d += rng.choice(steps, n) * _CLUSTER_RTOL * sigma
+        yield SymMatrix(np.diag(rng.permutation(d) * 2.0 ** int(rng.integers(-30, 31))))
+
+
+class TestDiagonalRoute:
+    """On an exactly diagonal B steps 1 and 3 read the sorted diagonal, and
+    eigen_decompose runs only for an input that gets past step 3."""
+
+    @staticmethod
+    def fail(B):
+        raise AssertionError("eigen_decompose called")
+
+    def test_decides_without_eigendecomposition(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["quadsphere.certify"], "eigen_decompose", self.fail)
+        rng = np.random.default_rng(32)
+        for n in (3, 4, 8, 12, 16, 20, 24, 28, 32):
+            d = np.full(n, rng.uniform(-3.0, 3.0))
+            assert certify(SymMatrix(np.diag(d))).certificate.rule is Rule.CONSTANT_FORM
+            d[rng.integers(n)] -= rng.uniform(0.5, 3.0)
+            yes = certify(SymMatrix(np.diag(d)))
+            assert yes.certificate.rule is Rule.DIAGONAL_CHARACTERIZATION
+            assert yes.certificate.data["eigenvector"][np.argmin(d)] == 1.0
+            d = rng.permutation(np.linspace(-2.0, 2.0, n) + rng.uniform(-0.05, 0.05, n))
+            no = certify(SymMatrix(np.diag(d)))
+            assert no.witness.kind is WitnessKind.CONE_NONCONVEXITY
+            assert verify_witness(SymMatrix(np.diag(d)), no.witness)
+
+    def test_bytes_match_eigendecomposition_route(self):
+        rng = np.random.default_rng(3232)
+        decided = {}
+        for A in exact_diagonals(rng, 1500):
+            # the reference builds a NaN witness where a tie member lies
+            # above c; _diag_witness returns None there, and both go on
+            with np.errstate(invalid="ignore"):
+                ref = reference_diagonal_route(A)
+            v = certify(A)
+            if ref is None:
+                # past step 3 (gaps at the tolerance): steps 5-7 refute
+                key = "past step 3"
+                assert verify_witness(A, v.witness), A
+            else:
+                key = ref.certificate.rule if ref.certificate else ref.witness.kind
+                assert verdict_bytes(v) == verdict_bytes(ref), A
+            decided[key] = decided.get(key, 0) + 1
+        assert min(decided.values()) >= 100 and len(decided) == 4, decided
+
+    def test_witness_at_the_tolerance_edge_falls_through(self, monkeypatch):
+        # clusters {0, 0.9 tol} and {1.95 tol} below 1: step 3's witness has
+        # margin 2 sqrt(0.975 * 0.075) tol = 0.54 tol < tol_margin sigma and
+        # does not verify, so one eigen_decompose runs and step 7 refutes
+        sigma = centred(SymMatrix(np.diag([0.0, 0.0, 0.0, 1.0])))[2]
+        tol = _CLUSTER_RTOL * sigma
+        A = SymMatrix(np.diag([0.0, 0.9 * tol, 1.95 * tol, 1.0]))
+        B = centred(A)[1]
+        step3 = _diag_witness(np.diag(B.a), np.eye(4), tol)
+        assert step3.margin < FAST.tol_margin * sigma
+        assert reference_diagonal_route(A) is None
+        calls = []
+        monkeypatch.setattr(
+            sys.modules["quadsphere.certify"], "eigen_decompose",
+            lambda M: calls.append(M) or eigen_decompose(M),
+        )
+        v = certify(A)
+        assert len(calls) == 1
+        assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+        assert v.witness.data["vertex"] == 3
+        assert verify_witness(A, v.witness)
 
 
 def diag_witness(d):

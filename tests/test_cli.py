@@ -489,12 +489,13 @@ class TestExitCodes:
         assert "malformed matrix document" in err
 
     def test_eigensolver_failure(self, tmp_path, capsys, monkeypatch):
-        # LinAlgError subclasses ValueError; it must not pass for an input error
+        # LinAlgError subclasses ValueError; it must not pass for an input error.
+        # A diagonal input never reaches eigh, so this one is a Z-matrix
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        path = write_doc(tmp_path, np.eye(2))
+        path = write_doc(tmp_path, np.array([[1.0, -1.0], [-1.0, 2.0]]))
         code, _, err = run(capsys, "analyze", path)
         assert code == 3
         assert "numerical failure" in err

@@ -87,19 +87,19 @@ class TestEigenDecompose:
 class TestClusterEigenvalues:
     def test_repeated_smallest(self):
         E = eigen_decompose(SymMatrix(np.diag([1.0, 1.0, 3.0])))
-        clusters = cluster_eigenvalues(E, 1e-8)
+        clusters = cluster_eigenvalues(E.eigenvalues, 1e-8)
         assert clusters == [(1.0, 2), (3.0, 1)]
         assert clusters[0][1] != 1
 
     def test_simple_smallest(self):
         E = eigen_decompose(SymMatrix(np.diag([-1.0, 1.0, 1.0])))
-        clusters = cluster_eigenvalues(E, 1e-8)
+        clusters = cluster_eigenvalues(E.eigenvalues, 1e-8)
         assert len(clusters) == 2
         assert clusters[0][1] == 1
 
     def test_tolerance_forces_merge(self):
         E = eigen_decompose(SymMatrix(np.diag([0.0, 1e-12, 5.0])))
-        clusters = cluster_eigenvalues(E, 1e-8)
+        clusters = cluster_eigenvalues(E.eigenvalues, 1e-8)
         assert len(clusters) == 2
         value, mult = clusters[0]
         assert mult == 2 and abs(value) < 1e-11
@@ -108,7 +108,7 @@ class TestClusterEigenvalues:
         rng = np.random.default_rng(5)
         for _ in range(20):
             E = eigen_decompose(random_symmetric(rng, 6))
-            clusters = cluster_eigenvalues(E, 1e-8)
+            clusters = cluster_eigenvalues(E.eigenvalues, 1e-8)
             assert sum(m for _, m in clusters) == 6
             values = [v for v, _ in clusters]
             assert values == sorted(values)
@@ -154,7 +154,7 @@ class TestArrayFormsMatchLoops:
             E = eigen_decompose(A)
             assert E.vectors.tobytes() == expected.tobytes()
             tol = 1e-8 * centred(A)[2]
-            clusters = cluster_eigenvalues(E, tol)
+            clusters = cluster_eigenvalues(E.eigenvalues, tol)
             ref = reference_clusters(E.eigenvalues, tol)
             assert repr(clusters) == repr(ref)
             assert [type(m) for _, m in clusters] == [int] * len(ref)

@@ -166,12 +166,11 @@ def test_cone_commands_under_scale():
     # q_{tA} = t q_A: the minimum and the least Pareto value scale by t, the
     # argmin and the copositivity verdict stay.  minimize runs at and past
     # the cap (cap 3: sizes 4-7 take the Perron screen's shifted solve or
-    # the descent).  Where the descent answers, only the screen's decline is
-    # checked at every t: the descent's first step and step floor do not
-    # scale with A, a known gap that makes it run to its iteration cap at
-    # t = 1e-9
+    # the descent).  Where the descent answers, its steps scale with
+    # 1/||A||_F, so the screen declines and the value scales at every t; the
+    # argmin is not compared there, as a flat minimum may end elsewhere
     verdicts = {True: 0, False: 0}
-    past_cap = 0
+    past_cap = descended = 0
     for kind, A in _cone_inputs():
         norm = max(1.0, A.norm_fro())
         scaled = [(t, SymMatrix(t * A.a)) for t in SCALES]
@@ -183,11 +182,15 @@ def test_cone_commands_under_scale():
             assert is_copositive(tA) is copositive, (kind, t, A)
         for config in (Config(), Config(max_exact_dim=3)):
             beyond = A.n > config.max_exact_dim
+            base = minimize_orthant(A, config)
             if beyond and _perron_pair(A, config)[1] is None:
+                descended += 1
+                assert base.method is MinMethod.GEODESIC_DESCENT
                 for t, tA in scaled:
                     assert _perron_pair(tA, config)[1] is None, (kind, t, A)
+                    res = minimize_orthant(tA, config)
+                    assert abs(res.value - t * base.value) <= 1e-12 * t * norm, (kind, t, A)
                 continue
-            base = minimize_orthant(A, config)
             assert base.method is MinMethod.EXACT_PARETO
             past_cap += beyond
             for t, tA in scaled:
@@ -197,4 +200,4 @@ def test_cone_commands_under_scale():
                 np.testing.assert_allclose(
                     res.argmin.coords, base.argmin.coords, rtol=0.0, atol=1e-12
                 )
-    assert min(verdicts.values()) >= 20 and past_cap >= 100
+    assert min(verdicts.values()) >= 20 and past_cap >= 100 and descended >= 20

@@ -392,6 +392,25 @@ class TestDescent:
         assert descended == 6
 
 
+    def test_power_of_two_scale(self):
+        # the step sizes scale with 1/||A||_F, so on 2^k A every trial is A's
+        # scaled by 2^k: the same iterations, argmin and value / 2^k, bit for
+        # bit.  At t = 1e-3 the first step of 1 made the n = 20 input take
+        # over 4,000 iterations
+        rng = np.random.default_rng(5)
+        for n in (20, 40):
+            raw = rng.standard_normal((n, n))
+            a = (raw + raw.T) / 2.0
+            base = minimize_orthant(SymMatrix(a))
+            assert base.method is MinMethod.GEODESIC_DESCENT
+            assert base.iterations < 100
+            for t in (2.0**-10, 2.0**10):
+                res = minimize_orthant(SymMatrix(t * a))
+                assert res.iterations == base.iterations
+                assert (res.value / t).hex() == base.value.hex()
+                assert res.argmin.coords.tobytes() == base.argmin.coords.tobytes()
+
+
 class TestLocalGlobal:
     def test_certified_instances_agree(self):
         # on a certified-Yes input a strict local minimum is global, so every
