@@ -19,29 +19,22 @@ e_k, so no eigh runs unless the input gets past step 3.  The chain, in order:
 4. two clusters with a simple smallest: Yes if its eigenvector fits the
    orthant (steps 4-6 read one mask of orthant-fitting columns; one Yes
    with step 3's, the rule named by diagonality); otherwise
-   steps 5-7 find nothing to build and step 8 decides;
+   steps 5-7 find nothing to build and the input is Unknown;
 5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes,
    decided by the diagonal rule below in O(n^2) at every n;
 6. the same diagonal witness in the basis of the nonnegative eigenvectors,
    on whose span q_A is diagonal: three or more of them over more than two
    distinct eigenvalues, or with a repeated smallest one, give a No;
-7. the edge witness (_edge_witness, scanned by quadsphere.edge): for
-   lambda2 < max a_ii, boundary points e_i + t e_k of the shifted sublevel
-   cone around the vertex e_k of a large diagonal entry whose sum leaves
-   the cone, No.  One pass scores every (c, k) row of the shift grid; past
-   _EDGE_BLOCK scores, rows go in descending order of a bound,
-   2 (p u_1 u_2 + b_kk h_1 h_2) plus a 32 eps round-off allowance, and stop
-   when the next bound is below the best.  A skipped row cannot hold the
-   first maximum: its pairs have i != j below c, where
-   b_ij, b_kj <= p = max(0, max a_ij) (so the band counts), and the
-   allowance covers the rounding of the scores and of the bound;
-8. the seeded sampling falsifier: No with its witness, otherwise Unknown.
+7. the cap witness (_cap_witness, its candidates from quadsphere.edge): for
+   lambda2 < max a_ii, points e_k + t z on the boundary of the sublevel cone
+   of B - cI around the vertex e_k of a large diagonal entry, whose sum
+   leaves the cone, No; otherwise Unknown.
 
 Every Yes is built by _certified.  The witnesses of steps 3, 6 and 7 leave
 through one exit, _refuted, which returns a No only if verify_witness
 accepts.  Step 2 returns its pair directly: its margin is a_ij, the
-comparison verify_witness would make.  Step 8 returns only a witness that
-falsify itself has verified.
+comparison verify_witness would make.  certify samples nothing: every No is
+built, and every other input is Unknown.
 
 After step 2 the matrix is a Z-matrix up to tol_margin sigma: every
 off-diagonal entry is at most p = max(a_ij, 0) <= tol_margin sigma.  For a
@@ -57,12 +50,12 @@ n <= cones.enumeration_cap, does the support enumeration
 (cones.pareto_spectrum, on (lambda2 I - B) / sigma) decide instead, and
 pareto_min is then its least Pareto value times sigma.
 
-That lambda2 >= max a_ii is also necessary is a conjecture, supported by
-seeded fuzzing (every seeded random Z-matrix with lambda2 < max a_ii tried so
-far was refuted) but not proven.  The known gap is a maximum diagonal entry
-tied so that only one index lies below any shift, where step 7 has no pair to
-build: [[1,-2,-1,-2],[-2,1,0,-2],[-1,0,1,-2],[-2,-2,-2,-2]]
-(lambda2 = 0.715) ends Unknown.  Soundness does not rest on the conjecture.
+That lambda2 >= max a_ii is also necessary is a conjecture.  Two cases are
+proved (README): a reducible input, by the split pair, and a vertex without
+neighbours; that the cap points around a vertex with neighbours leave the
+cone is not, and on seeded corpora step 7 leaves a few such inputs with
+lambda2 just below max a_ii Unknown.  Soundness does not rest on the
+conjecture.
 """
 
 from __future__ import annotations
@@ -75,7 +68,7 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .cones import enumeration_cap, pareto_spectrum
-from .edge import best_edge_pair
+from .edge import cap_pairs
 from .linalg import (
     SymMatrix,
     as_sym_matrix,
@@ -135,8 +128,9 @@ class Witness:
         <Ax, y> - <x, y> max{q(x), q(y)} = margin > 0.
     ConeNonconvexity: data has ``c``, ``x``, ``y`` in the orthant with
         q(x) - c||x||^2 <= 0, q(y) - c||y||^2 <= 0 (up to round-off) but
-        q(x + y) - c||x + y||^2 = margin > 0; the edge witness also records
-        the ``vertex`` k whose e_k both points lean towards.
+        q(x + y) - c||x + y||^2 = margin > 0; the cap witness of step 7
+        also records the ``vertex`` k, both points being e_k + t z for some
+        t > 0 and z >= 0 with z_k = 0, before normalization.
     """
 
     kind: WitnessKind
@@ -149,7 +143,6 @@ class Verdict:
     status: Status
     certificate: Certificate | None = None
     witness: Witness | None = None
-    probe_summary: dict | None = None
 
 
 def pair_violation_margin(A: SymMatrix, x, y) -> float:
@@ -310,7 +303,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # the orthant.  When it does not, steps 5-7 have nothing to build (no
     # nonnegative lambda1 vector, one value over the nonnegative
     # eigenvectors, and a_ii = lam2 - (lam2 - lam1) v_i^2 <= lam2), so the
-    # input reaches step 8.
+    # input ends Unknown.
     if two_simple and (diagonal or float(v0.min()) >= -config.tol_sign):
         rule = (Rule.DIAGONAL_CHARACTERIZATION if diagonal
                 else Rule.TWO_EIGENVALUE_CHARACTERIZATION)
@@ -370,23 +363,11 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         if verdict := _refuted(C, witness, config):
             return verdict
 
-    # 7. edge witness: a Z-matrix with lam2 < max a_ii, refuted by boundary
-    # points of the sublevel cone near the vertex of a large diagonal entry
-    if verdict := _refuted(C, _edge_witness(B, E), config):
-        return verdict
-
-    # 8. seeded falsification: falsify returns only a witness that
-    # verify_witness accepted under config.tol_margin
-    from .probe import falsify
-
-    report = falsify(A, config.samples, config.seed, tol_margin=config.tol_margin)
-    summary = {
-        "samples": report.samples_used,
-        "best_margin": report.best_margin,
-        "seed": report.seed,
-    }
-    status = Status.UNKNOWN if report.witness is None else Status.CERTIFIED_NOT_QUASICONVEX
-    return Verdict(status=status, witness=report.witness, probe_summary=summary)
+    # 7. the cap witness: a Z-matrix with lam2 < max a_ii, refuted by a pair
+    # of cone boundary points around the vertex of a large diagonal entry;
+    # nothing else is left to build, so the input is otherwise Unknown
+    verdict = _cap_witness(C, float(E.eigenvalues[1]), config)
+    return verdict or Verdict(status=Status.UNKNOWN)
 
 
 def _certified(rule: Rule, **data) -> Verdict:
@@ -413,34 +394,13 @@ def _orthant_representative(v: np.ndarray, tol: float) -> np.ndarray | None:
     return None
 
 
-def _edge_witness(A: SymMatrix, E) -> Witness | None:
-    """Cone-nonconvexity witness for lam2 < max a_ii, or None.
-
-    edge.best_edge_pair scans the shifts c in (lam2, max a_ii), the vertices
-    e_k with b_kk > 0 of B = A - cI and the cone boundary points
-    e_i + t_i e_k with b_ii < 0; its best pair is built here as unit points
-    x, y with the vertex k and the margin (x + y)^T B (x + y).  Step 3's
-    diagonal witness is the case of a diagonal A with c between two values.
-    The scan scores every (c, k) row in one pass and, past _EDGE_BLOCK
-    scores, skips the rows whose bound 2 (p u_1 u_2 + b_kk h_1 h_2), round-off
-    allowance included, lies below the best score; as a skipped pair has
-    i != j below c and p = max(0, max a_ij) bounds its off-diagonal terms,
-    band included, no skipped row holds the first maximum (quadsphere.edge
-    gives the argument).  certify verifies the witness.
-    """
-    found = best_edge_pair(A.a, float(E.eigenvalues[1]))
-    if found is None:
-        return None
-    c, k, i, j, ti, tj = found
-    n = A.n
-    x, y = np.zeros(n), np.zeros(n)
-    x[i] = y[j] = 1.0
-    x[k], y[k] = ti, tj
-    x /= np.linalg.norm(x)
-    y /= np.linalg.norm(y)
-    s = x + y
-    return Witness(
-        kind=WitnessKind.CONE_NONCONVEXITY,
-        data={"c": c, "x": x, "y": y, "vertex": k},
-        margin=float(s @ (A.a - c * np.eye(n)) @ s),
-    )
+def _cap_witness(C, lam2: float, config: Config) -> Verdict | None:
+    """Step 7: the first pair of quadsphere.edge.cap_pairs, built on B of
+    C = (tau, B, sigma) with second eigenvalue ``lam2``, that verifies, as a
+    No through _refuted; None when none does or lam2 >= max b_ii."""
+    for c, k, x, y, margin in cap_pairs(C[1].a, lam2):
+        data = {"c": c, "x": x, "y": y, "vertex": k}
+        witness = Witness(WitnessKind.CONE_NONCONVEXITY, data, margin)
+        if verdict := _refuted(C, witness, config):
+            return verdict
+    return None

@@ -168,10 +168,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+# help for the flags that not every command reads
+_FLAG_HELP = {
+    "samples": "sampling budget of the probe command's falsifier",
+    "seed": "seed of the probe command's falsifier and of minimize's descent starts",
+}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     for name in _FLAGS:
         default = getattr(DEFAULT, name)
-        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
+                            default=default, help=_FLAG_HELP.get(name))
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="text (human readable) or structured (JSON)",

@@ -31,9 +31,11 @@ class Config:
                      capped: minimize_orthant runs the Perron screen at
                      every n, and is_copositive its screens at every n,
                      before it walks any support
-    samples      -- sampling budget for the falsifier
-    seed         -- master seed for all randomized search (nonnegative,
-                    as numpy's generators require)
+    samples      -- sampling budget of the falsifier, which only the probe
+                    command runs; certify samples nothing
+    seed         -- seed of the probe command's falsifier and of
+                    minimize_orthant's descent starts (nonnegative, as
+                    numpy's generators require); certify reads neither
 
     The tolerances must be finite and nonnegative: a negative tol_margin
     would accept a zero-margin violation as a No witness, and a NaN one

@@ -4,11 +4,11 @@ These deliberately avoid the code paths they check: brute-force grids for
 orthant minima, the closed-form 2x2 eigenproblem, finite differences for
 derivatives along geodesics, a one-support-at-a-time Pareto enumeration, a
 one-start-at-a-time descent, the loop forms of the eigenvector sign step and
-the eigenvalue clustering, the per-group loop of the edge witness, certify's
-steps 1 and 3 as they ran through the eigendecomposition with the
-one-value-at-a-time diagonal witness, and the intrinsic sphere geometry
-(distances, minimal geodesic segments, the spherical gradient of q_A) that
-the falsifier's Gram-form kernel must agree with.
+the eigenvalue clustering, certify's steps 1 and 3 as they ran through the
+eigendecomposition with the one-value-at-a-time diagonal witness, and the
+intrinsic sphere geometry (distances, minimal geodesic segments, the
+spherical gradient of q_A) that the falsifier's Gram-form kernel must agree
+with.
 """
 
 from __future__ import annotations
@@ -30,13 +30,9 @@ from quadsphere.certify import (
     verify_witness,
 )
 from quadsphere.config import DEFAULT, Config
-from quadsphere.edge import _EDGE_STEPS
 from quadsphere.linalg import SymMatrix, as_sym_matrix, centred, eigen_decompose
 from quadsphere.sphere import SpherePoint
 
-# candidate scores held at once by reference_edge_witness: (c, k) rows x
-# (indices below c)^2
-_EDGE_BLOCK = 1 << 18
 # endpoints closer than this are treated as coincident (constant geodesic)
 _COINCIDENT_TOL = 1e-12
 # endpoints farther than pi - this require an explicit tangent direction
@@ -255,78 +251,6 @@ def reference_diagonal_route(A: SymMatrix, config: Config = DEFAULT) -> Verdict 
         if verify_witness(A, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
     return None
-
-
-def reference_edge_witness(A: SymMatrix, E) -> Witness | None:
-    """certify._edge_witness as one loop over the groups of grid shifts that
-    share their indices below and above c, each group's (c, k) rows scored in
-    blocks of at most _EDGE_BLOCK candidates, the best kept by a strict >.
-
-    The scores are 2 x_i^T B x_j for the cone boundary points
-    x_i = e_i + t_i e_k of B = A - cI, in the operation order the one-pass
-    scan keeps, so its witness must match this one byte for byte.
-    """
-    a = A.a
-    d = np.diag(a)
-    lam2 = float(E.eigenvalues[1])
-    top = float(d.max())
-    if not top > lam2:
-        return None
-    cs = lam2 + (top - lam2) * _EDGE_STEPS
-    # grid points between the same two diagonal values share the vertices
-    # (b_kk > 0) and the indices below c (b_ii < 0), so they are scored as
-    # one stack of (c, k) rows
-    srt = np.sort(d)
-    key = np.searchsorted(srt, cs, "left") * (A.n + 1)
-    key += np.searchsorted(srt, cs, "right")
-    best = -np.inf
-    found = None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for group in np.split(cs, np.flatnonzero(np.diff(key)) + 1):
-            low = np.flatnonzero(d < group[0])
-            high = np.flatnonzero(d > group[0])
-            if low.size < 2 or high.size == 0:
-                continue
-            c_rows = np.repeat(group, high.size)
-            k_rows = np.tile(high, group.size)
-            q = a[np.ix_(low, low)]  # b_ij for i != j
-            off = ~np.eye(low.size, dtype=bool)
-            step = max(1, _EDGE_BLOCK // low.size**2)
-            for r0 in range(0, c_rows.size, step):
-                c = c_rows[r0:r0 + step, None]
-                g = a[np.ix_(k_rows[r0:r0 + step], low)]  # b_ik
-                bkk = d[k_rows[r0:r0 + step], None] - c
-                bii = d[low] - c
-                r = np.sqrt(g * g - bii * bkk)
-                # the positive root, in the form without cancellation
-                t = np.where(g <= 0.0, (r - g) / bkk, -bii / (g + r))
-                s = 1.0 / np.sqrt(1.0 + t * t)
-                tg = t[:, :, None] * g[:, None, :]
-                m = q + tg + tg.transpose(0, 2, 1)
-                m += (bkk * t)[:, :, None] * t[:, None, :]
-                score = np.where(off, 2.0 * m * s[:, :, None] * s[:, None, :], -np.inf)
-                at = int(np.nanargmax(score))
-                if score.flat[at] > best:
-                    best = float(score.flat[at])
-                    row, i, j = np.unravel_index(at, score.shape)
-                    found = (float(c[row, 0]), int(k_rows[r0 + row]), int(low[i]),
-                             int(low[j]), float(t[row, i]), float(t[row, j]))
-    if found is None:
-        return None
-
-    c, k, i, j, ti, tj = found
-    n = A.n
-    x, y = np.zeros(n), np.zeros(n)
-    x[i] = y[j] = 1.0
-    x[k], y[k] = ti, tj
-    x /= np.linalg.norm(x)
-    y /= np.linalg.norm(y)
-    s = x + y
-    return Witness(
-        kind=WitnessKind.CONE_NONCONVEXITY,
-        data={"c": c, "x": x, "y": y, "vertex": k},
-        margin=float(s @ (a - c * np.eye(n)) @ s),
-    )
 
 
 def as_point(x) -> SpherePoint:

@@ -13,12 +13,12 @@ from quadsphere.certify import (
     certify,
     pair_violation_margin,
     verify_witness,
+    _cap_witness,
     _diag_witness,
-    _edge_witness,
 )
 from quadsphere.config import Config
 from quadsphere.cones import pareto_spectrum
-from quadsphere.edge import _EDGE_BLOCK, _EDGE_STEPS
+from quadsphere.edge import cap_pairs
 from quadsphere.genex import (
     make_householder,
     make_negative_positive,
@@ -27,11 +27,10 @@ from quadsphere.genex import (
 )
 from quadsphere.linalg import SymMatrix, centred, cluster_eigenvalues, eigen_decompose
 
-from oracles import reference_diagonal_route, reference_edge_witness
+from oracles import reference_diagonal_route
 from test_zmatrix_corpus import corpus as zmatrix_corpus
 
-# small sampling budget keeps the unit tests fast; the acceptance suite
-# exercises the full default budget
+# certify reads no sampling budget; the small one here is for the falsifier
 FAST = Config(samples=5_000)
 
 
@@ -159,7 +158,7 @@ class TestStructuralInvariants:
                 assert v.witness is not None
                 assert verify_witness(A, v.witness, FAST)
             else:
-                assert v.probe_summary is not None
+                assert v.certificate is None and v.witness is None
 
     def test_rejects_1x1(self):
         with pytest.raises(ValueError):
@@ -171,9 +170,9 @@ class TestStructuralInvariants:
         # the diagonal bound lambda2 - max a_ii - (n - 1) p = -2.4e-9 misses
         # -tol_slack sigma = -2e-9 while the least Pareto value (-1.6e-9)
         # does not.  The enumeration certifies it at the default cap;
-        # capping it leaves the edge witness, which declines (every diagonal
-        # entry lies above its shifts, so no pair exists), and the probe,
-        # which finds no violation
+        # capping it leaves the cap witness, whose best pair's margin (about
+        # 8e-10) lies below tol_margin sigma = 2e-8, and certify says Unknown
+        # at once, with neither certificate nor witness
         p = 8e-10
         A = sym([[2.0, -1.0, p], [-1.0, 2.0, -1.0], [p, -1.0, 2.0]])
         lam2 = float(eigen_decompose(A).eigenvalues[1])
@@ -183,8 +182,10 @@ class TestStructuralInvariants:
         assert -2e-9 <= v.certificate.data["pareto_min"] < -1e-9
         v = certify(A, Config(samples=2_000, max_exact_dim=2))
         assert v.status is Status.UNKNOWN
-        assert v.probe_summary is not None
-        assert v.probe_summary["best_margin"] <= 1e-8
+        assert v.certificate is None and v.witness is None
+        _, B, _ = centred(A)
+        lam2 = float(eigen_decompose(B).eigenvalues[1])
+        assert 0.0 < max(pair[-1] for pair in cap_pairs(B.a, lam2)) <= 1e-8
 
     def test_band_enumeration_reads_config(self, monkeypatch):
         # the band input above at the default cap: step 5 hands its Config
@@ -368,6 +369,13 @@ class TestStep5Oracle:
         assert by_bound > 20 and by_enumeration > 0
 
 
+def cap(A, config=FAST):
+    """certify step 7 on A alone: the cap witness that verifies, or None."""
+    C = centred(A)
+    verdict = _cap_witness(C, float(eigen_decompose(C[1]).eigenvalues[1]), config)
+    return None if verdict is None else verdict.witness
+
+
 class TestEdgeWitness:
     def test_declines_when_lambda2_reaches_max_diagonal(self):
         rng = np.random.default_rng(3)
@@ -387,17 +395,19 @@ class TestEdgeWitness:
             mats.append(SymMatrix(a))
         declined = 0
         for A in mats:
-            E = eigen_decompose(A)
-            if E.eigenvalues[1] >= A.a.diagonal().max():
-                assert _edge_witness(A, E) is None
+            _, B, _ = centred(A)
+            lam2 = float(eigen_decompose(B).eigenvalues[1])
+            if lam2 >= B.a.diagonal().max():
+                assert list(cap_pairs(B.a, lam2)) == []
+                assert cap(A) is None
                 declined += 1
         assert declined >= 8
 
     def test_diagonal_case(self):
-        # for a diagonal matrix the edge points are those of
-        # step 3's diagonal witness: e_i + t e_k below and above c
+        # for a diagonal matrix the points e_k + t e_i are those of step 3's
+        # diagonal witness: e_i + t e_k below and above c
         A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
-        w = _edge_witness(A, eigen_decompose(A))
+        w = cap(A)
         assert w.kind is WitnessKind.CONE_NONCONVEXITY
         assert w.data["vertex"] == 2
         assert 2.0 < w.data["c"] < 3.0
@@ -417,39 +427,42 @@ class TestEdgeWitness:
         ])
         v = certify(A, FAST)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
-        assert v.probe_summary is None
         assert v.witness.kind is WitnessKind.CONE_NONCONVEXITY
         assert v.witness.data["vertex"] == 3
         assert verify_witness(A, v.witness, FAST)
 
     def test_known_gap_never_yes(self):
         # lambda2 = 0.715 < max a_ii = 1, tied three ways, so only one index
-        # lies below any shift and the edge witness has no pair to build
+        # lies below any shift and no pair of edge points e_i + t e_k exists;
+        # the cap points e_k + t (|w| +- s w) refute it, by a margin of
+        # about 4.5e-4
         A = sym([[1, -2, -1, -2], [-2, 1, 0, -2], [-1, 0, 1, -2], [-2, -2, -2, -2]])
-        assert _edge_witness(A, eigen_decompose(A)) is None
         v = certify(A, FAST)
-        assert v.status is not Status.CERTIFIED_QUASICONVEX
-        if v.status is Status.CERTIFIED_NOT_QUASICONVEX:
-            assert verify_witness(A, v.witness, FAST)
+        assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+        assert v.witness.data["vertex"] in (0, 1, 2)
+        assert 0.7 < v.witness.data["c"] < 1.0
+        assert v.witness.margin > 1e-4
+        assert verify_witness(A, v.witness, FAST)
+
+    def test_split_input(self):
+        # a reducible Z-matrix with lambda2 = 0 < max a_ii: the split lemma's
+        # pair, x = e_k + t u with u on the other component and an edge
+        # point y = e_i + s e_k of a neighbour i of k, leaves the cone by
+        # 2 sqrt(b_ik^2 - b_ii b_kk) at the chosen shift
+        A = sym([[-1, -1, 0, 0], [-1, -1, 0, 0], [0, 0, -1, -2], [0, 0, -2, -1]])
+        v = certify(A, FAST)
+        assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+        assert v.witness.margin > 0.3
+        assert verify_witness(A, v.witness, FAST)
 
 
 def witness_bytes(w):
-    """The fields of an edge witness, as bytes, for byte-for-byte equality."""
+    """The fields of a step-7 witness, as bytes, for byte-for-byte equality."""
     if w is None:
         return None
     data = w.data
     return (w.kind, np.float64(data["c"]).tobytes(), data["vertex"],
             data["x"].tobytes(), data["y"].tobytes(), np.float64(w.margin).tobytes())
-
-
-def edge_scores(A, E):
-    """How many candidate scores _edge_witness's grid holds: (c, k) rows
-    times n^2; above _EDGE_BLOCK its rows are pruned by their bound."""
-    d = A.a.diagonal()
-    lam2 = float(E.eigenvalues[1])
-    cs = lam2 + (float(d.max()) - lam2) * _EDGE_STEPS
-    rows = sum(int((d > c).sum()) for c in cs if (d < c).sum() >= 2)
-    return rows * A.n**2
 
 
 def spread_z(rng, n):
@@ -461,20 +474,32 @@ def spread_z(rng, n):
 
 
 class TestEdgeWitnessBytes:
-    """The one-pass, pruned scan returns reference_edge_witness's witness
-    (the group-by-group loop it replaced) byte for byte."""
+    """On the corpora that the edge scan of step 7 refuted before the cap
+    witness replaced it: every input with lambda2 < max a_ii still ends in
+    a verified No, and a step-7 No is, byte for byte, the first pair of
+    edge.cap_pairs that verifies."""
 
     @staticmethod
     def compare(mats):
-        """Both scans on each A and on its centred B (what certify passes);
-        returns the number of witnesses compared."""
+        """certify on each A and on its centred B; returns the number of
+        step-7 Nos."""
         witnesses = 0
         for A in mats:
-            for M in (A, centred(A)[1]):
-                E = eigen_decompose(M)
-                w = _edge_witness(M, E)
-                assert witness_bytes(w) == witness_bytes(reference_edge_witness(M, E)), M
-                witnesses += w is not None
+            for M in (A, SymMatrix(centred(A)[1].a)):
+                tau, B, sigma = centred(M)
+                lam2 = float(eigen_decompose(B).eigenvalues[1])
+                v = certify(M, FAST)
+                if lam2 < float(B.a.diagonal().max()) - 1e-9 * sigma:
+                    assert v.status is Status.CERTIFIED_NOT_QUASICONVEX, M
+                if v.witness is None or "vertex" not in v.witness.data:
+                    continue
+                for c, k, x, y, margin in cap_pairs(B.a, lam2):
+                    data = {"c": c + tau, "x": x, "y": y, "vertex": k}
+                    first = Witness(WitnessKind.CONE_NONCONVEXITY, data, margin)
+                    if verify_witness(M, first, FAST):
+                        break
+                assert witness_bytes(v.witness) == witness_bytes(first), M
+                witnesses += 1
         return witnesses
 
     def test_zmatrix_corpus(self):
@@ -494,7 +519,7 @@ class TestEdgeWitnessBytes:
         assert self.compare(mats) > 200
 
     def test_band_inputs(self):
-        # one entry in (0, tol_margin sigma]: p > 0 in the pruning bound
+        # one entry in (0, tol_margin sigma]: a Z-matrix only up to the band
         rng = np.random.default_rng(42)
         mats = []
         for n in [3, 4, 5, 6] * 20 + [20, 32, 48, 64] * 2:
@@ -507,75 +532,76 @@ class TestEdgeWitnessBytes:
         assert self.compare(mats) > 100
 
     def test_diagonal_matrices(self):
+        # step 3 decides these; step 7 alone refutes every one with
+        # lambda2 < max a_ii at the vertex of its first largest entry
         rng = np.random.default_rng(43)
         mats = [SymMatrix(np.diag(rng.standard_normal(int(n)))) for n in rng.integers(3, 9, 60)]
         mats += [SymMatrix(np.diag(rng.integers(-2, 3, int(n)).astype(float)))
                  for n in rng.integers(3, 9, 60)]
         mats += [SymMatrix(np.diag(rng.standard_normal(n))) for n in (20, 40)]
-        assert self.compare(mats) > 100
+        refuted = 0
+        for A in mats:
+            d = A.a.diagonal()
+            if np.sort(d)[1] < d.max():
+                w = cap(A)
+                assert w.data["vertex"] == int(d.argmax())
+                assert verify_witness(A, w, FAST)
+                refuted += 1
+        assert refuted > 100
 
     def test_pruned_path(self):
-        # spread-diagonal Z-matrices at n 20-64 (and dense non-Z input, as a
-        # direct call may pass) hold more scores than one block
+        # spread-diagonal Z-matrices at n 20-64, which the edge scan pruned
+        # by its row bound, and dense non-Z input, as a direct call may pass
         rng = np.random.default_rng(44)
         mats = [SymMatrix(spread_z(rng, n)) for n in (20, 24, 32, 40, 48, 64)]
+        assert self.compare(mats) == 12
         for n in (20, 28):
             raw = rng.standard_normal((n, n))
-            mats.append(SymMatrix((raw + raw.T) / 2.0))
-        for A in mats[:6]:
-            assert edge_scores(A, eigen_decompose(A)) > _EDGE_BLOCK
-        assert self.compare(mats) >= 12
+            A = SymMatrix((raw + raw.T) / 2.0)
+            w = cap(A)
+            assert w is None or verify_witness(A, w, FAST)
 
-    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("roll", [1, 3, None])
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_tie_goes_to_the_first_vertex(self, monkeypatch, rows, reverse):
-        # A = [[M, N], [N, M]] is unchanged by swapping the halves, so the
-        # rows (c, k) and (c, k + 12) score alike, bit for bit; the first
-        # (c, k, i, j) wins, so the vertex lies in the first half.  With one
-        # or three rows per block the tied rows lie in different blocks;
-        # with bounds that are valid but rise along the grid, the later row
-        # is scored first
+    def test_tie_goes_to_the_first_vertex(self, roll, reverse):
+        # A = [[M, N], [N, M]] is unchanged by swapping the halves, so its
+        # largest diagonal entry is tied, bit for bit, at two vertices; the
+        # stable descending order tries the one of lower index first.  The
+        # indices are reversed and rolled, which moves the tied pair
         rng = np.random.default_rng(45)
         m = spread_z(rng, 12)
         off = -rng.uniform(0.0, 0.02, (12, 12))
         a = np.block([[m, off + off.T], [off + off.T, m]])
-        A = SymMatrix(a)
-        E = eigen_decompose(A)
-        module = sys.modules["quadsphere.edge"]
-        if rows is not None:
-            monkeypatch.setattr(module, "_EDGE_BLOCK", rows * 24**2)
-        if reverse:
-            rising = lambda a, d, c, k: np.linspace(1e300, 2e300, k.size)  # noqa: E731
-            monkeypatch.setattr(module, "_edge_bounds", rising)
-        assert edge_scores(A, E) > _EDGE_BLOCK
-        w = _edge_witness(A, E)
-        assert w.data["vertex"] < 12
-        assert witness_bytes(w) == witness_bytes(reference_edge_witness(A, E))
+        p = np.roll(np.arange(24)[::-1] if reverse else np.arange(24), roll or 0)
+        A = SymMatrix(a[np.ix_(p, p)])
+        w = certify(A, FAST).witness
+        k = w.data["vertex"]
+        twin = int(np.flatnonzero(p == (p[k] + 12) % 24)[0])
+        assert A.a[k, k] == A.a[twin, twin] == A.a.diagonal().max()
+        assert k < twin
+        assert witness_bytes(w) == witness_bytes(cap(A))
 
     def test_tie_small(self):
-        # indices 2 and 3 are interchangeable: the whole-stack argmax takes
-        # the vertex 2, the first of the tied rows
+        # indices 2 and 3 are interchangeable: the vertex 2 is tried first
         A = sym([
             [-1.0, -0.1, -0.2, -0.2],
             [-0.1, -0.5, -0.3, -0.3],
             [-0.2, -0.3, 1.0, -0.05],
             [-0.2, -0.3, -0.05, 1.0],
         ])
-        E = eigen_decompose(A)
-        w = _edge_witness(A, E)
-        assert w.data["vertex"] == 2
-        assert witness_bytes(w) == witness_bytes(reference_edge_witness(A, E))
+        assert cap(A).data["vertex"] == 2
         v = certify(A, FAST)
         assert v.witness.data["vertex"] == 2
 
     def test_memory_bounded(self):
-        # the rows x n prelude is computed a block at a time: at n = 256 the
-        # grid holds about 16,000 (c, k) rows, 4 million prelude entries
+        # at n = 256 the witness holds B - cI, one eigh of order 255 and the
+        # score matrix of its points (about 300 per side)
         A = SymMatrix(spread_z(np.random.default_rng(46), 256))
-        E = eigen_decompose(A)
+        C = centred(A)
+        lam2 = float(eigen_decompose(C[1]).eigenvalues[1])
         tracemalloc.start()
         try:
-            assert _edge_witness(A, E) is not None
+            assert _cap_witness(C, lam2, FAST) is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -616,7 +642,7 @@ def verdict_bytes(v):
     elif v.witness is not None:
         w = v.witness
         fields = w.kind, [(k, raw(x)) for k, x in w.data.items()], raw(w.margin)
-    return v.status, fields, v.probe_summary
+    return v.status, fields
 
 
 def exact_diagonals(rng, count):
@@ -821,10 +847,9 @@ class TestNonnegativeEigenbasisWitness:
 
         v = certify(A, FAST)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
-        assert v.probe_summary is None
         w = v.witness
         assert w.kind is WitnessKind.CONE_NONCONVEXITY
-        assert "vertex" not in w.data  # not the edge witness of step 7
+        assert "vertex" not in w.data  # not the cap witness of step 7
         c = w.data["c"]
         assert lj < c < lk
         ti = np.sqrt((c - li) / (lk - c))

@@ -8,11 +8,8 @@ and negative-positive inputs of size 2-7.  For every transform:
 
 - no transform of an input refuted at unit scale gets a Yes;
 - every No carries a witness that verify_witness accepts on its own matrix;
-- under t and s, Z and dense inputs keep their unit-scale status.
-
-Under the permutation only the first two hold as asserted: the sampling
-falsifier of step 8 draws its points in coordinate order, so a tied input it
-decides can move between No and Unknown.
+- under t and s, Z and dense inputs keep their unit-scale status;
+- under the permutation, every input keeps its status.
 
 The cone functions (pareto_spectrum, is_copositive, minimize_orthant) are
 checked under the scale t alone, on the corpus and on lambda2 I - A.
@@ -28,7 +25,7 @@ from quadsphere.genex import make_negative_positive, make_three_eigenvalue
 from quadsphere.linalg import SymMatrix, centred
 from quadsphere.probe import MinMethod, minimize_orthant
 
-CFG = Config(samples=2_000)
+CFG = Config()
 SCALES = (1e-9, 1.0, 1e9)
 # shifts as multiples of ||tA||_F
 SHIFTS = (0.0, 1e8, -1e8)
@@ -151,6 +148,12 @@ def test_z_and_dense_status_under_scale_and_shift(runs):
             for name, _, v in variants:
                 if name != "permuted":
                     assert v.status is base, (kind, name, A)
+
+
+def test_status_under_permutation(runs):
+    for kind, A, base, variants in runs:
+        permuted = next(v for name, _, v in variants if name == "permuted")
+        assert permuted.status is base, (kind, A)
 
 
 def _cone_inputs():
