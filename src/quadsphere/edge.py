@@ -61,7 +61,8 @@ def _best_pair(b: np.ndarray, c: float, k: int):
     """(c, k, x, y, margin) of the best-scoring pair of cap points around
     e_k of B_c = b - cI, or None when fewer than two points exist."""
     n = b.shape[0]
-    bc = b - c * np.eye(n)
+    bc = b.copy()
+    bc.flat[:: n + 1] -= c
     J = np.delete(np.arange(n), k)
     bkk, g, Q = bc[k, k], bc[J, k], bc[np.ix_(J, J)]
     M = Q
