@@ -227,7 +227,7 @@ def _diag_witness(values, basis, tol: float) -> Witness | None:
     Returns None when at most two values with a simple smallest one remain,
     where no such witness exists.
     """
-    order = np.argsort(values, kind="stable")
+    order = values.argsort(kind="stable")
     s = values[order]
     # the second and third clusters start at h1 and h2: as s ascends, so does
     # s - s[h], and each cluster is one run of s
@@ -242,9 +242,9 @@ def _diag_witness(values, basis, tol: float) -> Witness | None:
     if c < values[j]:
         return None  # a tie member above c at the tolerance edge: no cone pair
 
-    ti = np.sqrt((c - values[i]) / (values[k] - c))
-    tj = np.sqrt((c - values[j]) / (values[k] - c))
-    margin = 2.0 * np.sqrt((c - values[i]) * (c - values[j]))
+    ti = math.sqrt((c - values[i]) / (values[k] - c))
+    tj = math.sqrt((c - values[j]) / (values[k] - c))
+    margin = 2.0 * math.sqrt((c - values[i]) * (c - values[j]))
     return Witness(
         kind=WitnessKind.CONE_NONCONVEXITY,
         data={
@@ -273,24 +273,26 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     off = b.copy()
     off.reshape(-1)[:: n + 1] = 0.0
     i, j = divmod(int(off.argmax()), n)
-    if off[i, j] > _refutation_limit(n, sigma, 1.0, config):
-        x, y = np.eye(n)[[i, j]]
-        data = {"x": x, "y": y, "entry": (int(i), int(j))}
-        witness = Witness(WitnessKind.PAIR_VIOLATION, data, float(off[i, j]))
+    p = float(off[i, j])
+    if p > _refutation_limit(n, sigma, 1.0, config):
+        x, y = pair = np.zeros((2, n))
+        pair[0, i] = pair[1, j] = 1.0
+        data = {"x": x, "y": y, "entry": (i, j)}
+        witness = Witness(WitnessKind.PAIR_VIOLATION, data, p)
         return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
 
     # steps 1 and 3 read the ascending eigenvalues w and the first column v0,
     # for an exactly diagonal B from its diagonal: eigh runs past step 3 only
     tol = _CLUSTER_RTOL * sigma
-    largest = max(float(off[i, j]), -float(off.min()))  # max |b_ij|, i != j
+    largest = max(p, -float(off.reshape(-1)[off.argmin()]))  # max |b_ij|, i != j
     diagonal = largest <= _DIAGONAL_RTOL * sigma
     if largest == 0.0:
-        E, d = None, b.diagonal()
-        w, v0 = np.sort(d, kind="stable"), np.zeros(n)
-        v0[d.argmin()] = 1.0
+        E, order = None, b.diagonal().argsort(kind="stable")
+        w, v0 = b.diagonal()[order], np.zeros(n)
+        v0[order[0]] = 1.0  # the first least entry, as argmin finds it
     else:
         E = eigen_decompose(B)
-        w, v0 = E.eigenvalues, E.vectors[:, 0]
+        w, v0 = E.eigenvalues, E.vectors[:, 0].copy()
     clusters = cluster_eigenvalues(w, tol)
     two_simple = len(clusters) == 2 and clusters[0][1] == 1
 
@@ -308,13 +310,13 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         rule = (Rule.DIAGONAL_CHARACTERIZATION if diagonal
                 else Rule.TWO_EIGENVALUE_CHARACTERIZATION)
         clusters = [(value + tau, mult) for value, mult in clusters]
-        return _certified(rule, clusters=clusters, eigenvector=v0.copy())
+        return _certified(rule, clusters=clusters, eigenvector=v0)
 
     # 3. any other diagonal matrix: the diagonal witness in the standard
     # basis; at the tolerance edge (values distinct only marginally) it may
     # not verify, and the input falls through
     if diagonal:
-        witness = _diag_witness(np.diag(b), np.eye(n), tol)
+        witness = _diag_witness(b.diagonal(), np.eye(n), tol)
         if verdict := _refuted(C, witness, config):
             return verdict
         if E is None:
@@ -329,7 +331,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # fitting column of its eigenspace, else for a repeated lambda1 the
     # projection of the all-ones direction; a miss only loses a Yes.
     mult = clusters[0][1]
-    hit = np.flatnonzero(fits[:mult])
+    hit = fits[:mult].nonzero()[0]
     cand = E.vectors[:, hit[0]].copy() if hit.size else None
     if cand is None and mult > 1:
         # BLAS sums in an order that depends on the memory layout; one fixed
@@ -342,8 +344,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
             cand = _orthant_representative(proj / nrm, config.tol_sign)
     if cand is not None:
         lam2 = float(E.eigenvalues[1])
-        p = float(off[i, j])
-        pareto_min = lam2 - float(np.diag(b).max()) - (n - 1) * p
+        pareto_min = lam2 - float(b.diagonal().max()) - (n - 1) * p
         floor = -config.tol_slack * sigma
         if pareto_min < floor and p > 0.0 and n <= enumeration_cap(config):
             # in units of sigma, as the floor is (unscaled, a floor tie moved)
@@ -357,7 +358,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
 
     # 6. q_A is diagonal on the span of the nonnegative eigenvectors, an
     # orthonormal nonnegative basis: the diagonal obstruction in that basis
-    nonneg = np.flatnonzero(fits)
+    nonneg = fits.nonzero()[0]
     if nonneg.size >= 3:
         witness = _diag_witness(E.eigenvalues[nonneg], E.vectors[:, nonneg], tol)
         if verdict := _refuted(C, witness, config):

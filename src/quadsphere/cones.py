@@ -126,8 +126,8 @@ def _perron_pair(A: SymMatrix, config: Config):
             v = np.linalg.solve(A.a - (w[0] - d) * np.eye(A.n), np.full(A.n, d))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-        lam1, v = float(w[0]), v / np.linalg.norm(v)
-        v = -v if v[np.abs(v).argmax()] < 0.0 else v
+        lam1, v = float(w[0]), v / np.sqrt(v.dot(v))  # np.linalg.norm(v)
+        v = -v if v[abs(v).argmax()] < 0.0 else v
     else:
         E = eigen_decompose(A)
         lam1, v = float(E.eigenvalues[0]), E.vectors[:, 0]

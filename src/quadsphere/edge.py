@@ -24,7 +24,8 @@ All pairs of one vertex's unit points are scored by one product P B_c P^T,
 and only the best pair is built.  The candidates come vertex by vertex at
 the midpoint c = (lambda2 + max b_ii) / 2, in descending b_kk (stable),
 then at each shift of _EDGE_STEPS with the vertex of the largest b_kk; the
-caller verifies them and stops at the first that verifies.
+caller verifies them and stops at the first that verifies, and the shifts
+past the midpoint are computed only when it asks for one.
 """
 
 from __future__ import annotations
@@ -44,16 +45,17 @@ def cap_pairs(b: np.ndarray, lam2: float):
     eigenvalue ``lam2``: the best pair of unit points x, y around the vertex
     e_k of B_c = b - cI, and margin = (x + y)^T B_c (x + y).  Yields nothing
     when lam2 >= max b_ii."""
-    d = np.diag(b)
+    d = b.diagonal()
     top = float(d.max())
     if not top > lam2:
         return
-    order = np.argsort(-d, kind="stable")
+    order = (-d).argsort(kind="stable")
     mid = (lam2 + top) / 2.0
-    grid = [(mid, int(k)) for k in order[d[order] > mid]]
-    grid += [(float(c), int(order[0])) for c in lam2 + (top - lam2) * _EDGE_STEPS]
-    for c, k in grid:
-        if (found := _best_pair(b, c, k)) is not None:
+    for k in order[d[order] > mid].tolist():
+        if (found := _best_pair(b, mid, k)) is not None:
+            yield found
+    for c in (lam2 + (top - lam2) * _EDGE_STEPS).tolist():
+        if (found := _best_pair(b, c, int(order[0]))) is not None:
             yield found
 
 
@@ -62,40 +64,44 @@ def _best_pair(b: np.ndarray, c: float, k: int):
     e_k of B_c = b - cI, or None when fewer than two points exist."""
     n = b.shape[0]
     bc = b.copy()
-    bc.flat[:: n + 1] -= c
-    J = np.delete(np.arange(n), k)
-    bkk, g, Q = bc[k, k], bc[J, k], bc[np.ix_(J, J)]
+    bc.reshape(-1)[:: n + 1] -= c
+    J = np.arange(n)[np.arange(n) != k]
+    bkk, g, Q = float(bc[k, k]), bc[J, k], bc[J[:, None], J]
     M = Q
     gg = float(g @ g)
     if gg > 0.0:
-        # P_g Q P_g = Q - h r^T - r h^T, h = g / |g|, r = Q h - (h^T Q h / 2) h
+        # P_g Q P_g = Q - h r^T - (h r^T)^T, h = g / |g|, r = Q h - (h^T Q h / 2) h
         h = g / np.sqrt(gg)
         r = Q @ h
         r -= (h @ r / 2.0) * h
-        M = Q - np.outer(h, r) - np.outer(r, h)
+        hr = h[:, None] * r
+        M = Q - hr - hr.T
     try:
         w = np.linalg.eigh(M)[1][:, :2]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    z = (np.abs(w)[:, :, None] + w[:, :, None] * _SHARES).reshape(n - 1, -1)
+    z = (abs(w)[:, :, None] + w[:, :, None] * _SHARES).reshape(n - 1, -1)
     # the roots of alpha t^2 + 2 beta t + b_kk without cancellation:
-    # q / alpha and b_kk / q for q = -(beta + sign(beta) sqrt(beta^2 - alpha b_kk))
-    beta = np.concatenate([g @ z, g])
-    alpha = np.concatenate([np.einsum("ij,ij->j", z, Q @ z), Q.diagonal()])
-    z = np.hstack([z, np.eye(n - 1)])
+    # q / alpha and b_kk / q for q = -(beta + sign(beta) sqrt(beta^2 - alpha b_kk));
+    # the e_i directions' beta is g itself: g @ I would turn a -0.0 into +0.0
+    beta = np.concatenate((g @ z, g))
+    alpha = np.concatenate((np.einsum("ij,ij->j", z, Q @ z), Q.diagonal()))
+    z = np.concatenate((z, np.eye(n - 1)), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -(beta + np.copysign(np.sqrt(beta * beta - alpha * bkk), beta))
-        t = np.concatenate([q / alpha, bkk / q])
-    root = np.isfinite(t) & (t > 0.0)
-    if np.count_nonzero(root) < 2:
+        t = np.concatenate((q / alpha, bkk / q))
+    root = (np.isfinite(t) & (t > 0.0)).nonzero()[0]
+    if root.size < 2:
         return None
-    P = np.zeros((np.count_nonzero(root), n))
+    # t holds two roots per direction: entry r is a root of direction r mod m
+    P = np.zeros((root.size, n))
     P[:, k] = 1.0
-    P[:, J] = t[root, None] * np.tile(z, 2).T[root]
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    P[:, J] = t[root, None] * z.T[root % z.shape[1]]
+    # np.linalg.norm's row norm: add.reduce of the squares along the row
+    P /= np.sqrt(np.add.reduce(P * P, axis=1, keepdims=True))
     S = P @ bc @ P.T
-    np.fill_diagonal(S, -np.inf)
-    i, j = divmod(int(S.argmax()), S.shape[0])
+    S.reshape(-1)[:: root.size + 1] = -np.inf
+    i, j = divmod(int(S.argmax()), root.size)
     x, y = P[i].copy(), P[j].copy()
     s = x + y
     return c, k, x, y, float(s @ bc @ s)

@@ -7,6 +7,7 @@ installation; reproducible certificates and reports rely on that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,8 @@ class SymMatrix:
         return self.a.shape[0]
 
     def norm_fro(self) -> float:
-        return float(np.linalg.norm(self.a))
+        flat = self.a.ravel(order="K")  # np.linalg.norm's arithmetic
+        return math.sqrt(float(flat.dot(flat)))
 
     def quad(self, x: np.ndarray) -> float:
         """The quadratic form <Ax, x>."""
@@ -93,13 +95,13 @@ def centred(A: SymMatrix) -> tuple[float, SymMatrix, float]:
     one scale of certify, which A -> tA + sI (t > 0) multiplies by t.  B, a
     copy less tau on the diagonal, is exactly symmetric: no re-validation."""
     b = A.a.copy()
-    tau = float(b.trace()) / A.n
+    tau = float(np.add.reduce(b.diagonal())) / A.n  # .trace()'s arithmetic
     flat = b.reshape(-1)
     flat[:: A.n + 1] -= tau
     b.setflags(write=False)
     B = object.__new__(SymMatrix)
     object.__setattr__(B, "a", b)
-    return tau, B, float(np.sqrt(flat @ flat))  # np.linalg.norm's arithmetic
+    return tau, B, math.sqrt(float(flat.dot(flat)))  # np.linalg.norm's arithmetic
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def eigen_decompose(A: SymMatrix) -> EigenSystem:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
 
     # deterministic sign: largest-magnitude entry of each column is >= 0
-    flip = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0.0
+    flip = v[abs(v).argmax(axis=0), np.arange(v.shape[1])] < 0.0
     v *= np.where(flip, -1.0, 1.0)
 
     w.setflags(write=False)
@@ -145,11 +147,11 @@ def cluster_eigenvalues(w: np.ndarray, tol: float) -> list:
     Merging is transitive: a chain of gaps each below the tolerance forms a
     single cluster.  A cluster's value is the mean of its members.
     """
-    cut = np.flatnonzero(np.diff(w) > tol) + 1
-    bounds = [0, *cut.tolist(), w.size]
-    # the sum over the count is .mean()'s arithmetic, without its Python
-    # layer; a singleton's mean is its value
+    cut = ((w[1:] - w[:-1] > tol).nonzero()[0] + 1).tolist()
+    bounds = [0, *cut, w.size]
+    # w[1:] - w[:-1] is np.diff's arithmetic and add.reduce over the count
+    # .mean()'s, without their Python layers; a singleton's mean is its value
     return [
-        (float(w[s:e].sum() / (e - s)) if e - s > 1 else float(w[s]), e - s)
+        (float(np.add.reduce(w[s:e])) / (e - s) if e - s > 1 else float(w[s]), e - s)
         for s, e in zip(bounds, bounds[1:])
     ]

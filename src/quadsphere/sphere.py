@@ -18,9 +18,9 @@ class SpherePoint:
         x = np.array(coords, dtype=float)
         if x.ndim != 1 or x.shape[0] < 1:
             raise ValueError("coordinates must be a 1-d vector")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("coordinates must be finite")
-        nrm = float(np.linalg.norm(x))
+        nrm = float(np.sqrt(x.dot(x)))  # np.linalg.norm's arithmetic
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         x = x / nrm

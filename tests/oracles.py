@@ -30,7 +30,14 @@ from quadsphere.certify import (
     verify_witness,
 )
 from quadsphere.config import DEFAULT, Config
-from quadsphere.linalg import SymMatrix, as_sym_matrix, centred, eigen_decompose
+from quadsphere.edge import _SHARES
+from quadsphere.linalg import (
+    ConvergenceError,
+    SymMatrix,
+    as_sym_matrix,
+    centred,
+    eigen_decompose,
+)
 from quadsphere.sphere import SpherePoint
 
 # endpoints closer than this are treated as coincident (constant geodesic)
@@ -251,6 +258,53 @@ def reference_diagonal_route(A: SymMatrix, config: Config = DEFAULT) -> Verdict 
         if verify_witness(A, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
     return None
+
+
+def reference_best_pair(b: np.ndarray, c: float, k: int):
+    """edge._best_pair in its first array form: np.delete, np.ix_, two
+    np.outer calls, np.hstack with np.eye, np.tile and np.linalg.norm
+    along the rows.  (c, k, x, y, margin) of the best-scoring pair of cap
+    points around e_k of B_c = b - cI, or None when fewer than two points
+    exist."""
+    n = b.shape[0]
+    bc = b.copy()
+    bc.flat[:: n + 1] -= c
+    J = np.delete(np.arange(n), k)
+    bkk, g, Q = bc[k, k], bc[J, k], bc[np.ix_(J, J)]
+    M = Q
+    gg = float(g @ g)
+    if gg > 0.0:
+        # P_g Q P_g = Q - h r^T - r h^T, h = g / |g|, r = Q h - (h^T Q h / 2) h
+        h = g / np.sqrt(gg)
+        r = Q @ h
+        r -= (h @ r / 2.0) * h
+        M = Q - np.outer(h, r) - np.outer(r, h)
+    try:
+        w = np.linalg.eigh(M)[1][:, :2]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    z = (np.abs(w)[:, :, None] + w[:, :, None] * _SHARES).reshape(n - 1, -1)
+    # the roots of alpha t^2 + 2 beta t + b_kk without cancellation:
+    # q / alpha and b_kk / q for q = -(beta + sign(beta) sqrt(beta^2 - alpha b_kk))
+    beta = np.concatenate([g @ z, g])
+    alpha = np.concatenate([np.einsum("ij,ij->j", z, Q @ z), Q.diagonal()])
+    z = np.hstack([z, np.eye(n - 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(beta + np.copysign(np.sqrt(beta * beta - alpha * bkk), beta))
+        t = np.concatenate([q / alpha, bkk / q])
+    root = np.isfinite(t) & (t > 0.0)
+    if np.count_nonzero(root) < 2:
+        return None
+    P = np.zeros((np.count_nonzero(root), n))
+    P[:, k] = 1.0
+    P[:, J] = t[root, None] * np.tile(z, 2).T[root]
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    S = P @ bc @ P.T
+    np.fill_diagonal(S, -np.inf)
+    i, j = divmod(int(S.argmax()), S.shape[0])
+    x, y = P[i].copy(), P[j].copy()
+    s = x + y
+    return c, k, x, y, float(s @ bc @ s)
 
 
 def as_point(x) -> SpherePoint:

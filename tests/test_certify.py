@@ -8,6 +8,7 @@ from quadsphere.certify import (
     _CLUSTER_RTOL,
     Rule,
     Status,
+    Verdict,
     Witness,
     WitnessKind,
     certify,
@@ -16,9 +17,9 @@ from quadsphere.certify import (
     _cap_witness,
     _diag_witness,
 )
-from quadsphere.config import Config
+from quadsphere.config import DEFAULT, Config
 from quadsphere.cones import pareto_spectrum
-from quadsphere.edge import cap_pairs
+from quadsphere.edge import _EDGE_STEPS, _best_pair, cap_pairs
 from quadsphere.genex import (
     make_householder,
     make_negative_positive,
@@ -27,11 +28,10 @@ from quadsphere.genex import (
 )
 from quadsphere.linalg import SymMatrix, centred, cluster_eigenvalues, eigen_decompose
 
-from oracles import reference_diagonal_route
-from test_zmatrix_corpus import corpus as zmatrix_corpus
+from oracles import reference_best_pair, reference_diag_witness, reference_diagonal_route
+from test_zmatrix_corpus import census, corpus as zmatrix_corpus, tied
 
-# certify reads no sampling budget; the small one here is for the falsifier
-FAST = Config(samples=5_000)
+CFG = Config()
 
 
 def sym(rows):
@@ -70,12 +70,12 @@ class TestPairViolationMargin:
 
 class TestGoldenVerdicts:
     def test_diag_two_values_simple_smallest(self):
-        v = certify(SymMatrix(np.diag([-1.0, 1.0, 1.0])), FAST)
+        v = certify(SymMatrix(np.diag([-1.0, 1.0, 1.0])), CFG)
         assert v.status is Status.CERTIFIED_QUASICONVEX
         assert v.certificate.rule is Rule.DIAGONAL_CHARACTERIZATION
 
     def test_diag_three_values(self):
-        v = certify(SymMatrix(np.diag([1.0, 2.0, 3.0])), FAST)
+        v = certify(SymMatrix(np.diag([1.0, 2.0, 3.0])), CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         w = v.witness
         assert w.kind is WitnessKind.CONE_NONCONVEXITY
@@ -84,13 +84,13 @@ class TestGoldenVerdicts:
         assert verify_witness(SymMatrix(np.diag([1.0, 2.0, 3.0])), w)
 
     def test_householder_ones(self):
-        v = certify(make_householder([1.0, 1.0, 1.0]), FAST)
+        v = certify(make_householder([1.0, 1.0, 1.0]), CFG)
         assert v.status is Status.CERTIFIED_QUASICONVEX
         assert v.certificate.rule is Rule.TWO_EIGENVALUE_CHARACTERIZATION
 
     def test_positive_offdiagonal(self):
         A = sym([[0.0, 1.0], [1.0, 0.0]])
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         w = v.witness
         assert w.kind is WitnessKind.PAIR_VIOLATION
@@ -98,7 +98,7 @@ class TestGoldenVerdicts:
         np.testing.assert_allclose(sorted(w.data["x"] + w.data["y"]), [1.0, 1.0])
 
     def test_constant_form(self):
-        v = certify(SymMatrix(3.0 * np.eye(4)), FAST)
+        v = certify(SymMatrix(3.0 * np.eye(4)), CFG)
         assert v.status is Status.CERTIFIED_QUASICONVEX
         assert v.certificate.rule is Rule.CONSTANT_FORM
         assert v.certificate.data["eigenvalue"] == pytest.approx(3.0)
@@ -109,7 +109,7 @@ class TestGoldenVerdicts:
         np.testing.assert_allclose(
             A.a, [[2.0, 0.0, -2.0], [0.0, 3.0, 0.0], [-2.0, 0.0, 2.0]], atol=1e-12
         )
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_QUASICONVEX
         assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
         cert = v.certificate.data
@@ -120,7 +120,7 @@ class TestGoldenVerdicts:
         # q_{A + cI} = q_A + c: diag(1, 2, 3) stays refuted by step 3's
         # witness, with c in the shifted matrix's units
         A = SymMatrix(1e8 * np.eye(3) + np.diag([1.0, 2.0, 3.0]))
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         assert v.witness.kind is WitnessKind.CONE_NONCONVEXITY
         assert v.witness.data["c"] == pytest.approx(1e8 + 2.5, abs=1e-6)
@@ -132,7 +132,7 @@ class TestGoldenVerdicts:
         a = 1e8 * np.eye(3)
         a[0, 1] = a[1, 0] = 0.5
         A = SymMatrix(a)
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         assert v.witness.kind is WitnessKind.PAIR_VIOLATION
         assert v.witness.data["entry"] == (0, 1)
@@ -141,7 +141,7 @@ class TestGoldenVerdicts:
 
     def test_negative_coupling_indefinite(self):
         # simple smallest eigenvalue, nonneg eigenvector (1,1)/sqrt2
-        v = certify(sym([[0.0, -1.0], [-1.0, 0.0]]), FAST)
+        v = certify(sym([[0.0, -1.0], [-1.0, 0.0]]), CFG)
         assert v.status is Status.CERTIFIED_QUASICONVEX
 
 
@@ -151,18 +151,18 @@ class TestStructuralInvariants:
         for _ in range(40):
             raw = 2.0 * rng.random((4, 4)) - 1.0
             A = SymMatrix((raw + raw.T) / 2.0)
-            v = certify(A, FAST)
+            v = certify(A, CFG)
             if v.status is Status.CERTIFIED_QUASICONVEX:
                 assert v.certificate is not None
             elif v.status is Status.CERTIFIED_NOT_QUASICONVEX:
                 assert v.witness is not None
-                assert verify_witness(A, v.witness, FAST)
+                assert verify_witness(A, v.witness, CFG)
             else:
                 assert v.certificate is None and v.witness is None
 
     def test_rejects_1x1(self):
         with pytest.raises(ValueError):
-            certify(sym([[1.0]]), FAST)
+            certify(sym([[1.0]]), CFG)
 
     def test_unknown_when_exact_engine_unavailable(self):
         # tolerance-band instance (a_02 = 8e-10 <= tol_margin sigma, with
@@ -177,10 +177,10 @@ class TestStructuralInvariants:
         A = sym([[2.0, -1.0, p], [-1.0, 2.0, -1.0], [p, -1.0, 2.0]])
         lam2 = float(eigen_decompose(A).eigenvalues[1])
         assert lam2 - 2.0 - 2 * p < -2e-9
-        v = certify(A, Config(samples=2_000))
+        v = certify(A, Config())
         assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
         assert -2e-9 <= v.certificate.data["pareto_min"] < -1e-9
-        v = certify(A, Config(samples=2_000, max_exact_dim=2))
+        v = certify(A, Config(max_exact_dim=2))
         assert v.status is Status.UNKNOWN
         assert v.certificate is None and v.witness is None
         _, B, _ = centred(A)
@@ -188,10 +188,11 @@ class TestStructuralInvariants:
         assert 0.0 < max(pair[-1] for pair in cap_pairs(B.a, lam2)) <= 1e-8
 
     def test_band_enumeration_reads_config(self, monkeypatch):
-        # the band input above at the default cap: step 5 hands its Config
-        # whole to the enumeration, tol_slack included; at n = 19 the
-        # enumeration limit declines it whatever max_exact_dim allows, and
-        # the chain goes on
+        # the band input above under a Config other than DEFAULT (a lower
+        # cap, still above n = 3): step 5 hands the caller's Config whole to
+        # the enumeration, tol_slack included; at n = 19 the enumeration
+        # limit declines it whatever max_exact_dim allows, and the chain
+        # goes on
         seen = []
 
         def spy(A, config):
@@ -201,12 +202,13 @@ class TestStructuralInvariants:
         monkeypatch.setattr(sys.modules["quadsphere.certify"], "pareto_spectrum", spy)
         p = 8e-10
         A = sym([[2.0, -1.0, p], [-1.0, 2.0, -1.0], [p, -1.0, 2.0]])
-        config = Config(samples=2_000)
+        config = Config(max_exact_dim=15)
+        assert config != DEFAULT
         assert certify(A, config).certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
-        assert seen == [(3, config)]
+        assert seen == [(3, config)] and seen[0][1] is config
         a = 2.0 * np.eye(19) - np.eye(19, k=1) - np.eye(19, k=-1)
         a[0, 2] = a[2, 0] = p
-        v = certify(SymMatrix(a), Config(samples=2_000, max_exact_dim=40))
+        v = certify(SymMatrix(a), Config(max_exact_dim=40))
         assert v.status is not Status.CERTIFIED_QUASICONVEX
         assert seen == [(3, config)]
 
@@ -215,7 +217,7 @@ class TestStructuralInvariants:
         # rule decides the copositivity step at every cap, with the same
         # certificate
         A = make_three_eigenvalue(3, 0.0, 3.0, 4.0)
-        v = certify(A, Config(samples=2_000, max_exact_dim=2))
+        v = certify(A, Config(max_exact_dim=2))
         assert v.status is Status.CERTIFIED_QUASICONVEX
         assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
         assert set(v.certificate.data) == {"eigenvector", "lambda2", "pareto_min"}
@@ -226,7 +228,7 @@ class TestStructuralInvariants:
             [np.sqrt(0.5), 0.0, np.sqrt(0.5)],
             atol=1e-12,
         )
-        full = certify(A, Config(samples=2_000))
+        full = certify(A, Config())
         assert full.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
         assert full.certificate.data["pareto_min"] == v.certificate.data["pareto_min"]
 
@@ -241,14 +243,14 @@ class TestStructuralInvariants:
         exact = pareto_spectrum(SymMatrix(lam2 * np.eye(3) - B.a)).min_value
         assert -1e-9 < exact < 0.0
         for cap in (16, 2):
-            v = certify(A, Config(samples=2_000, max_exact_dim=cap))
+            v = certify(A, Config(max_exact_dim=cap))
             assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
             assert v.certificate.data["pareto_min"] == exact
 
     def test_deterministic(self):
         A = sym([[0.5, -0.2, 0.0], [-0.2, 1.0, -0.7], [0.0, -0.7, 0.3]])
-        v1 = certify(A, FAST)
-        v2 = certify(A, FAST)
+        v1 = certify(A, CFG)
+        v2 = certify(A, CFG)
         assert v1.status is v2.status
         if v1.witness is not None:
             assert v1.witness.margin == v2.witness.margin
@@ -310,9 +312,9 @@ def _band_corpus(seed=2027):
 
 def _step5_inputs(corpus):
     """(B, lambda2 of B, sigma, certify verdict) for the inputs that pass
-    step 2 and reach step 5, with B = A - tau I as certify decides it; a
-    small sampling budget, which only the steps after 5 use."""
-    config = Config(samples=200)
+    step 2 and reach step 5, with B = A - tau I as certify decides it, under
+    the default Config."""
+    config = Config()
     for A in corpus:
         _, B, sigma = centred(A)
         if float((A.a - np.diag(np.diag(A.a))).max()) > config.tol_margin * sigma:
@@ -335,7 +337,7 @@ class TestStep5Oracle:
             assert float((B.a - np.diag(np.diag(B.a))).max()) <= 0.0
             exact = pareto_spectrum(SymMatrix(lam2 * np.eye(B.n) - B.a)).min_value
             rule = v.certificate.rule if v.certificate else None
-            if exact >= -FAST.tol_slack * sigma:
+            if exact >= -CFG.tol_slack * sigma:
                 yes += 1
                 assert rule is Rule.COPOSITIVE_SUFFICIENCY
                 assert v.certificate.data["pareto_min"] == exact
@@ -349,8 +351,8 @@ class TestStep5Oracle:
         for B, lam2, sigma, v in _step5_inputs(_band_corpus()):
             off = B.a - np.diag(np.diag(B.a))
             p = float(off.max())
-            assert 0.0 < p <= FAST.tol_margin * sigma
-            floor = -FAST.tol_slack * sigma
+            assert 0.0 < p <= CFG.tol_margin * sigma
+            floor = -CFG.tol_slack * sigma
             bound = lam2 - float(np.diag(B.a).max()) - (B.n - 1) * p
             shifted = SymMatrix((lam2 * np.eye(B.n) - B.a) / sigma)
             exact = sigma * pareto_spectrum(shifted).min_value
@@ -369,7 +371,7 @@ class TestStep5Oracle:
         assert by_bound > 20 and by_enumeration > 0
 
 
-def cap(A, config=FAST):
+def cap(A, config=CFG):
     """certify step 7 on A alone: the cap witness that verifies, or None."""
     C = centred(A)
     verdict = _cap_witness(C, float(eigen_decompose(C[1]).eigenvalues[1]), config)
@@ -411,7 +413,7 @@ class TestEdgeWitness:
         assert w.kind is WitnessKind.CONE_NONCONVEXITY
         assert w.data["vertex"] == 2
         assert 2.0 < w.data["c"] < 3.0
-        assert verify_witness(A, w, FAST)
+        assert verify_witness(A, w, CFG)
         for p in (w.data["x"], w.data["y"]):
             assert np.linalg.norm(p) == pytest.approx(1.0)
             assert p[2] > 0.0
@@ -425,11 +427,11 @@ class TestEdgeWitness:
             [-0.02, -0.03, 0.4, -0.06],
             [-0.04, -0.01, -0.06, 1.0],
         ])
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         assert v.witness.kind is WitnessKind.CONE_NONCONVEXITY
         assert v.witness.data["vertex"] == 3
-        assert verify_witness(A, v.witness, FAST)
+        assert verify_witness(A, v.witness, CFG)
 
     def test_known_gap_never_yes(self):
         # lambda2 = 0.715 < max a_ii = 1, tied three ways, so only one index
@@ -437,12 +439,12 @@ class TestEdgeWitness:
         # the cap points e_k + t (|w| +- s w) refute it, by a margin of
         # about 4.5e-4
         A = sym([[1, -2, -1, -2], [-2, 1, 0, -2], [-1, 0, 1, -2], [-2, -2, -2, -2]])
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         assert v.witness.data["vertex"] in (0, 1, 2)
         assert 0.7 < v.witness.data["c"] < 1.0
         assert v.witness.margin > 1e-4
-        assert verify_witness(A, v.witness, FAST)
+        assert verify_witness(A, v.witness, CFG)
 
     def test_split_input(self):
         # a reducible Z-matrix with lambda2 = 0 < max a_ii: the split lemma's
@@ -450,10 +452,10 @@ class TestEdgeWitness:
         # point y = e_i + s e_k of a neighbour i of k, leaves the cone by
         # 2 sqrt(b_ik^2 - b_ii b_kk) at the chosen shift
         A = sym([[-1, -1, 0, 0], [-1, -1, 0, 0], [0, 0, -1, -2], [0, 0, -2, -1]])
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         assert v.witness.margin > 0.3
-        assert verify_witness(A, v.witness, FAST)
+        assert verify_witness(A, v.witness, CFG)
 
 
 def witness_bytes(w):
@@ -488,7 +490,7 @@ class TestEdgeWitnessBytes:
             for M in (A, SymMatrix(centred(A)[1].a)):
                 tau, B, sigma = centred(M)
                 lam2 = float(eigen_decompose(B).eigenvalues[1])
-                v = certify(M, FAST)
+                v = certify(M, CFG)
                 if lam2 < float(B.a.diagonal().max()) - 1e-9 * sigma:
                     assert v.status is Status.CERTIFIED_NOT_QUASICONVEX, M
                 if v.witness is None or "vertex" not in v.witness.data:
@@ -496,7 +498,7 @@ class TestEdgeWitnessBytes:
                 for c, k, x, y, margin in cap_pairs(B.a, lam2):
                     data = {"c": c + tau, "x": x, "y": y, "vertex": k}
                     first = Witness(WitnessKind.CONE_NONCONVEXITY, data, margin)
-                    if verify_witness(M, first, FAST):
+                    if verify_witness(M, first, CFG):
                         break
                 assert witness_bytes(v.witness) == witness_bytes(first), M
                 witnesses += 1
@@ -527,7 +529,7 @@ class TestEdgeWitnessBytes:
             i, j = rng.choice(n, 2, replace=False)
             a[i, j] = a[j, i] = 0.0
             sigma = centred(SymMatrix(a))[2]
-            a[i, j] = a[j, i] = rng.uniform(0.1, 1.0) * FAST.tol_margin * sigma
+            a[i, j] = a[j, i] = rng.uniform(0.1, 1.0) * CFG.tol_margin * sigma
             mats.append(SymMatrix(a))
         assert self.compare(mats) > 100
 
@@ -545,7 +547,7 @@ class TestEdgeWitnessBytes:
             if np.sort(d)[1] < d.max():
                 w = cap(A)
                 assert w.data["vertex"] == int(d.argmax())
-                assert verify_witness(A, w, FAST)
+                assert verify_witness(A, w, CFG)
                 refuted += 1
         assert refuted > 100
 
@@ -559,7 +561,7 @@ class TestEdgeWitnessBytes:
             raw = rng.standard_normal((n, n))
             A = SymMatrix((raw + raw.T) / 2.0)
             w = cap(A)
-            assert w is None or verify_witness(A, w, FAST)
+            assert w is None or verify_witness(A, w, CFG)
 
     @pytest.mark.parametrize("roll", [1, 3, None])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -574,7 +576,7 @@ class TestEdgeWitnessBytes:
         a = np.block([[m, off + off.T], [off + off.T, m]])
         p = np.roll(np.arange(24)[::-1] if reverse else np.arange(24), roll or 0)
         A = SymMatrix(a[np.ix_(p, p)])
-        w = certify(A, FAST).witness
+        w = certify(A, CFG).witness
         k = w.data["vertex"]
         twin = int(np.flatnonzero(p == (p[k] + 12) % 24)[0])
         assert A.a[k, k] == A.a[twin, twin] == A.a.diagonal().max()
@@ -590,7 +592,7 @@ class TestEdgeWitnessBytes:
             [-0.2, -0.3, -0.05, 1.0],
         ])
         assert cap(A).data["vertex"] == 2
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.witness.data["vertex"] == 2
 
     def test_memory_bounded(self):
@@ -601,26 +603,106 @@ class TestEdgeWitnessBytes:
         lam2 = float(eigen_decompose(C[1]).eigenvalues[1])
         tracemalloc.start()
         try:
-            assert _cap_witness(C, lam2, FAST) is not None
+            assert _cap_witness(C, lam2, CFG) is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
 
+def pair_bytes(found):
+    """A _best_pair result as bytes, for byte-for-byte equality."""
+    if found is None:
+        return None
+    c, k, x, y, margin = found
+    return c.hex(), k, x.tobytes(), y.tobytes(), margin.hex()
+
+
+def with_negative_zeros(A):
+    """A with every off-diagonal zero stored as -0.0."""
+    a = A.a.copy()
+    a[(a == 0.0) & ~np.eye(A.n, dtype=bool)] = -0.0
+    return SymMatrix(a)
+
+
+class TestBestPairBytes:
+    """edge._best_pair against its first array form,
+    oracles.reference_best_pair, byte for byte, with every off-diagonal
+    zero of the input stored as +0.0 and as -0.0."""
+
+    @staticmethod
+    def compare(mats):
+        """Both forms on each candidate at the midpoint and at the first
+        shift of _EDGE_STEPS; returns the number of pairs built."""
+        built = 0
+        for A in mats:
+            negative = with_negative_zeros(A)
+            for M in {A.a.tobytes(): A, negative.a.tobytes(): negative}.values():
+                _, B, _ = centred(M)
+                b, d = B.a, B.a.diagonal()
+                lam2 = float(eigen_decompose(B).eigenvalues[1])
+                top = float(d.max())
+                if not top > lam2:
+                    continue
+                mid = (lam2 + top) / 2.0
+                first = int(np.argsort(-d, kind="stable")[0])
+                shifts = lam2 + (top - lam2) * _EDGE_STEPS[:1]
+                cands = [(mid, k) for k in np.flatnonzero(d > mid).tolist()]
+                cands += [(float(c), first) for c in shifts]
+                for c, k in cands:
+                    found = _best_pair(b, c, k)
+                    assert pair_bytes(found) == pair_bytes(reference_best_pair(b, c, k)), (M, c, k)
+                    built += found is not None
+        return built
+
+    def test_zmatrix_corpus(self):
+        assert self.compare(zmatrix_corpus()) > 2500
+
+    def test_census(self):
+        assert self.compare(census()) > 9500
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    def test_tied(self, seed):
+        assert self.compare(tied(seed)) > 3000
+
+    def test_band_inputs(self):
+        assert self.compare(_band_corpus()) > 400
+
+    def test_cap_pairs_walks_the_grid(self):
+        # the lazy grid: the midpoint vertices in descending b_kk (stable),
+        # then every shift of _EDGE_STEPS at the first largest vertex, as
+        # the grid list of the first array form gave them
+        rng = np.random.default_rng(47)
+        mats = tied(5, 30) + [SymMatrix(spread_z(rng, n)) for n in (4, 6, 9)]
+        walked = 0
+        for A in mats:
+            _, B, _ = centred(with_negative_zeros(A))
+            b, d = B.a, B.a.diagonal()
+            lam2 = float(eigen_decompose(B).eigenvalues[1])
+            top = float(d.max())
+            order = np.argsort(-d, kind="stable")
+            grid = [((lam2 + top) / 2.0, int(k)) for k in order[d[order] > (lam2 + top) / 2.0]]
+            grid += [(float(c), int(order[0])) for c in lam2 + (top - lam2) * _EDGE_STEPS]
+            ref = [reference_best_pair(b, c, k) for c, k in grid] if top > lam2 else []
+            ref = [pair_bytes(f) for f in ref if f is not None]
+            assert [pair_bytes(f) for f in cap_pairs(b, lam2)] == ref, A
+            walked += len(ref)
+        assert walked > 1000
+
+
 class TestDiagonalStep:
     """Step 3 takes off-diagonal entries up to 1e-12 ||A||_F as zero."""
 
     def test_diagonal(self):
-        v = certify(SymMatrix(np.diag([1.0, 2.0, 2.0])), FAST)
+        v = certify(SymMatrix(np.diag([1.0, 2.0, 2.0])), CFG)
         assert v.certificate.rule is Rule.DIAGONAL_CHARACTERIZATION
 
     def test_off_diagonal(self):
-        v = certify(sym([[1.0, -0.5], [-0.5, 1.0]]), FAST)
+        v = certify(sym([[1.0, -0.5], [-0.5, 1.0]]), CFG)
         assert v.certificate.rule is Rule.TWO_EIGENVALUE_CHARACTERIZATION
 
     def test_below_tolerance(self):
-        v = certify(sym([[1.0, 1e-15], [1e-15, 2.0]]), FAST)
+        v = certify(sym([[1.0, 1e-15], [1e-15, 2.0]]), CFG)
         assert v.certificate.rule is Rule.DIAGONAL_CHARACTERIZATION
 
 
@@ -648,7 +730,8 @@ def verdict_bytes(v):
 def exact_diagonals(rng, count):
     """Seeded exactly diagonal matrices at n 2-40: constants, integer ties,
     spread values, two values with a simple smallest one, and gaps at the
-    clustering tolerance, permuted and scaled by 2^-30 ... 2^30."""
+    clustering tolerance, permuted and scaled by 2^-30 ... 2^30; every
+    second one stores its off-diagonal zeros as -0.0."""
     for r in range(count):
         n = int(rng.integers(2, 41))
         kind = r % 5
@@ -666,7 +749,8 @@ def exact_diagonals(rng, count):
             sigma = float(np.linalg.norm(d - d.mean())) or 1.0
             steps = [0.0, 0.5, 1.0 - 2.0**-20, 1.0, 1.0 + 2.0**-20, 2.0]
             d += rng.choice(steps, n) * _CLUSTER_RTOL * sigma
-        yield SymMatrix(np.diag(rng.permutation(d) * 2.0 ** int(rng.integers(-30, 31))))
+        A = SymMatrix(np.diag(rng.permutation(d) * 2.0 ** int(rng.integers(-30, 31))))
+        yield with_negative_zeros(A) if r % 2 else A
 
 
 class TestDiagonalRoute:
@@ -711,6 +795,29 @@ class TestDiagonalRoute:
             decided[key] = decided.get(key, 0) + 1
         assert min(decided.values()) >= 100 and len(decided) == 4, decided
 
+    def test_diag_witness_matches_reference(self):
+        # step 3's witness in the standard basis and step 6's in an
+        # orthonormal one, against the one-value-at-a-time form
+        rng = np.random.default_rng(3233)
+        built = 0
+        for A in exact_diagonals(rng, 1500):
+            _, B, sigma = centred(A)
+            d, tol = B.a.diagonal(), _CLUSTER_RTOL * sigma
+            q = np.linalg.qr(np.random.default_rng(B.n).standard_normal((B.n, B.n)))[0]
+            for basis in (np.eye(B.n), q):
+                # the reference builds a NaN witness where a tie member lies
+                # above c, where _diag_witness returns None
+                with np.errstate(invalid="ignore"):
+                    ref = reference_diag_witness(d, basis, tol)
+                w = _diag_witness(d, basis, tol)
+                if w is None:
+                    assert ref is None or np.isnan(ref.margin), A
+                    continue
+                no = Status.CERTIFIED_NOT_QUASICONVEX
+                assert verdict_bytes(Verdict(no, witness=w)) == verdict_bytes(Verdict(no, witness=ref)), A
+                built += 1
+        assert built > 1000
+
     def test_witness_at_the_tolerance_edge_falls_through(self, monkeypatch):
         # clusters {0, 0.9 tol} and {1.95 tol} below 1: step 3's witness has
         # margin 2 sqrt(0.975 * 0.075) tol = 0.54 tol < tol_margin sigma and
@@ -720,7 +827,7 @@ class TestDiagonalRoute:
         A = SymMatrix(np.diag([0.0, 0.9 * tol, 1.95 * tol, 1.0]))
         B = centred(A)[1]
         step3 = _diag_witness(np.diag(B.a), np.eye(4), tol)
-        assert step3.margin < FAST.tol_margin * sigma
+        assert step3.margin < CFG.tol_margin * sigma
         assert reference_diagonal_route(A) is None
         calls = []
         monkeypatch.setattr(
@@ -845,7 +952,7 @@ class TestNonnegativeEigenbasisWitness:
         (li, vi), (lj, vj), (lk, vk) = [(l, u[p]) for l, u in perron]
         assert li < lj < lk
 
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         w = v.witness
         assert w.kind is WitnessKind.CONE_NONCONVEXITY
@@ -857,7 +964,7 @@ class TestNonnegativeEigenbasisWitness:
         np.testing.assert_allclose(w.data["x"], vi + ti * vk, atol=1e-10)
         np.testing.assert_allclose(w.data["y"], vj + tj * vk, atol=1e-10)
         assert w.margin == pytest.approx(2.0 * np.sqrt((c - li) * (c - lj)))
-        assert verify_witness(A, w, FAST)
+        assert verify_witness(A, w, CFG)
 
 
 class TestVerifyWitness:
@@ -911,7 +1018,7 @@ class TestVerifyWitness:
         # overshoot per unit squared norm, puts both points inside and the
         # sum too
         A = SymMatrix(np.diag([-1.0, 1.0, 1.0]))
-        assert certify(A, FAST).status is Status.CERTIFIED_QUASICONVEX
+        assert certify(A, CFG).status is Status.CERTIFIED_QUASICONVEX
         w = Witness(
             kind=WitnessKind.CONE_NONCONVEXITY,
             data={
@@ -994,17 +1101,17 @@ class TestInvariances:
         # q_{A + cI} = q_A + c on the sphere; certify decides A - (tr A / n) I,
         # so a shift far beyond the spread of A moves no verdict either
         for A in self._instances():
-            base = certify(A, FAST).status
+            base = certify(A, CFG).status
             far = 1e8 * A.norm_fro()
             for c in (-1.0, 2.0, far, -far):
                 shifted = SymMatrix(A.a + c * np.eye(A.n))
-                assert certify(shifted, FAST).status is base
+                assert certify(shifted, CFG).status is base
 
     def test_scale_invariance(self):
         for A in self._instances():
-            base = certify(A, FAST).status
+            base = certify(A, CFG).status
             for s in (0.1, 10.0):
-                assert certify(SymMatrix(s * A.a), FAST).status is base
+                assert certify(SymMatrix(s * A.a), CFG).status is base
 
     def test_small_scale(self):
         # q_{tA} = t q_A, and every tolerance of certify is relative to the
@@ -1022,27 +1129,27 @@ class TestInvariances:
             n = int(rng.integers(3, 7))
             raw = rng.standard_normal((n, n))
             A = SymMatrix((raw + raw.T) / 2.0 if refuted % 2 else -np.abs(raw + raw.T))
-            if certify(A, FAST).status is Status.CERTIFIED_NOT_QUASICONVEX:
+            if certify(A, CFG).status is Status.CERTIFIED_NOT_QUASICONVEX:
                 mats.append(A)
                 refuted += 1
         for A in mats:
-            base = certify(A, FAST).status
+            base = certify(A, CFG).status
             for s in (1e-9, 1e-12):
-                assert certify(SymMatrix(s * A.a), FAST).status is base
+                assert certify(SymMatrix(s * A.a), CFG).status is base
 
     def test_tiny_diagonal_not_yes(self):
         # diag(1, 2, 3) is refuted at scale 1; at 1e-9 its eigenvalue gaps
         # and its witness margin are below the absolute tol_margin, but not
         # below tol_margin sigma
         A = SymMatrix(1e-9 * np.diag([1.0, 2.0, 3.0]))
-        v = certify(A, FAST)
+        v = certify(A, CFG)
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
-        assert verify_witness(A, v.witness, FAST)
+        assert verify_witness(A, v.witness, CFG)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         for A in self._instances():
-            base = certify(A, FAST).status
+            base = certify(A, CFG).status
             p = rng.permutation(A.n)
             B = SymMatrix(A.a[np.ix_(p, p)])
-            assert certify(B, FAST).status is base
+            assert certify(B, CFG).status is base

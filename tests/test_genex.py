@@ -12,7 +12,7 @@ from quadsphere.genex import (
 )
 from quadsphere.linalg import SymMatrix, eigen_decompose
 
-FAST = Config(samples=5_000)
+CFG = Config()
 
 
 def spectrum(A: SymMatrix) -> np.ndarray:
@@ -35,7 +35,7 @@ class TestThreeEigenvalue:
 
     def test_certifies(self):
         for args in ((3, 0.0, 3.0, 4.0), (4, -2.0, 1.0, 2.0), (5, 0.0, 2.5, 3.0)):
-            v = certify(make_three_eigenvalue(*args), FAST)
+            v = certify(make_three_eigenvalue(*args), CFG)
             assert v.status is Status.CERTIFIED_QUASICONVEX
 
     def test_rejects_bad_ordering(self):
@@ -63,7 +63,7 @@ class TestThreeEigenvalue:
 
     def test_accepts_exact_midpoint(self):
         A = make_three_eigenvalue(3, -1e12, 0.0, 1e12)
-        assert certify(A, FAST).status is Status.CERTIFIED_QUASICONVEX
+        assert certify(A, CFG).status is Status.CERTIFIED_QUASICONVEX
 
 
 @pytest.mark.parametrize("make", [
@@ -90,7 +90,7 @@ class TestPositiveBasis:
 
     def test_certifies(self):
         for n, eigs in ((3, [0.0, 3.0, 3.5]), (4, [-1.0, 2.0, 2.0, 2.3]), (5, [0.0, 3.0, 3.0, 3.0, 3.15])):
-            v = certify(make_positive_basis(n, eigs), FAST)
+            v = certify(make_positive_basis(n, eigs), CFG)
             assert v.status is Status.CERTIFIED_QUASICONVEX
 
     def test_rejects_spread_violation(self):
@@ -117,7 +117,7 @@ class TestHouseholder:
 
     def test_certifies(self):
         for v in ([1.0, 1.0, 1.0], [0.1, 2.0, 0.0, 1.0], [5.0, 1.0]):
-            verdict = certify(make_householder(v), FAST)
+            verdict = certify(make_householder(v), CFG)
             assert verdict.status is Status.CERTIFIED_QUASICONVEX
 
     def test_rejects_negative(self):
@@ -142,7 +142,7 @@ class TestDiagTwoEig:
 
     def test_certifies(self):
         for n, lam, mu in ((3, -1.0, 1.0), (5, 0.0, 2.0), (4, -3.0, -1.0)):
-            v = certify(make_diag_two_eig(n, lam, mu), FAST)
+            v = certify(make_diag_two_eig(n, lam, mu), CFG)
             assert v.status is Status.CERTIFIED_QUASICONVEX
 
     def test_rejects_equal(self):
@@ -165,7 +165,7 @@ class TestNegativePositive:
 
     def test_certifies(self):
         for seed in range(8):
-            v = certify(make_negative_positive(4, seed), FAST)
+            v = certify(make_negative_positive(4, seed), CFG)
             assert v.status is Status.CERTIFIED_QUASICONVEX
 
     def test_deterministic(self):
@@ -187,7 +187,7 @@ class TestNegativePositive:
                 w = spectrum(A)
                 assert w[1] - w[0] > 1e-8, (n, seed)
                 assert w[1] > 0.0, (n, seed)
-                v = certify(A, FAST)
+                v = certify(A, CFG)
                 assert v.status is Status.CERTIFIED_QUASICONVEX, (n, seed)
                 if n > 2:
                     # two eigenvalues at n = 2 are step 4's; from n = 3 the

@@ -140,26 +140,48 @@ def _mixed_inputs(rng, count):
     return out
 
 
+def _edge_inputs(rng, count):
+    """Seeded symmetric matrices at the edges of the array forms: n = 2,
+    exact ties (integer entries, repeated diagonals, off-diagonal zeros
+    stored as -0.0) and scales 2^-30, 1 and 2^30."""
+    out = []
+    for m in range(count):
+        n = 2 if m % 3 == 0 else int(rng.integers(3, 10))
+        a = np.triu(rng.integers(-2, 3, (n, n)).astype(float), 1)
+        a = a + a.T
+        if m % 2:
+            a[a == 0.0] = -0.0
+        np.fill_diagonal(a, rng.choice([-1.0, 0.0, 1.0], n))
+        out.append(SymMatrix(a * 2.0 ** int(rng.choice([-30, 0, 30]))))
+    return out
+
+
 class TestArrayFormsMatchLoops:
-    """The array forms of the sign step and the clustering give the loop
-    forms' output bit for bit."""
+    """The array forms of the sign step, the clustering and the norms give
+    the loop forms' (and np.linalg.norm's) output bit for bit."""
 
     def test_bitwise(self):
         rng = np.random.default_rng(2025)
-        multi = 0
-        for A in _mixed_inputs(rng, 1200):
+        multi = negzero = flipped = 0
+        for A in _mixed_inputs(rng, 1200) + _edge_inputs(rng, 600):
             w, v = np.linalg.eigh(A.a)
             order = np.argsort(w, kind="stable")
             expected = reference_sign_normalize(v[:, order])
             E = eigen_decompose(A)
             assert E.vectors.tobytes() == expected.tobytes()
-            tol = 1e-8 * centred(A)[2]
+            tau, B, sigma = centred(A)
+            assert tau.hex() == (float(A.a.trace()) / A.n).hex()
+            assert sigma.hex() == float(np.linalg.norm(B.a)).hex()
+            assert A.norm_fro().hex() == float(np.linalg.norm(A.a)).hex()
+            tol = 1e-8 * sigma
             clusters = cluster_eigenvalues(E.eigenvalues, tol)
             ref = reference_clusters(E.eigenvalues, tol)
             assert repr(clusters) == repr(ref)
             assert [type(m) for _, m in clusters] == [int] * len(ref)
             multi += any(m > 1 for _, m in ref)
-        assert multi >= 600
+            negzero += bool(np.signbit(A.a[A.a == 0.0]).any())
+            flipped += not np.array_equal(expected, v[:, order])
+        assert multi >= 800 and negzero >= 150 and flipped >= 1200
 
 
 class TestContract:

@@ -16,7 +16,7 @@ from quadsphere.certify import (
     verify_witness,
 )
 from quadsphere.cli import _jsonable
-from quadsphere.cones import _perron_pair, pareto_spectrum
+from quadsphere.cones import _perron_pair, enumeration_cap, pareto_spectrum
 from quadsphere.config import Config
 from quadsphere.genex import make_householder
 from quadsphere.linalg import SymMatrix, eigen_decompose
@@ -271,6 +271,14 @@ class TestMinimize:
                 assert float(c.min()) >= 0.0
                 assert abs(float(np.linalg.norm(c)) - 1.0) <= 1e-12
                 assert A.quad(c) - lam1 <= config.tol_slack * A.norm_fro()
+            if x is not None and A.n > enumeration_cap(config):
+                # the solved vector in its first array form, bit for bit
+                w, eps = np.linalg.eigvalsh(A.a), np.finfo(float).eps
+                d = max(4.0 * A.n * eps * max(-w[0], w[-1]), np.finfo(float).tiny)
+                u = np.linalg.solve(A.a - (w[0] - d) * np.eye(A.n), np.full(A.n, d))
+                u = u / np.linalg.norm(u)
+                u = np.maximum(-u if u[np.argmax(np.abs(u))] < 0.0 else u, 0.0)
+                assert c.tobytes() == (u / np.linalg.norm(u)).tobytes()
         # the eigh column of a tied lambda1 can mix the blocks' signs
         assert gained > 0
 

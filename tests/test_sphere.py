@@ -36,6 +36,16 @@ class TestSpherePoint:
         with pytest.raises(ValueError):
             SpherePoint([0.0, 0.0])
 
+    def test_normalizes_as_linalg_norm(self):
+        # x / np.linalg.norm(x) bit for bit, at n = 1-64, with -0.0 entries
+        # and at scales 2^-30, 1 and 2^30
+        rng = np.random.default_rng(61)
+        for m in range(600):
+            x = rng.standard_normal(int(rng.integers(1, 65)))
+            x = np.where(rng.random(x.size) < 0.3, -0.0, x) * 2.0 ** int(rng.choice([-30, 0, 30]))
+            if np.any(x):
+                assert SpherePoint(x).coords.tobytes() == (x / np.linalg.norm(x)).tobytes()
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             SpherePoint([np.nan, 1.0])
