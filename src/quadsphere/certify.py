@@ -68,7 +68,6 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .cones import enumeration_cap, pareto_spectrum
-from .edge import cap_pairs
 from .linalg import (
     SymMatrix,
     as_sym_matrix,
@@ -398,7 +397,10 @@ def _orthant_representative(v: np.ndarray, tol: float) -> np.ndarray | None:
 def _cap_witness(C, lam2: float, config: Config) -> Verdict | None:
     """Step 7: the first pair of quadsphere.edge.cap_pairs, built on B of
     C = (tau, B, sigma) with second eigenvalue ``lam2``, that verifies, as a
-    No through _refuted; None when none does or lam2 >= max b_ii."""
+    No through _refuted; None when none does or lam2 >= max b_ii.  edge is
+    imported here: no input decided by steps 1-6 compiles it."""
+    from .edge import cap_pairs
+
     for c, k, x, y, margin in cap_pairs(C[1].a, lam2):
         data = {"c": c, "x": x, "y": y, "vertex": k}
         witness = Witness(WitnessKind.CONE_NONCONVEXITY, data, margin)

@@ -5,6 +5,12 @@ Reports are deterministic for identical inputs and flags; verdicts are
 payload, not failures, so the exit code contract is simply
 0 = completed, 2 = input/parameter error (an array too large for memory
 included), 3 = internal numerical failure.
+
+Every run starts a fresh interpreter, so a command loads only what it runs:
+``generate`` imports quadsphere.genex and ``minimize`` and ``probe`` import
+quadsphere.probe when they run, and the parser builds the arguments of the
+one matrix command being run.  ``analyze`` loads the decision chain and
+quadsphere.matrixdoc, and quadsphere.edge only when step 7 is reached.
 """
 
 from __future__ import annotations
@@ -21,16 +27,8 @@ from . import __version__
 from .certify import certify
 from .config import DEFAULT, Config
 from .cones import is_copositive, pareto_spectrum
-from .genex import (
-    make_diag_two_eig,
-    make_householder,
-    make_negative_positive,
-    make_positive_basis,
-    make_three_eigenvalue,
-)
 from .linalg import ConvergenceError
 from .matrixdoc import dumps, load_path
-from .probe import falsify, minimize_orthant
 from .sphere import SpherePoint
 
 EXIT_OK = 0
@@ -93,6 +91,18 @@ def _emit(text: str, out) -> None:
 # the Config fields the matrix commands take as flags (--tol-margin, ...)
 _FLAGS = ("tol_margin", "tol_sign", "max_exact_dim", "samples", "seed")
 
+def _minimize(A, cfg):
+    from .probe import minimize_orthant
+
+    return minimize_orthant(A, cfg)
+
+
+def _falsify(A, cfg):
+    from .probe import falsify
+
+    return falsify(A, cfg.samples, cfg.seed, tol_margin=cfg.tol_margin)
+
+
 # command -> (report key, payload(matrix, config), help); the lambdas look
 # their function up at call time, so patching it on this module takes effect
 COMMANDS = {
@@ -102,11 +112,8 @@ COMMANDS = {
                "list all Pareto eigenpairs"),
     "copositive": ("copositive", lambda A, cfg: is_copositive(A, cfg),
                    "exact copositivity verdict"),
-    "minimize": ("minimum", lambda A, cfg: minimize_orthant(A, cfg),
-                 "minimum of the form on the orthant patch"),
-    "probe": ("probe",
-              lambda A, cfg: falsify(A, cfg.samples, cfg.seed, tol_margin=cfg.tol_margin),
-              "sampling falsifier"),
+    "minimize": ("minimum", _minimize, "minimum of the form on the orthant patch"),
+    "probe": ("probe", _falsify, "sampling falsifier"),
 }
 
 
@@ -141,27 +148,29 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def cmd_generate(args) -> int:
+    from . import genex
+
     family = args.family
     n = 3 if args.n is None else args.n
     if family == "three-eig":
         eigs = _parse_floats(args.eigs or "")
         if len(eigs) != 3:
             raise ValueError("three-eig needs --eigs lam,mu,nu")
-        A = make_three_eigenvalue(n, *eigs)
+        A = genex.make_three_eigenvalue(n, *eigs)
     elif family == "positive-basis":
         eigs = _parse_floats(args.eigs or "")
-        A = make_positive_basis(len(eigs) if args.n is None else n, eigs)
+        A = genex.make_positive_basis(len(eigs) if args.n is None else n, eigs)
     elif family == "householder":
         if not args.v:
             raise ValueError("householder needs --v components")
-        A = make_householder(_parse_floats(args.v))
+        A = genex.make_householder(_parse_floats(args.v))
     elif family == "diag-two-eig":
         eigs = _parse_floats(args.eigs or "")
         if len(eigs) != 2:
             raise ValueError("diag-two-eig needs --eigs lam,mu")
-        A = make_diag_two_eig(n, *eigs)
+        A = genex.make_diag_two_eig(n, *eigs)
     elif family == "negative-positive":
-        A = make_negative_positive(n, args.seed)
+        A = genex.make_negative_positive(n, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {family!r}")
     _emit(dumps(A, name=args.name), args.out)
@@ -187,7 +196,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the report to this file")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command is listed, but only the matrix
+    command that ``argv`` runs gets its arguments, since building the other
+    four sets is start-up time that no run uses.  That command is argv[0]:
+    the top-level options (--help, --version) exit before any command."""
+    command = argv[0] if argv else None
     parser = argparse.ArgumentParser(
         prog="quadsphere",
         description=(
@@ -200,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (_, _, doc) in COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        p.add_argument("matrix", help="path to a matrix document (JSON)")
-        _add_common(p)
-        p.set_defaults(func=cmd_matrix)
+        if name == command:
+            p.add_argument("matrix", help="path to a matrix document (JSON)")
+            _add_common(p)
+            p.set_defaults(func=cmd_matrix)
 
     g = sub.add_parser("generate", help="construct a certified example family")
     g.add_argument(
@@ -227,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

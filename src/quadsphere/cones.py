@@ -123,7 +123,12 @@ def _perron_pair(A: SymMatrix, config: Config):
         try:
             w = np.linalg.eigvalsh(A.a)
             d = max(4.0 * A.n * _EPS * max(-w[0], w[-1]), _TINY)
-            v = np.linalg.solve(A.a - (w[0] - d) * np.eye(A.n), np.full(A.n, d))
+            # A - s I without the identity: s * 0.0 off the diagonal and
+            # s = s * 1.0 on it, the bytes of A.a - s * np.eye(n)
+            s = w[0] - d
+            m = A.a - s * 0.0
+            m.reshape(-1)[:: A.n + 1] -= s
+            v = np.linalg.solve(m, np.full(A.n, d))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
         lam1, v = float(w[0]), v / np.sqrt(v.dot(v))  # np.linalg.norm(v)

@@ -8,7 +8,6 @@ installation; reproducible certificates and reports rely on that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,18 +103,23 @@ def centred(A: SymMatrix) -> tuple[float, SymMatrix, float]:
     return tau, B, math.sqrt(float(flat.dot(flat)))  # np.linalg.norm's arithmetic
 
 
-@dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues with an orthonormal, sign-normalized basis.
 
     ``vectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]``; in each
     column the entry m of largest magnitude is nonnegative.  So a column v
     fits the orthant up to tol >= 0 whenever -v does: max v <= tol gives
-    v >= -m >= -tol.
+    v >= -m >= -tol.  Immutable.
     """
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
+    __slots__ = ("eigenvalues", "vectors")
+
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "vectors", vectors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EigenSystem is immutable")
 
 
 def eigen_decompose(A: SymMatrix) -> EigenSystem:

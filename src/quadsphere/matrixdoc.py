@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +15,17 @@ from .linalg import SymMatrix
 __all__ = ["MatrixDocument", "loads", "load_path", "dumps"]
 
 
-@dataclass(frozen=True)
 class MatrixDocument:
-    matrix: SymMatrix
-    name: str | None = None
+    """A matrix with an optional instance name; immutable."""
+
+    __slots__ = ("matrix", "name")
+
+    def __init__(self, matrix: SymMatrix, name: str | None = None):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MatrixDocument is immutable")
 
     def digest(self) -> str:
         """Stable hash of the document content."""

@@ -48,6 +48,16 @@ class TestMatrixDocument:
         B = SymMatrix(2.0 * np.eye(2))
         assert MatrixDocument(A).digest() != MatrixDocument(B).digest()
 
+    def test_immutable_and_keyword_built(self):
+        A = SymMatrix(np.eye(2))
+        doc = MatrixDocument(name="x", matrix=A)
+        assert (doc.matrix, doc.name) == (A, "x")
+        assert MatrixDocument(A).name is None
+        for name in ("matrix", "name", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(doc, name, None)
+        assert not hasattr(doc, "__dict__")
+
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             loads("not json")
@@ -62,9 +72,7 @@ class TestMatrixDocument:
 class TestAnalyze:
     def test_yes_structured(self, tmp_path, capsys):
         path = write_doc(tmp_path, np.diag([-1.0, 1.0, 1.0]), name="gold")
-        code, out, _ = run(
-            capsys, "analyze", path, "--format", "structured", "--samples", "2000"
-        )
+        code, out, _ = run(capsys, "analyze", path, "--format", "structured")
         assert code == 0
         report = json.loads(out)
         assert report["command"] == "analyze"
@@ -74,9 +82,7 @@ class TestAnalyze:
 
     def test_no_with_witness(self, tmp_path, capsys):
         path = write_doc(tmp_path, [[0.0, 1.0], [1.0, 0.0]])
-        code, out, _ = run(
-            capsys, "analyze", path, "--format", "structured", "--samples", "2000"
-        )
+        code, out, _ = run(capsys, "analyze", path, "--format", "structured")
         assert code == 0  # a No verdict is payload, not a failure
         report = json.loads(out)
         assert report["verdict"]["status"] == "CertifiedNotQuasiconvex"
@@ -85,13 +91,13 @@ class TestAnalyze:
 
     def test_text_format(self, tmp_path, capsys):
         path = write_doc(tmp_path, np.diag([-1.0, 1.0, 1.0]))
-        code, out, _ = run(capsys, "analyze", path, "--samples", "2000")
+        code, out, _ = run(capsys, "analyze", path)
         assert code == 0
         assert "CertifiedQuasiconvex" in out
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_doc(tmp_path, [[0.5, -0.25], [-0.25, 1.0]])
-        args = ("analyze", path, "--format", "structured", "--samples", "2000")
+        args = ("analyze", path, "--format", "structured")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
@@ -100,8 +106,7 @@ class TestAnalyze:
         path = write_doc(tmp_path, np.diag([-1.0, 1.0, 1.0]))
         dest = tmp_path / "report.json"
         code, out, _ = run(
-            capsys, "analyze", path, "--format", "structured",
-            "--samples", "2000", "--out", str(dest),
+            capsys, "analyze", path, "--format", "structured", "--out", str(dest)
         )
         assert code == 0
         assert out == ""
@@ -268,10 +273,7 @@ class TestGenerate:
             "--eigs", "0,3,4", "--out", str(dest),
         )
         assert code == 0
-        code, out, _ = run(
-            capsys, "analyze", str(dest), "--format", "structured",
-            "--samples", "2000",
-        )
+        code, out, _ = run(capsys, "analyze", str(dest), "--format", "structured")
         assert code == 0
         assert json.loads(out)["verdict"]["status"] == "CertifiedQuasiconvex"
 
@@ -608,14 +610,16 @@ class TestExitCodeFuzz:
     def test_analyze_exit_code(self, tmp_path, text):
         path = tmp_path / "fuzz.json"
         path.write_text(text)
-        assert main(["analyze", str(path), "--samples", "1000"]) in (0, 2, 3)
+        assert main(["analyze", str(path)]) in (0, 2, 3)
 
 
 class TestFreshProcess:
-    """Report bytes must not depend on the process or the BLAS thread count."""
+    """Report bytes must not depend on the process or the BLAS thread count,
+    and a command's process loads only the modules the command runs."""
 
     @staticmethod
-    def report_bytes(command, path, blas_threads):
+    def child(args, blas_threads=None):
+        """Stdout of ``python args`` run on this checkout's sources."""
         env = dict(os.environ)
         src = str(Path(quadsphere.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
@@ -625,12 +629,53 @@ class TestFreshProcess:
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
         proc = subprocess.run(
-            [sys.executable, "-m", "quadsphere.cli", command, path,
-             "--format", "structured", "--samples", "2000"],
-            env=env, capture_output=True, timeout=120,
+            [sys.executable, *args], env=env, capture_output=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
+
+    @classmethod
+    def report_bytes(cls, command, path, blas_threads):
+        return cls.child(
+            ["-m", "quadsphere.cli", command, path, "--format", "structured"],
+            blas_threads,
+        )
+
+    # runs the CLI on its arguments, then prints every quadsphere module loaded
+    LOADED = (
+        "import sys\n"
+        "from quadsphere.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'quadsphere'))\n"
+        "raise SystemExit(code)\n"
+    )
+    # what an analyze process decided before step 7 loads
+    CHAIN = {
+        "quadsphere", "quadsphere.certify", "quadsphere.cli", "quadsphere.cones",
+        "quadsphere.config", "quadsphere.linalg", "quadsphere.matrixdoc",
+        "quadsphere.sphere",
+    }
+
+    def loaded(self, *argv):
+        return set(self.child(["-c", self.LOADED, *argv]).decode().split())
+
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        path = tmp_path / "m.json"
+        out = str(tmp_path / "out")
+        path.write_text(dumps(make_negative_positive(6, 0)))  # a step-5 Yes
+        analyze = ("analyze", str(path), "--format", "structured", "--out", out)
+        assert self.loaded(*analyze) == self.CHAIN
+        status = json.loads(Path(out).read_text())["verdict"]["status"]
+        assert status == "CertifiedQuasiconvex"
+        minimize = self.loaded("minimize", str(path), "--out", out)
+        assert minimize == self.CHAIN | {"quadsphere.probe"}
+        generate = self.loaded("generate", "householder", "--v", "1,1", "--out", out)
+        assert "quadsphere.genex" in generate and "quadsphere.probe" not in generate
+        # a step-7 No: only the cap witness loads edge
+        path.write_text(dumps(SymMatrix([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0],
+                                         [0.0, -1.0, 3.0]])))
+        assert self.loaded(*analyze) == self.CHAIN | {"quadsphere.edge"}
+        assert "vertex" in json.loads(Path(out).read_text())["verdict"]["witness"]["data"]
 
     @pytest.mark.parametrize("status", ["CertifiedQuasiconvex", "CertifiedNotQuasiconvex"])
     def test_analyze_bytes_identical(self, tmp_path, status):

@@ -3,6 +3,7 @@ import pytest
 
 from quadsphere.certify import _orthant_representative
 from quadsphere.linalg import (
+    EigenSystem,
     SymMatrix,
     centred,
     cluster_eigenvalues,
@@ -74,6 +75,17 @@ class TestEigenDecompose:
             for j in range(5):
                 k = int(np.argmax(np.abs(E.vectors[:, j])))
                 assert E.vectors[k, j] >= 0
+
+    def test_result_is_immutable(self):
+        E = eigen_decompose(SymMatrix(np.diag([2.0, 1.0])))
+        for name in ("eigenvalues", "vectors", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(E, name, np.zeros(2))
+        assert not E.eigenvalues.flags.writeable and not E.vectors.flags.writeable
+        w, v = np.array([1.0, 2.0]), np.eye(2)
+        E = EigenSystem(vectors=v, eigenvalues=w)
+        assert E.eigenvalues is w and E.vectors is v
+        assert not hasattr(E, "__dict__")
 
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(11)

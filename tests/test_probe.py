@@ -282,6 +282,38 @@ class TestMinimize:
         # the eigh column of a tied lambda1 can mix the blocks' signs
         assert gained > 0
 
+    def test_perron_shift_is_the_identity_form(self, monkeypatch):
+        # past the cap the screen solves with A - s I, s = lambda1 - d, built
+        # without np.eye; it must be A.a - s * np.eye(n) bit for bit: on the
+        # screen corpus, shifted up so that s > 0, and with every zero stored
+        # as -0.0 (s * 0.0 is -0.0 when s < 0, which turns those into +0.0)
+        inputs = []
+        for _, A, config in self.screen_corpus():
+            a = A.a + 0.0
+            for b in (a, a + 50.0 * np.eye(A.n)):
+                inputs.append((SymMatrix(b), config))
+                inputs.append((SymMatrix(np.where(b == 0.0, -0.0, b)), config))
+        solved = []
+        solve = np.linalg.solve
+
+        def spy(m, rhs):
+            solved.append(m.copy())
+            return solve(m, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        signs, negzeros = set(), 0
+        for A, config in inputs:
+            solved.clear()
+            _perron_pair(A, config)
+            w = np.linalg.eigvalsh(A.a)
+            s = w[0] - max(4.0 * A.n * eps * max(-w[0], w[-1]), tiny)
+            (m,) = solved
+            assert m.tobytes() == (A.a - s * np.eye(A.n)).tobytes(), A
+            signs.add(bool(s < 0.0))
+            negzeros += bool(np.signbit(A.a[A.a == 0.0]).any())
+        assert signs == {True, False} and negzeros > 0
+
     def test_perron_screen_exact_at_zero_slack(self):
         # at tol_slack = 0 only the n eps ||A||_F round-off term is left
         # between q(x) and lambda1: it must still fire on every irreducible
