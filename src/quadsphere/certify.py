@@ -6,35 +6,40 @@ arithmetic, and anything undecided is an honest Unknown.
 As q_{tA + sI} = t q_A + s on the patch (t > 0), every tolerance is a
 multiple of sigma = ||B||_F, B = A - tau I, tau = tr A / n (linalg.centred).
 Step 2 reads A and runs first; the later steps decide B, and eigenvalue
-fields and a witness's c get tau back.  Steps 1 and 3 read only the ascending
-eigenvalues and the first eigenvector: for a B with every off-diagonal entry
-exactly zero these are the diagonal in stable sorted order and a unit vector
-e_k, so no eigh runs unless the input gets past step 3.  The chain, in order:
+fields and a witness's c get tau back.  When every off-diagonal entry of B is
+exactly zero, its eigenpairs are the diagonal in stable sorted order and the
+unit vectors e_k in that order, and no eigh runs.  The chain, as it runs:
 
 2. an off-diagonal entry above tol_margin sigma: the pair (e_i, e_j), No;
 1. one eigenvalue cluster (gaps at most 1e-8 sigma): constant form, Yes;
-3. a diagonal matrix (off-diagonal entries at most 1e-12 sigma): Yes iff
-   two values with a simple smallest one, otherwise the diagonal cone
-   witness (_diag_witness in the standard basis);
+3. a diagonal matrix (off-diagonal entries at most 1e-12 sigma) with two
+   values, the smallest simple: Yes;
 4. two clusters with a simple smallest: Yes if its eigenvector fits the
    orthant (steps 4-6 read one mask of orthant-fitting columns; one Yes
    with step 3's, the rule named by diagonality); otherwise
    steps 5-7 find nothing to build and the input is Unknown;
+6. the diagonal witness (_diag_witness) in the basis of the nonnegative
+   eigenvectors, on whose span q_A is diagonal: three or more of them over
+   more than two distinct eigenvalues, or with a repeated smallest one,
+   give a No.  A diagonal B (as in step 3) reads its sorted diagonal in the
+   sorted standard basis: its eigenpairs, exactly or to step 3's tolerance;
 5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes,
    decided by the diagonal rule below in O(n^2) at every n;
-6. the same diagonal witness in the basis of the nonnegative eigenvectors,
-   on whose span q_A is diagonal: three or more of them over more than two
-   distinct eigenvalues, or with a repeated smallest one, give a No;
 7. the cap witness (_cap_witness, its candidates from quadsphere.edge): for
    lambda2 < max a_ii, points e_k + t z on the boundary of the sublevel cone
    of B - cI around the vertex e_k of a large diagonal entry, whose sum
    leaves the cone, No; otherwise Unknown.
 
-Every Yes is built by _certified.  The witnesses of steps 3, 6 and 7 leave
-through one exit, _refuted, which returns a No only if verify_witness
-accepts.  Step 2 returns its pair directly: its margin is a_ij, the
-comparison verify_witness would make.  certify samples nothing: every No is
-built, and every other input is Unknown.
+Step 6 runs before step 5: a verified No cannot be wrong, while step 5's Yes
+rests on the floor -tol_slack sigma.  Where step 6's witness verifies over
+values l_a <= l_b < l_c of nonnegative unit eigenvectors, lambda2 <= l_b and
+l_c <= max b_ii + (n - 1) p, so step 5's bound is at most l_b - l_c, below
+the default floor; only a looser tol_slack lets step 5 accept there.
+
+Every Yes is built by _certified, and every cone witness (steps 6 and 7) by
+_refuted, which returns a No only if verify_witness accepts.  Step 2's pair
+has margin a_ij, the comparison verify_witness would make.  certify samples
+nothing: every No is built, and every other input is Unknown.
 
 After step 2 the matrix is a Z-matrix up to tol_margin sigma: every
 off-diagonal entry is at most p = max(a_ij, 0) <= tol_margin sigma.  For a
@@ -69,6 +74,7 @@ import numpy as np
 from .config import Config, DEFAULT
 from .cones import enumeration_cap, pareto_spectrum
 from .linalg import (
+    EigenSystem,
     SymMatrix,
     as_sym_matrix,
     centred,
@@ -215,44 +221,34 @@ def _verifies(C, w: Witness, config: Config) -> bool:
     return False
 
 
-def _diag_witness(values, basis, tol: float) -> Witness | None:
-    """The diagonal obstruction over orthonormal nonnegative columns v_r of
-    ``basis`` on which q_A is diagonal with q_A(v_r) = values[r].
+def _diag_witness(s, basis, tol: float):
+    """(c, x, y, margin) on B over orthonormal nonnegative columns v_r of
+    ``basis`` on which q_A is diagonal with ascending values s[r]; None for
+    at most two values with a simple smallest one, where none exists.
 
     Values within ``tol`` of a cluster's first value join that cluster.  With
-    a shift c between the right pair of distinct values, the combinations
-    x = v_i + t_i v_k and y = v_j + t_j v_k sit on the boundary of the
-    shifted sublevel cone while x + y leaves it by 2 sqrt((c - l_i)(c - l_j)).
-    Returns None when at most two values with a simple smallest one remain,
-    where no such witness exists.
+    a shift c between the right pair of distinct values, x = v_i + t_i v_k
+    and y = v_j + t_j v_k sit on the boundary of the shifted sublevel cone
+    while x + y leaves it by margin = 2 sqrt((c - s_i)(c - s_j)).
     """
-    order = values.argsort(kind="stable")
-    s = values[order]
     # the second and third clusters start at h1 and h2: as s ascends, so does
     # s - s[h], and each cluster is one run of s
     h1 = int(np.count_nonzero(s - s[0] <= tol))
     h2 = h1 + int(np.count_nonzero(s[h1:] - s[h1] <= tol)) if h1 < s.size else h1
     if 2 <= h1 < s.size:
-        (i, j, k), c = order[[0, 1, h1]], (s[0] + s[h1]) / 2.0
+        i, j, k, c = 0, 1, h1, (s[0] + s[h1]) / 2.0
     elif h2 < s.size:
-        (i, j, k), c = order[[0, h1, h2]], (s[h1] + s[h2]) / 2.0
+        i, j, k, c = 0, h1, h2, (s[h1] + s[h2]) / 2.0
     else:
         return None
-    if c < values[j]:
+    if c < s[j]:
         return None  # a tie member above c at the tolerance edge: no cone pair
 
-    ti = math.sqrt((c - values[i]) / (values[k] - c))
-    tj = math.sqrt((c - values[j]) / (values[k] - c))
-    margin = 2.0 * math.sqrt((c - values[i]) * (c - values[j]))
-    return Witness(
-        kind=WitnessKind.CONE_NONCONVEXITY,
-        data={
-            "c": float(c),
-            "x": basis[:, i] + ti * basis[:, k],
-            "y": basis[:, j] + tj * basis[:, k],
-        },
-        margin=float(margin),
-    )
+    ti = math.sqrt((c - s[i]) / (s[k] - c))
+    tj = math.sqrt((c - s[j]) / (s[k] - c))
+    margin = 2.0 * math.sqrt((c - s[i]) * (c - s[j]))
+    vk = basis[:, k]
+    return float(c), basis[:, i] + ti * vk, basis[:, j] + tj * vk, float(margin)
 
 
 def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
@@ -280,14 +276,16 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         witness = Witness(WitnessKind.PAIR_VIOLATION, data, p)
         return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
 
-    # steps 1 and 3 read the ascending eigenvalues w and the first column v0,
-    # for an exactly diagonal B from its diagonal: eigh runs past step 3 only
+    # steps 1, 3 and 4 read the ascending eigenvalues w and the first column
+    # v0, for an exactly diagonal B from its diagonal: no eigh runs for it
     tol = _CLUSTER_RTOL * sigma
     largest = max(p, -float(off.reshape(-1)[off.argmin()]))  # max |b_ij|, i != j
     diagonal = largest <= _DIAGONAL_RTOL * sigma
+    if diagonal:
+        order = b.diagonal().argsort(kind="stable")
+        values = b.diagonal()[order]
     if largest == 0.0:
-        E, order = None, b.diagonal().argsort(kind="stable")
-        w, v0 = b.diagonal()[order], np.zeros(n)
+        w, v0 = values, np.zeros(n)
         v0[order[0]] = 1.0  # the first least entry, as argmin finds it
     else:
         E = eigen_decompose(B)
@@ -311,18 +309,25 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         clusters = [(value + tau, mult) for value, mult in clusters]
         return _certified(rule, clusters=clusters, eigenvector=v0)
 
-    # 3. any other diagonal matrix: the diagonal witness in the standard
-    # basis; at the tolerance edge (values distinct only marginally) it may
-    # not verify, and the input falls through
+    # the sorted standard basis, built past step 4: B's eigenvectors if exact
     if diagonal:
-        witness = _diag_witness(b.diagonal(), np.eye(n), tol)
-        if verdict := _refuted(C, witness, config):
-            return verdict
-        if E is None:
-            E = eigen_decompose(B)
+        basis = np.eye(n)[:, order]
+        if largest == 0.0:
+            E = EigenSystem(w, basis)
     # steps 4-6 read which eigenvectors fit the orthant; -v fits only where
     # v does (see EigenSystem), so v is the only sign to test
     fits = E.vectors.min(axis=0) >= -config.tol_sign
+
+    # 6. the diagonal obstruction over the nonnegative eigenvectors, or over
+    # the sorted diagonal of a diagonal B, whose near ties eigh may mix out of
+    # the orthant; at the tolerance edge it may not verify.  Before step 5:
+    # see the module docstring
+    if not diagonal:
+        nonneg = fits.nonzero()[0]
+        values, basis = E.eigenvalues[nonneg], E.vectors[:, nonneg]
+    if values.size >= 3:
+        if verdict := _refuted(C, _diag_witness(values, basis, tol), config):
+            return verdict
 
     # 5. copositivity sufficiency by the bound of the module docstring, with
     # lam2 counted with multiplicity (the next cluster value is unsound for a
@@ -355,14 +360,6 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
                 eigenvector=cand, lambda2=lam2 + tau, pareto_min=pareto_min,
             )
 
-    # 6. q_A is diagonal on the span of the nonnegative eigenvectors, an
-    # orthonormal nonnegative basis: the diagonal obstruction in that basis
-    nonneg = fits.nonzero()[0]
-    if nonneg.size >= 3:
-        witness = _diag_witness(E.eigenvalues[nonneg], E.vectors[:, nonneg], tol)
-        if verdict := _refuted(C, witness, config):
-            return verdict
-
     # 7. the cap witness: a Z-matrix with lam2 < max a_ii, refuted by a pair
     # of cone boundary points around the vertex of a large diagonal entry;
     # nothing else is left to build, so the input is otherwise Unknown
@@ -375,12 +372,14 @@ def _certified(rule: Rule, **data) -> Verdict:
     return Verdict(status=Status.CERTIFIED_QUASICONVEX, certificate=Certificate(rule, data))
 
 
-def _refuted(C, witness: Witness | None, config: Config) -> Verdict | None:
-    """A No with the cone ``witness`` built on B, its c moved to A's units,
-    if it verifies on C = (tau, B, sigma), else None."""
-    if witness is not None:
-        data = {**witness.data, "c": witness.data["c"] + C[0]}
-        witness = Witness(witness.kind, data, witness.margin)
+def _refuted(C, found, config: Config, **extra) -> Verdict | None:
+    """A No with the cone witness of ``found`` = (c, x, y, margin), built on
+    B, its c moved to A's units and ``extra`` added to its data, if it
+    verifies on C = (tau, B, sigma), else None (also for no ``found``)."""
+    if found is not None:
+        c, x, y, margin = found
+        data = {"c": c + C[0], "x": x, "y": y, **extra}
+        witness = Witness(WitnessKind.CONE_NONCONVEXITY, data, margin)
         if _verifies(C, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
     return None
@@ -402,8 +401,6 @@ def _cap_witness(C, lam2: float, config: Config) -> Verdict | None:
     from .edge import cap_pairs
 
     for c, k, x, y, margin in cap_pairs(C[1].a, lam2):
-        data = {"c": c, "x": x, "y": y, "vertex": k}
-        witness = Witness(WitnessKind.CONE_NONCONVEXITY, data, margin)
-        if verdict := _refuted(C, witness, config):
+        if verdict := _refuted(C, (c, x, y, margin), config, vertex=k):
             return verdict
     return None

@@ -39,7 +39,8 @@ class Config:
 
     The tolerances must be finite and nonnegative: a negative tol_margin
     would accept a zero-margin violation as a No witness, and a NaN one
-    would reject every witness.
+    would reject every witness.  max_exact_dim must be nonnegative (0
+    enumerates nothing), samples at least 1 and seed nonnegative.
     """
 
     tol_margin: float = 1e-8
@@ -54,6 +55,8 @@ class Config:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if self.max_exact_dim < 0:
+            raise ValueError(f"max_exact_dim must be nonnegative, got {self.max_exact_dim!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples!r}")
         if self.seed < 0:

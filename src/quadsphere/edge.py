@@ -16,8 +16,8 @@ orthogonal to g.  The directions tried are:
   P_g Q P_g (P_g the projection onto g-perp, I when g = 0); s = 0 is the
   split lemma's x, where |w| misses k's component;
 - z = e_i for every i in J: the edge points e_i + t e_k of a diagonal entry
-  below c, which for a diagonal B are step 3's diagonal witness, and the
-  split lemma's y.
+  below c, which for a diagonal B are the points of the diagonal witness
+  (certify step 6 in the standard basis), and the split lemma's y.
 
 Every positive root gives a point, so no direction is tested for g^T z = 0.
 All pairs of one vertex's unit points are scored by one product P B_c P^T,

@@ -4,11 +4,11 @@ These deliberately avoid the code paths they check: brute-force grids for
 orthant minima, the closed-form 2x2 eigenproblem, finite differences for
 derivatives along geodesics, a one-support-at-a-time Pareto enumeration, a
 one-start-at-a-time descent, the loop forms of the eigenvector sign step and
-the eigenvalue clustering, certify's steps 1 and 3 as they ran through the
-eigendecomposition with the one-value-at-a-time diagonal witness, and the
-intrinsic sphere geometry (distances, minimal geodesic segments, the
-spherical gradient of q_A) that the falsifier's Gram-form kernel must agree
-with.
+the eigenvalue clustering, certify's steps 1, 3 and 6 on a diagonal input as
+they ran through the eigendecomposition with the one-value-at-a-time
+diagonal witness in the standard basis, and the intrinsic sphere geometry
+(distances, minimal geodesic segments, the spherical gradient of q_A) that
+the falsifier's Gram-form kernel must agree with.
 """
 
 from __future__ import annotations
@@ -201,8 +201,9 @@ def reference_clusters(w: np.ndarray, tol: float) -> list:
 
 
 def reference_diag_witness(values, basis, tol: float) -> Witness | None:
-    """certify._diag_witness with its clusters gathered one value at a time:
-    a value within ``tol`` of the current cluster's first value joins it."""
+    """certify._diag_witness as a Witness, its c on B, on ``values`` in any
+    order, with its clusters gathered one value at a time: a value within
+    ``tol`` of the current cluster's first value joins it."""
     order = np.argsort(values, kind="stable")
     distinct = []  # (value, [indices])
     for idx in order:
@@ -236,9 +237,11 @@ def reference_diag_witness(values, basis, tol: float) -> Witness | None:
 
 
 def reference_diagonal_route(A: SymMatrix, config: Config = DEFAULT) -> Verdict | None:
-    """certify's steps 1 and 3 on a diagonal A (step 2 declines there), read
-    from the full eigendecomposition of B = A - tau I: the Verdict they
-    return, or None where the chain goes on past step 3."""
+    """certify's steps 1, 3 and 6 on a diagonal A (step 2 declines there),
+    steps 1 and 3 read from the full eigendecomposition of B = A - tau I and
+    step 6's witness built on the unsorted diagonal in the standard basis:
+    the Verdict they return, or None where the witness does not verify and
+    the chain goes on to steps 5 and 7."""
     A = as_sym_matrix(A)
     tau, B, sigma = centred(A)
     b, n = B.a, A.n

@@ -117,7 +117,7 @@ class TestGoldenVerdicts:
         assert cert["pareto_min"] >= -1e-9
 
     def test_far_shifted_diagonal(self):
-        # q_{A + cI} = q_A + c: diag(1, 2, 3) stays refuted by step 3's
+        # q_{A + cI} = q_A + c: diag(1, 2, 3) stays refuted by the diagonal
         # witness, with c in the shifted matrix's units
         A = SymMatrix(1e8 * np.eye(3) + np.diag([1.0, 2.0, 3.0]))
         v = certify(A, CFG)
@@ -406,7 +406,7 @@ class TestEdgeWitness:
         assert declined >= 8
 
     def test_diagonal_case(self):
-        # for a diagonal matrix the points e_k + t e_i are those of step 3's
+        # for a diagonal matrix the points e_k + t e_i are those of step 6's
         # diagonal witness: e_i + t e_k below and above c
         A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
         w = cap(A)
@@ -534,7 +534,7 @@ class TestEdgeWitnessBytes:
         assert self.compare(mats) > 100
 
     def test_diagonal_matrices(self):
-        # step 3 decides these; step 7 alone refutes every one with
+        # step 6 decides these; step 7 alone refutes every one with
         # lambda2 < max a_ii at the vertex of its first largest entry
         rng = np.random.default_rng(43)
         mats = [SymMatrix(np.diag(rng.standard_normal(int(n)))) for n in rng.integers(3, 9, 60)]
@@ -753,9 +753,15 @@ def exact_diagonals(rng, count):
         yield with_negative_zeros(A) if r % 2 else A
 
 
+def cone(found):
+    """The ConeNonconvexity witness of _diag_witness's (c, x, y, margin)."""
+    c, x, y, margin = found
+    return Witness(WitnessKind.CONE_NONCONVEXITY, {"c": c, "x": x, "y": y}, margin)
+
+
 class TestDiagonalRoute:
-    """On an exactly diagonal B steps 1 and 3 read the sorted diagonal, and
-    eigen_decompose runs only for an input that gets past step 3."""
+    """On an exactly diagonal B steps 1, 3, 4 and 6 read the sorted
+    diagonal, and eigen_decompose never runs."""
 
     @staticmethod
     def fail(B):
@@ -786,8 +792,9 @@ class TestDiagonalRoute:
                 ref = reference_diagonal_route(A)
             v = certify(A)
             if ref is None:
-                # past step 3 (gaps at the tolerance): steps 5-7 refute
-                key = "past step 3"
+                # the diagonal witness does not verify (gaps at the
+                # tolerance): steps 5 and 7 refute
+                key = "past step 6"
                 assert verify_witness(A, v.witness), A
             else:
                 key = ref.certificate.rule if ref.certificate else ref.witness.kind
@@ -796,38 +803,42 @@ class TestDiagonalRoute:
         assert min(decided.values()) >= 100 and len(decided) == 4, decided
 
     def test_diag_witness_matches_reference(self):
-        # step 3's witness in the standard basis and step 6's in an
-        # orthonormal one, against the one-value-at-a-time form
+        # the witness in the standard basis and in an orthonormal one, its
+        # values and columns in stable sorted order, against the
+        # one-value-at-a-time form on the unsorted values
         rng = np.random.default_rng(3233)
         built = 0
         for A in exact_diagonals(rng, 1500):
             _, B, sigma = centred(A)
             d, tol = B.a.diagonal(), _CLUSTER_RTOL * sigma
+            order = d.argsort(kind="stable")
             q = np.linalg.qr(np.random.default_rng(B.n).standard_normal((B.n, B.n)))[0]
             for basis in (np.eye(B.n), q):
                 # the reference builds a NaN witness where a tie member lies
                 # above c, where _diag_witness returns None
                 with np.errstate(invalid="ignore"):
                     ref = reference_diag_witness(d, basis, tol)
-                w = _diag_witness(d, basis, tol)
-                if w is None:
+                found = _diag_witness(d[order], basis[:, order], tol)
+                if found is None:
                     assert ref is None or np.isnan(ref.margin), A
                     continue
                 no = Status.CERTIFIED_NOT_QUASICONVEX
+                w = cone(found)
                 assert verdict_bytes(Verdict(no, witness=w)) == verdict_bytes(Verdict(no, witness=ref)), A
                 built += 1
         assert built > 1000
 
     def test_witness_at_the_tolerance_edge_falls_through(self, monkeypatch):
-        # clusters {0, 0.9 tol} and {1.95 tol} below 1: step 3's witness has
+        # clusters {0, 0.9 tol} and {1.95 tol} below 1: step 6's witness has
         # margin 2 sqrt(0.975 * 0.075) tol = 0.54 tol < tol_margin sigma and
-        # does not verify, so one eigen_decompose runs and step 7 refutes
+        # does not verify, step 5 declines, and step 7 refutes, all without
+        # eigen_decompose
         sigma = centred(SymMatrix(np.diag([0.0, 0.0, 0.0, 1.0])))[2]
         tol = _CLUSTER_RTOL * sigma
         A = SymMatrix(np.diag([0.0, 0.9 * tol, 1.95 * tol, 1.0]))
         B = centred(A)[1]
-        step3 = _diag_witness(np.diag(B.a), np.eye(4), tol)
-        assert step3.margin < CFG.tol_margin * sigma
+        margin = _diag_witness(np.diag(B.a), np.eye(4), tol)[3]
+        assert margin < CFG.tol_margin * sigma
         assert reference_diagonal_route(A) is None
         calls = []
         monkeypatch.setattr(
@@ -835,14 +846,15 @@ class TestDiagonalRoute:
             lambda M: calls.append(M) or eigen_decompose(M),
         )
         v = certify(A)
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         assert v.witness.data["vertex"] == 3
         assert verify_witness(A, v.witness)
 
 
 def diag_witness(d):
-    """The witness certify returns for diag(d): step 3's diagonal witness."""
+    """The witness certify returns for diag(d): step 6's diagonal witness on
+    the sorted diagonal."""
     return certify(SymMatrix(np.diag(d))).witness
 
 
@@ -895,12 +907,12 @@ class TestConstructThreevecWitness:
     TOL = 1e-8
 
     def test_canonical_distinct(self):
-        w = _diag_witness(np.array([1.0, 2.0, 3.0]), np.eye(3), self.TOL)
+        w = cone(_diag_witness(np.array([1.0, 2.0, 3.0]), np.eye(3), self.TOL))
         assert verify_witness(SymMatrix(np.diag([1.0, 2.0, 3.0])), w)
         assert w.margin == pytest.approx(np.sqrt(3.0))
 
     def test_repeated_smallest(self):
-        w = _diag_witness(np.array([0.0, 0.0, 2.0]), np.eye(3), self.TOL)
+        w = cone(_diag_witness(np.array([0.0, 0.0, 2.0]), np.eye(3), self.TOL))
         assert w.data["c"] == pytest.approx(1.0)
         np.testing.assert_allclose(w.data["x"], [1.0, 0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(w.data["y"], [0.0, 1.0, 1.0], atol=1e-12)
@@ -965,6 +977,43 @@ class TestNonnegativeEigenbasisWitness:
         np.testing.assert_allclose(w.data["y"], vj + tj * vk, atol=1e-10)
         assert w.margin == pytest.approx(2.0 * np.sqrt((c - li) * (c - lj)))
         assert verify_witness(A, w, CFG)
+
+    def test_verified_no_wins_over_a_loose_slack(self):
+        # three blocks [[a, -1e-3], [-1e-3, a]], a in {0, 1, 1.01}: the block
+        # Perron vectors carry -1e-3, 0.999 and 1.009, so step 6 refutes.
+        # Step 5's bound, lambda2 - max a_ii = 0.001 - 1.01, clears the floor
+        # -tol_slack sigma at tol_slack = 1 (sigma = 1.16), and a step 5 that
+        # ran first returned a wrong CopositiveSufficiency Yes there
+        a = np.zeros((6, 6))
+        for r, d in enumerate((0.0, 1.0, 1.01)):
+            a[2 * r:2 * r + 2, 2 * r:2 * r + 2] = [[d, -1e-3], [-1e-3, d]]
+        A = SymMatrix(a)
+        for config in (CFG, Config(tol_slack=1.0)):
+            v = certify(A, config)
+            assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+            assert v.witness.kind is WitnessKind.CONE_NONCONVEXITY
+            assert "vertex" not in v.witness.data  # step 6, not step 7
+            assert verify_witness(A, v.witness, config)
+
+    def test_near_diagonal_reads_the_sorted_diagonal(self):
+        # diag(-1, 0, 0, 1e-5) with b_13 = -5e-13, inside step 3's 1e-12 sigma:
+        # the coupling tilts eigh's top column out of the orthant (by about
+        # 5e-8, past tol_sign), so the nonnegative eigenvectors hold at most
+        # two values.  Step 6 reads the sorted diagonal instead and refutes;
+        # in eigh's basis the input would reach step 5, whose bound -1e-5
+        # clears the floor at tol_slack = 1e-3
+        a = np.diag([-1.0, 0.0, 0.0, 1e-5])
+        a[1, 3] = a[3, 1] = -5e-13
+        A = SymMatrix(a)
+        E = eigen_decompose(centred(A)[1])
+        assert E.vectors[:, 3].min() < -1e-8
+        for config in (CFG, Config(tol_slack=1e-3)):
+            v = certify(A, config)
+            assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
+            assert "vertex" not in v.witness.data  # step 6, not step 7
+            np.testing.assert_array_equal(v.witness.data["x"] > 0, [True, False, False, True])
+            np.testing.assert_array_equal(v.witness.data["y"] > 0, [False, True, False, True])
+            assert verify_witness(A, v.witness, config)
 
 
 class TestVerifyWitness:

@@ -525,6 +525,7 @@ class TestExitCodes:
             ("--tol-sign", "inf"),
             ("--samples", "0"),
             ("--seed", "-1"),
+            ("--max-exact-dim", "-1"),
         ],
     )
     def test_invalid_config(self, tmp_path, capsys, flags):

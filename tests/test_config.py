@@ -20,6 +20,14 @@ def test_rejects_negative_seed():
     assert Config(seed=0).seed == 0
 
 
+def test_rejects_negative_max_exact_dim():
+    # a negative cap used to pass: analyze, minimize and copositive echoed
+    # it, and pareto failed on the enumeration cap instead
+    with pytest.raises(ValueError, match="max_exact_dim"):
+        Config(max_exact_dim=-1)
+    assert Config(max_exact_dim=0).max_exact_dim == 0
+
+
 def test_samples_and_zero_tolerances():
     with pytest.raises(ValueError, match="samples"):
         Config(samples=0)

@@ -3,12 +3,13 @@
 On the orthant patch q_{tA + sI} = t q_A + s for t > 0, and a simultaneous
 permutation of the coordinates maps the patch onto itself, so certify(A),
 certify(tA + sI) and certify(P A P^T) must not contradict each other.  The
-corpus mixes seeded dense, Z, tied-maximum, tolerance-band, three-eigenvalue
-and negative-positive inputs of size 2-7.  For every transform:
+corpus mixes seeded dense, Z, tied-maximum, tolerance-band, three-eigenvalue,
+negative-positive and exactly diagonal inputs of size 2-7.  For every
+transform:
 
 - no transform of an input refuted at unit scale gets a Yes;
 - every No carries a witness that verify_witness accepts on its own matrix;
-- under t and s, Z and dense inputs keep their unit-scale status;
+- under t and s, Z, dense and diagonal inputs keep their unit-scale status;
 - under the permutation, every input keeps its status.
 
 The cone functions (pareto_spectrum, is_copositive, minimize_orthant) are
@@ -80,6 +81,21 @@ def _negative_positive(rng, n):
     return make_negative_positive(n, int(rng.integers(0, 2**16))).a
 
 
+def _diagonal(rng, n):
+    """An exactly diagonal matrix: Gaussian entries, integer ties, or a
+    constant with one lower entry."""
+    form = int(rng.integers(0, 3))
+    if form == 0:
+        d = rng.standard_normal(n)
+    elif form == 1:
+        d = rng.integers(-2, 3, n).astype(float)
+    else:
+        d = np.full(n, rng.standard_normal())
+        d[rng.integers(0, n)] -= rng.uniform(0.1, 2.0)
+    return np.diag(d)
+
+
+# new kinds go last: the inputs and permutations of the earlier ones stay
 KINDS = {
     "z": _z,
     "dense": _dense,
@@ -87,6 +103,7 @@ KINDS = {
     "band": _band,
     "three-eigenvalue": _three_eigenvalue,
     "negative-positive": _negative_positive,
+    "diagonal": _diagonal,
 }
 
 
@@ -142,9 +159,9 @@ def test_every_no_verifies_on_its_own_matrix(runs):
                 assert verify_witness(M, v.witness, CFG), (kind, name, A)
 
 
-def test_z_and_dense_status_under_scale_and_shift(runs):
+def test_z_dense_and_diagonal_status_under_scale_and_shift(runs):
     for kind, A, base, variants in runs:
-        if kind in ("z", "dense"):
+        if kind in ("z", "dense", "diagonal"):
             for name, _, v in variants:
                 if name != "permuted":
                     assert v.status is base, (kind, name, A)
