@@ -332,21 +332,16 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
     # 5. copositivity sufficiency by the bound of the module docstring, with
     # lam2 counted with multiplicity (the next cluster value is unsound for a
     # repeated lambda1), p = off[i, j].  The lambda1 vector is the first
-    # fitting column of its eigenspace, else for a repeated lambda1 the
-    # projection of the all-ones direction; a miss only loses a Yes.
-    mult = clusters[0][1]
-    hit = fits[:mult].nonzero()[0]
-    cand = E.vectors[:, hit[0]].copy() if hit.size else None
-    if cand is None and mult > 1:
-        # BLAS sums in an order that depends on the memory layout; one fixed
-        # layout keeps the certificate's bytes stable
-        basis = np.asfortranarray(E.vectors[:, :mult])
-        proj = basis @ (basis.T @ np.ones(n))
-        nrm = float(np.linalg.norm(proj))
-        if nrm > 1e-12:
-            # not sign-normalized, unlike the columns: both signs are tried
-            cand = _orthant_representative(proj / nrm, config.tol_sign)
-    if cand is not None:
+    # fitting column of its eigenspace; a miss only loses a Yes.  None is
+    # sought past the columns: a repeated lambda1 has lam2 <= lam1 + 1e-8
+    # sigma, and a Yes needs max b_ii <= lam2 + tol_slack sigma (the bound and
+    # the enumeration's value are at most lam2 - max b_ii), so every b_ii lies
+    # in [lam1, lam1 + D], D = (1e-8 + tol_slack) sigma.  With tr B = 0 then
+    # lam1 >= -D, every eigenvalue lies in [-D, (n - 1) D] and sigma < n D:
+    # false for n below 1 / (1e-8 + tol_slack), about 9e7 by default
+    hit = fits[:clusters[0][1]].nonzero()[0]
+    if hit.size:
+        cand = E.vectors[:, hit[0]].copy()
         lam2 = float(E.eigenvalues[1])
         pareto_min = lam2 - float(b.diagonal().max()) - (n - 1) * p
         floor = -config.tol_slack * sigma
@@ -382,14 +377,6 @@ def _refuted(C, found, config: Config, **extra) -> Verdict | None:
         witness = Witness(WitnessKind.CONE_NONCONVEXITY, data, margin)
         if _verifies(C, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
-    return None
-
-
-def _orthant_representative(v: np.ndarray, tol: float) -> np.ndarray | None:
-    """Return v or -v if one of them is entrywise >= -tol, else None."""
-    for cand in (v, -v):
-        if float(cand.min()) >= -tol:
-            return cand.copy()
     return None
 
 

@@ -1,11 +1,17 @@
 """Numerical falsification and minimization on the orthant patch.
 
-``falsify`` scores sampled pairs by three quasi-convexity tests (the two-point
-inequality, the geodesic sweep, the sublevel-cone midpoint test) in one kernel,
-``_margins``, which sweeps the geodesic through the pair's 2x2 Gram form.
+``falsify`` scores sampled pairs by two quasi-convexity tests (the two-point
+inequality and the sublevel-cone midpoint test) in one kernel, ``_margins``.
 Samples are drawn and scored in blocks of at most ``_BLOCK`` rows and
 ``_BLOCK_ENTRIES`` coordinates; the best hit is sharpened by coordinate search
 scored by the same kernel, and the witness is read from the kernel's row.
+
+The paper's third test, a geodesic sweep, is not scored: on the orthant it
+never beats the pair margin.  For unit x, y >= 0, c = max{q(x), q(y)} and
+f(u, v) = u^T (A - cI) v, the pair margin is f(x, y), and a unit geodesic
+point alpha x + beta y (alpha, beta >= 0) has margin alpha^2 f(x, x) +
+2 alpha beta f(x, y) + beta^2 f(y, y) <= 2 alpha beta f(x, y), where its
+norm gives 1 >= 2 alpha beta (1 + <x, y>) >= 2 alpha beta.
 
 ``minimize_orthant`` first runs the Perron screen: when the least
 eigenvector fits the orthant and, clipped at 0, attains its eigenvalue, that
@@ -40,10 +46,8 @@ __all__ = [
     "minimize_orthant",
 ]
 
-_GEODESIC_TS = np.array([1, 2, 3, 4, 5, 6, 7], dtype=float) / 8.0
-# columns of a ``_margins`` row: the three test margins, the coefficients
-# (alpha, beta) of the best geodesic point and c = max{q(x), q(y)}
-_PAIR, _GEODESIC, _MIDPOINT, _ALPHA, _BETA, _C = range(6)
+# columns of a ``_margins`` row: the two test margins and c = max{q(x), q(y)}
+_PAIR, _MIDPOINT, _C = range(3)
 # pairs drawn and scored at a time, at most _BLOCK rows and _BLOCK_ENTRIES
 # sampled coordinates per side, so memory grows with neither samples nor n
 _BLOCK = 2**17
@@ -59,6 +63,7 @@ _ETAS = 0.5 ** np.arange(40)
 # of backtracks pass within the first 4 at n = 20 and at n = 64 (71% and 4%
 # when the sizes started at 1 whatever ||A||)
 _ETA_CHUNK = 4
+_MAX_ITER = 10_000  # descent iterations per start, at most
 
 
 @dataclass(frozen=True)
@@ -85,37 +90,16 @@ class MinResult:
 
 def _margins(a: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """One row per unit-vector pair (X[i], Y[i]) with c = max{q(x), q(y)}:
-    the pair margin <Ax, y> - <x, y> c, the best geodesic margin
-    q(alpha x + beta y) - c over the sweep ``_GEODESIC_TS``, the midpoint
-    margin (x + y)^T (A - cI)(x + y), the best (alpha, beta), and c.
-
-    The sweep uses the Gram form
-    q(alpha x + beta y) = alpha^2 q(x) + 2 alpha beta <Ax, y> + beta^2 q(y).
-    (Anti)parallel pairs have no unique geodesic: margin -inf, alpha = beta = 0.
-    """
+    the pair margin <Ax, y> - <x, y> c, the midpoint margin
+    (x + y)^T (A - cI)(x + y), and c."""
     AX = X @ a
     qx = np.einsum("ij,ij->i", AX, X)
     qy = np.einsum("ij,ij->i", Y @ a, Y)
     bxy = np.einsum("ij,ij->i", AX, Y)
     ip = np.clip(np.einsum("ij,ij->i", X, Y), -1.0, 1.0)
     c = np.maximum(qx, qy)
-    # sine of the angle from the part of y orthogonal to x; sqrt(1 - ip^2)
-    # loses every digit near 0 and pi
-    s = np.linalg.norm(Y - ip[:, None] * X, axis=1)
-    safe = s > 1e-9
-    s = np.where(safe, s, 1.0)
-    d = np.arctan2(s, ip)
-    geo = np.full(c.size, -np.inf)
-    alpha, beta = np.zeros(c.size), np.zeros(c.size)
-    for t in _GEODESIC_TS:
-        b = np.sin(t * d) / s
-        al = np.cos(t * d) - ip * b
-        m = al * (al * qx + 2.0 * b * bxy) + b * b * qy - c
-        upd = safe & (m > geo)
-        geo[upd], alpha[upd], beta[upd] = m[upd], al[upd], b[upd]
-    return np.column_stack(
-        (bxy - ip * c, geo, qx + qy + 2.0 * bxy - c * (2.0 + 2.0 * ip), alpha, beta, c)
-    )
+    mid = qx + qy + 2.0 * bxy - c * (2.0 + 2.0 * ip)
+    return np.column_stack((bxy - ip * c, mid, c))
 
 
 def falsify(
@@ -125,7 +109,8 @@ def falsify(
 
     Scores B = A - tau I (linalg.centred), where margins are A's; returns a
     witness (c in A's units) iff verify_witness accepts it under
-    ``tol_margin``, else caps a positive margin at tol_margin * sigma.
+    ``tol_margin``, else caps a positive margin at tol_margin * sigma; with
+    no positive margin, best_margin is the best pair or midpoint margin.
     Deterministic per (A, samples, seed).  Pairs are drawn in blocks of
     min(_BLOCK, _BLOCK_ENTRIES // n) rows (an X block, then a Y block), so up
     to that many samples draw exactly one X and one Y array.
@@ -136,14 +121,14 @@ def falsify(
     tau, B, sigma = centred(A)
     a = B.a
     rng = np.random.default_rng(seed)
-    best = np.full(3, -np.inf)
-    pairs = [None] * 3
+    best = np.full(2, -np.inf)
+    pairs = [None] * 2
     rows = min(_BLOCK, _BLOCK_ENTRIES // A.n)
     for start in range(0, samples, rows):
         X = sample_orthant_array(A.n, min(rows, samples - start), rng)
         Y = sample_orthant_array(A.n, X.shape[0], rng)
         M = _margins(a, X, Y)
-        for col, i in enumerate(np.argmax(M[:, :3], axis=0)):
+        for col, i in enumerate(np.argmax(M[:, :2], axis=0)):
             if M[i, col] > best[col]:
                 best[col] = M[i, col]
                 pairs[col] = (X[i].copy(), Y[i].copy())
@@ -213,10 +198,6 @@ def _build_witness(x, y, col: int, row, tau: float) -> Witness:
     margin, c = float(row[col]), float(row[_C]) + tau
     if col == _PAIR:
         return Witness(WitnessKind.PAIR_VIOLATION, {"x": x, "y": y}, margin)
-    if col == _GEODESIC:
-        # the geodesic point alpha x + beta y is a positive combination, so
-        # scaling the endpoints gives a sublevel-cone witness of the same margin
-        x, y = row[_ALPHA] * x, row[_BETA] * y
     return Witness(WitnessKind.CONE_NONCONVEXITY, {"c": c, "x": x, "y": y}, margin)
 
 
@@ -254,9 +235,8 @@ def minimize_orthant(A: SymMatrix, config: Config = DEFAULT) -> MinResult:
 
 def _descent_best(A: SymMatrix, starts: int, seed: int) -> MinResult:
     rng = np.random.default_rng(seed)
-    values, X, iterations, boundary, _ = _descent(
-        A.a, sample_orthant_array(A.n, starts, rng)
-    )
+    X0 = sample_orthant_array(A.n, starts, rng)
+    values, X, iterations, boundary = _descent(A.a, X0)
     k = int(np.argmin(values))  # the first start with the least value
     return MinResult(
         value=float(values[k]),
@@ -267,17 +247,16 @@ def _descent_best(A: SymMatrix, starts: int, seed: int) -> MinResult:
     )
 
 
-def _descent(a: np.ndarray, X0: np.ndarray, max_iter: int = 10_000):
+def _descent(a: np.ndarray, X0: np.ndarray):
     """Projected gradient descent with clamp-then-normalize retraction, one
     start per row of ``X0``, all starts advanced together, each backtrack
     over the step sizes ``_ETAS`` times sqrt(n) / ||A||_F.
 
     A start stops at its first iteration without decrease, after a step
-    shorter than 1e-10, or after ``max_iter`` iterations; stopped rows drop
-    out of the stack.  Returns per-start arrays (value, argmin rows,
-    iterations, boundary_hit) and the value trajectory, one row per
-    iteration and one column per start, which is nonincreasing down each
-    column by construction.
+    shorter than 1e-10, or after ``_MAX_ITER`` iterations; stopped rows drop
+    out of the stack.  A start moves only on a decrease, so its value never
+    increases.  Returns per-start arrays (value, argmin rows, iterations,
+    boundary_hit).
     """
     X = np.maximum(np.asarray(X0, dtype=float), 0.0)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -286,9 +265,8 @@ def _descent(a: np.ndarray, X0: np.ndarray, max_iter: int = 10_000):
     Q = np.einsum("ij,ij->i", X @ a, X)
     iterations = np.zeros(Q.size, dtype=int)
     boundary = np.zeros(Q.size, dtype=bool)
-    trajectory = [Q.copy()]
     live = np.arange(Q.size)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if live.size == 0:
             break
         x, q = X[live], Q[live]
@@ -298,9 +276,8 @@ def _descent(a: np.ndarray, X0: np.ndarray, max_iter: int = 10_000):
         live, x, xn = live[moved], x[moved], xn[moved]
         boundary[live] |= (xn == 0.0).any(axis=1)
         X[live], Q[live] = xn, qn[moved]
-        trajectory.append(Q.copy())
         live = live[np.linalg.norm(xn - x, axis=1) >= 1e-10]
-    return Q, X, iterations, boundary, np.array(trajectory)
+    return Q, X, iterations, boundary
 
 
 def _backtrack(

@@ -44,7 +44,7 @@ def random_sym(rng, n, scale=1.0):
 
 def test_criterion_1_golden_verdicts(capsys):
     t0 = time.perf_counter()
-    cfg = Config(samples=10_000)
+    cfg = Config()
     ok = True
 
     v = certify(SymMatrix(np.diag([-1.0, 1.0, 1.0])), cfg)
@@ -107,7 +107,7 @@ def _family_draws(rng, count=100):
 
 def test_criterion_2_example_families(capsys):
     t0 = time.perf_counter()
-    cfg = Config(samples=10_000)
+    cfg = Config()
     rng = np.random.default_rng(2026)
     failures = []
     for label, A in _family_draws(rng, count=100):
@@ -153,7 +153,7 @@ def test_criterion_3_pareto_grid_oracle(capsys):
 
 def test_criterion_4_certifier_sampler_consistency(capsys):
     t0 = time.perf_counter()
-    cfg = Config(samples=20_000)
+    cfg = Config()
     rng = np.random.default_rng(4)
     conflicts = []
     bad_witnesses = []
@@ -180,7 +180,7 @@ def test_criterion_4_certifier_sampler_consistency(capsys):
 
 def test_criterion_5_invariance_suite(capsys):
     t0 = time.perf_counter()
-    cfg = Config(samples=10_000)
+    cfg = Config()
     rng = np.random.default_rng(5)
     instances = [random_sym(rng, int(rng.integers(3, 6))) for _ in range(44)]
     instances += [
@@ -269,7 +269,7 @@ def test_criterion_6_geometry_suite(capsys):
 
 def test_criterion_7_local_equals_global(capsys):
     t0 = time.perf_counter()
-    cfg = Config(samples=10_000)
+    cfg = Config()
     goldens = [
         SymMatrix(np.diag([-1.0, 1.0, 1.0])),
         make_householder([1.0, 1.0, 1.0]),

@@ -29,6 +29,7 @@ from quadsphere.genex import (
 from quadsphere.linalg import SymMatrix, centred, cluster_eigenvalues, eigen_decompose
 
 from oracles import reference_best_pair, reference_diag_witness, reference_diagonal_route
+from test_metamorphic import assert_unknowns_at_threshold
 from test_zmatrix_corpus import census, corpus as zmatrix_corpus, tied
 
 CFG = Config()
@@ -369,6 +370,10 @@ class TestStep5Oracle:
             else:
                 assert v.status is not Status.CERTIFIED_QUASICONVEX
         assert by_bound > 20 and by_enumeration > 0
+
+    def test_band_unknowns_sit_at_the_threshold(self):
+        verdicts = [(A, certify(A, CFG)) for A in _band_corpus()]
+        assert assert_unknowns_at_threshold(verdicts) > 5
 
 
 def cap(A, config=CFG):

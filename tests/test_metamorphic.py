@@ -10,7 +10,8 @@ transform:
 - no transform of an input refuted at unit scale gets a Yes;
 - every No carries a witness that verify_witness accepts on its own matrix;
 - under t and s, Z, dense and diagonal inputs keep their unit-scale status;
-- under the permutation, every input keeps its status.
+- under the permutation, every input keeps its status;
+- every Unknown has lambda2 - max b_ii above -1e-6 sigma.
 
 The cone functions (pareto_spectrum, is_copositive, minimize_orthant) are
 checked under the scale t alone, on the corpus and on lambda2 I - A.
@@ -139,10 +140,36 @@ def runs():
     return out
 
 
+# every Unknown seen sits at the threshold lambda2 = max a_ii, where the cap
+# margin cannot clear tol_margin sigma: band inputs (gaps in [-5.0e-9,
+# 2e-16] sigma) and the shift's round-off (-1.9e-9 sigma at s = +-1e8)
+UNKNOWN_GAP = -1e-6
+
+
+def assert_unknowns_at_threshold(verdicts):
+    """Every Unknown among the (A, verdict) pairs has lambda2 - max b_ii above
+    UNKNOWN_GAP sigma, B = A - tau I, so a new Unknown elsewhere fails;
+    returns the number of Unknowns."""
+    count = 0
+    for A, v in verdicts:
+        if v.status is Status.UNKNOWN:
+            _, B, sigma = centred(A)
+            gap = float(np.linalg.eigvalsh(B.a)[1]) - float(B.a.diagonal().max())
+            assert gap > UNKNOWN_GAP * sigma, A.a
+            count += 1
+    return count
+
+
 def test_corpus_covers_every_verdict(runs):
     bases = [base for _, _, base, _ in runs]
     for status in Status:
         assert bases.count(status) >= 3, status
+
+
+def test_unknowns_sit_at_the_threshold(runs):
+    # the transforms include t = 1, s = 0: every input itself
+    verdicts = [(M, v) for _, _, _, variants in runs for _, M, v in variants]
+    assert assert_unknowns_at_threshold(verdicts) > 50
 
 
 def test_refuted_inputs_never_get_a_yes(runs):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from quadsphere import probe
 from quadsphere.certify import (
     Status,
-    Witness,
     WitnessKind,
     certify,
     pair_violation_margin,
@@ -366,21 +365,32 @@ class TestMinimize:
 
 
 class TestDescent:
-    def test_trajectory_monotone(self):
+    def test_trajectory_monotone(self, monkeypatch):
+        # a lone start enters each backtrack at the value the last one left
+        backtrack = probe._backtrack
+        entered = []
+
+        def spy(a, x, q, g, etas):
+            entered.append(float(q[0]))
+            return backtrack(a, x, q, g, etas)
+
+        monkeypatch.setattr(probe, "_backtrack", spy)
         rng = np.random.default_rng(30)
         for _ in range(10):
             raw = 2.0 * rng.random((5, 5)) - 1.0
             a = (raw + raw.T) / 2.0
             x0 = np.abs(rng.standard_normal(5))
-            _, X, _, _, trajectory = _descent(a, x0[None])
-            x, trajectory = X[0], trajectory[:, 0]
+            entered.clear()
+            values, X, _, _ = _descent(a, x0[None])
+            x, trajectory = X[0], entered + [float(values[0])]
+            assert len(entered) > 1
             assert all(b <= s + 1e-15 for s, b in zip(trajectory, trajectory[1:]))
             assert float(x.min()) >= 0.0
             assert np.linalg.norm(x) == pytest.approx(1.0)
 
     def test_stationary_start(self):
         a = np.diag([-1.0, 1.0, 1.0])
-        values, X, _, _, _ = _descent(a, np.array([[1.0, 0.0, 0.0]]))
+        values, X, _, _ = _descent(a, np.array([[1.0, 0.0, 0.0]]))
         assert values[0] == pytest.approx(-1.0)
         np.testing.assert_allclose(X[0], [1.0, 0.0, 0.0])
 
@@ -459,7 +469,7 @@ class TestLocalGlobal:
             SymMatrix(np.diag([-1.0, 1.0, 1.0])),
             make_householder([1.0, 1.0, 1.0]),
         ):
-            v = certify(A, Config(samples=2_000))
+            v = certify(A)
             assert v.status is Status.CERTIFIED_QUASICONVEX
             starts = sample_orthant_array(A.n, 8, np.random.default_rng(0))
             values = _descent(A.a, starts)[0]
@@ -508,39 +518,30 @@ class TestMarginsKernel:
             def q(v):
                 return float(v @ A.a @ v)
 
-            cols = [probe._PAIR, probe._GEODESIC, probe._MIDPOINT, probe._C]
             for row, x, y in zip(probe._margins(A.a, X, Y), X, Y):
                 c = max(q(x), q(y))
-                seg = GeodesicSegment.connect(x, y)
-                ts = probe._GEODESIC_TS
-                geo = max(q(geodesic_eval(seg, t).coords) - c for t in ts)
                 s = x + y
                 mid = float(s @ (A.a - c * np.eye(n)) @ s)
-                expected = [pair_violation_margin(A, x, y), geo, mid, c]
-                np.testing.assert_allclose(row[cols], expected, rtol=0.0, atol=tol)
+                expected = [pair_violation_margin(A, x, y), mid, c]
+                np.testing.assert_allclose(row, expected, rtol=0.0, atol=tol)
 
-    def test_parallel_pairs_have_no_geodesic(self):
-        X = sample_orthant_array(4, 50, np.random.default_rng(3))
-        a = np.diag([1.0, 2.0, 3.0, 4.0])
-        for Y in (X, -X):
-            rows = probe._margins(a, X, Y)
-            assert np.all(rows[:, probe._GEODESIC] == -np.inf)
-            assert np.all(rows[:, [probe._ALPHA, probe._BETA]] == 0.0)
-
-    def test_geodesic_coefficients_give_a_witness(self):
-        A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
-        X, Y = orthant_pairs(np.random.default_rng(9), 3, 400)
-        rows = probe._margins(A.a, X, Y)
-        hits = np.flatnonzero(rows[:, probe._GEODESIC] > 1e-6)
-        assert hits.size > 0
-        for i in hits:
-            alpha, beta, c = rows[i, [probe._ALPHA, probe._BETA, probe._C]]
-            w = Witness(
-                kind=WitnessKind.CONE_NONCONVEXITY,
-                data={"c": c, "x": alpha * X[i], "y": beta * Y[i]},
-                margin=rows[i, probe._GEODESIC],
-            )
-            assert verify_witness(A, w)
+    def test_pair_margin_bounds_the_geodesic(self):
+        # why falsify scores no geodesic sweep: on the orthant a point of the
+        # geodesic from x to y exceeds c by at most max(pair margin, 0)
+        rng = np.random.default_rng(23)
+        ts = np.linspace(0.0, 1.0, 65)
+        for n in range(2, 9):
+            raw = 3.0 * rng.standard_normal((n, n))
+            A = sym((raw + raw.T) / 2.0)
+            tol = 1e-12 * max(1.0, float(np.linalg.norm(A.a, 2)))
+            X, Y = orthant_pairs(rng, n, 40)
+            for row, x, y in zip(probe._margins(A.a, X, Y), X, Y):
+                seg = GeodesicSegment.connect(x, y)
+                geo = max(
+                    float(p @ A.a @ p) - row[probe._C]
+                    for p in (geodesic_eval(seg, t).coords for t in ts)
+                )
+                assert geo <= max(row[probe._PAIR], 0.0) + tol
 
 
 def report_bytes(report):
