@@ -23,7 +23,8 @@ unit vectors e_k in that order, and no eigh runs.  The chain, as it runs:
    more than two distinct eigenvalues, or with a repeated smallest one,
    give a No.  A diagonal B (as in step 3) reads its sorted diagonal in the
    sorted standard basis: its eigenpairs, exactly or to step 3's tolerance;
-5. a nonnegative lambda1 eigenvector and copositive lambda2 I - A: Yes,
+5. a simple lambda1 with a nonnegative eigenvector and copositive
+   lambda2 I - A: Yes,
    decided by the diagonal rule below in O(n^2) at every n;
 7. the cap witness (_cap_witness, its candidates from quadsphere.edge): for
    lambda2 < max a_ii, points e_k + t z on the boundary of the sublevel cone
@@ -329,19 +330,18 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         if verdict := _refuted(C, _diag_witness(values, basis, tol), config):
             return verdict
 
-    # 5. copositivity sufficiency by the bound of the module docstring, with
-    # lam2 counted with multiplicity (the next cluster value is unsound for a
-    # repeated lambda1), p = off[i, j].  The lambda1 vector is the first
-    # fitting column of its eigenspace; a miss only loses a Yes.  None is
-    # sought past the columns: a repeated lambda1 has lam2 <= lam1 + 1e-8
-    # sigma, and a Yes needs max b_ii <= lam2 + tol_slack sigma (the bound and
-    # the enumeration's value are at most lam2 - max b_ii), so every b_ii lies
-    # in [lam1, lam1 + D], D = (1e-8 + tol_slack) sigma.  With tr B = 0 then
-    # lam1 >= -D, every eigenvalue lies in [-D, (n - 1) D] and sigma < n D:
-    # false for n below 1 / (1e-8 + tol_slack), about 9e7 by default
-    hit = fits[:clusters[0][1]].nonzero()[0]
-    if hit.size:
-        cand = E.vectors[:, hit[0]].copy()
+    # 5. copositivity sufficiency by the bound of the module docstring, for a
+    # simple lambda1 whose eigenvector (v0) fits, p = off[i, j].  A repeated
+    # lambda1 gets no Yes, and by default none is lost: it has lam2 <= lam1 +
+    # 1e-8 sigma, and a Yes needs max b_ii <= lam2 + tol_slack sigma (the
+    # bound and the enumeration's value are at most lam2 - max b_ii), so
+    # every b_ii lies in [lam1, lam1 + D], D = (1e-8 + tol_slack) sigma.  With
+    # tr B = 0 then lam1 >= -D, every eigenvalue lies in [-D, (n - 1) D] and
+    # sigma < n D: false for n below 1 / (1e-8 + tol_slack), about 9e7 by
+    # default.  For an exact Z-matrix a repeated lambda1 means components
+    # sharing it, which the split lemma (README) refutes once there is an
+    # edge: under a looser tol_slack the bound would pass such wrong Yeses
+    if clusters[0][1] == 1 and fits[0]:
         lam2 = float(E.eigenvalues[1])
         pareto_min = lam2 - float(b.diagonal().max()) - (n - 1) * p
         floor = -config.tol_slack * sigma
@@ -352,7 +352,7 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
         if pareto_min >= floor:
             return _certified(
                 Rule.COPOSITIVE_SUFFICIENCY,
-                eigenvector=cand, lambda2=lam2 + tau, pareto_min=pareto_min,
+                eigenvector=v0, lambda2=lam2 + tau, pareto_min=pareto_min,
             )
 
     # 7. the cap witness: a Z-matrix with lam2 < max a_ii, refuted by a pair

@@ -5,12 +5,21 @@ write/read round trip reproduces entries bit-exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
 
 from .linalg import SymMatrix
+
+# the interpreter's built-in SHA-256: hashlib would load OpenSSL's _hashlib,
+# 2-4 ms of every analyze process, for one digest of the same bytes
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without it
+        from hashlib import sha256
 
 __all__ = ["MatrixDocument", "loads", "load_path", "dumps"]
 
@@ -33,7 +42,7 @@ class MatrixDocument:
             {"n": self.matrix.n, "rows": self.matrix.a.tolist()},
             separators=(",", ":"),
         )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return sha256(payload.encode()).hexdigest()[:16]
 
 
 def loads(text: str) -> MatrixDocument:

@@ -375,6 +375,23 @@ class TestStep5Oracle:
         verdicts = [(A, certify(A, CFG)) for A in _band_corpus()]
         assert assert_unknowns_at_threshold(verdicts) > 5
 
+    def test_repeated_lambda1_gets_no_yes(self):
+        # a permuted kron(I_r, Z): an exact Z-matrix whose r components share
+        # lambda1, which the split lemma refutes; a loose tol_slack must not
+        # let step 5 answer Yes for it
+        rng = np.random.default_rng(77)
+        loose = Config(tol_slack=1.0)
+        for r, m in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 4)):
+            z = np.triu(-rng.uniform(0.1, 1.0, (m, m)), 1)
+            z = z + z.T
+            np.fill_diagonal(z, rng.standard_normal(m))
+            p = rng.permutation(r * m)
+            A = SymMatrix(np.kron(np.eye(r), z)[np.ix_(p, p)])
+            for config in (CFG, loose):
+                v = certify(A, config)
+                assert v.status is Status.CERTIFIED_NOT_QUASICONVEX, (r, m, config)
+                assert verify_witness(A, v.witness)
+
 
 def cap(A, config=CFG):
     """certify step 7 on A alone: the cap witness that verifies, or None."""

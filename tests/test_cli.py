@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import json
 import os
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import quadsphere
 from quadsphere.cli import _jsonable, _render_text, main
 from quadsphere.config import Config
-from quadsphere.genex import make_negative_positive
+from quadsphere.genex import make_householder, make_negative_positive
 from quadsphere.matrixdoc import MatrixDocument, dumps, loads
 from quadsphere.linalg import SymMatrix
 from quadsphere.sphere import sample_orthant_array
@@ -47,6 +49,16 @@ class TestMatrixDocument:
         assert MatrixDocument(A).digest() == MatrixDocument(A).digest()
         B = SymMatrix(2.0 * np.eye(2))
         assert MatrixDocument(A).digest() != MatrixDocument(B).digest()
+
+    def test_digest_is_sha256(self):
+        # the interpreter's built-in SHA-256 gives hashlib's digest
+        rng = np.random.default_rng(42)
+        for n in (2, 3, 7, 12):
+            raw = rng.standard_normal((n, n))
+            doc = MatrixDocument(SymMatrix((raw + raw.T) / 2.0), name="x")
+            payload = json.dumps({"n": n, "rows": doc.matrix.a.tolist()},
+                                 separators=(",", ":"))
+            assert doc.digest() == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def test_immutable_and_keyword_built(self):
         A = SymMatrix(np.eye(2))
@@ -614,6 +626,21 @@ class TestExitCodeFuzz:
         assert main(["analyze", str(path)]) in (0, 2, 3)
 
 
+def spawn(args, blas_threads=None):
+    """``python args`` run on this checkout's sources, completed."""
+    env = dict(os.environ)
+    src = str(Path(quadsphere.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, timeout=120
+    )
+
+
 class TestFreshProcess:
     """Report bytes must not depend on the process or the BLAS thread count,
     and a command's process loads only the modules the command runs."""
@@ -621,17 +648,7 @@ class TestFreshProcess:
     @staticmethod
     def child(args, blas_threads=None):
         """Stdout of ``python args`` run on this checkout's sources."""
-        env = dict(os.environ)
-        src = str(Path(quadsphere.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if blas_threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = blas_threads
-        proc = subprocess.run(
-            [sys.executable, *args], env=env, capture_output=True, timeout=120
-        )
+        proc = spawn(args, blas_threads)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
@@ -733,3 +750,107 @@ class TestFreshProcess:
         default = self.report_bytes("minimize", str(path), None)
         assert single == default
         assert json.loads(single)["minimum"]["method"] == "ExactPareto"
+
+
+def _outcome(report):
+    """The rule of a Yes, the witness kind of a No (with its vertex for the
+    cap witness), or Unknown."""
+    verdict = report["verdict"]
+    if verdict["certificate"]:
+        return verdict["certificate"]["rule"]
+    if verdict["witness"]:
+        witness = verdict["witness"]
+        return witness["kind"] + (" vertex" if "vertex" in witness["data"] else "")
+    return verdict["status"]
+
+
+# one document per path through the decision chain: outcome -> matrix
+_PATHS = {
+    "ConstantForm": np.eye(3),
+    "DiagonalCharacterization": np.diag([-1.0, 1.0, 1.0]),
+    "TwoEigenvalueCharacterization": make_householder([1.0, 1.0, 1.0]).a,
+    "CopositiveSufficiency": make_negative_positive(6, 0).a,
+    "PairViolation": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "ConeNonconvexity": np.array([[1.0, -0.3, 0.0, 0.0], [-0.3, 1.4, 0.0, 0.0],
+                                  [0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]]),
+    "ConeNonconvexity vertex": np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0],
+                                         [0.0, -1.0, 3.0]]),
+    # an entry inside the tolerance band, lambda2 = max a_ii
+    "Unknown": np.array([[0.0, 5e-9, -1.0], [5e-9, 0.0, -1.0], [-1.0, -1.0, 0.0]]),
+}
+
+
+class TestProcessContract:
+    """``python -m quadsphere.cli`` runs cli.entry, which freezes the
+    collector's heap before main: the process must still write the bytes and
+    exit with the code of an in-process main, flush its output and run its
+    atexit handlers, and only entry may freeze."""
+
+    # registers an atexit hook that reports the freeze count, then runs entry
+    # on its arguments; with FAIL first, every eigh call fails
+    ENTRY = (
+        "import atexit, gc\n"
+        "from quadsphere import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        "cli.entry()\n"
+    )
+    FAIL = (
+        "import numpy as np\n"
+        "def fail(a):\n"
+        "    raise np.linalg.LinAlgError('Eigenvalues did not converge')\n"
+        "np.linalg.eigh = fail\n"
+    )
+
+    @pytest.mark.parametrize("outcome", list(_PATHS))
+    def test_analyze_bytes_equal_main(self, tmp_path, capsys, outcome):
+        path = write_doc(tmp_path, _PATHS[outcome])
+        for fmt in ("text", "structured"):
+            argv = ["analyze", path, "--format", fmt]
+            proc = spawn(["-m", "quadsphere.cli", *argv])
+            code, out, err = run(capsys, *argv)
+            assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+                0, out, "")
+            assert (code, err) == (0, "")
+        assert _outcome(json.loads(out)) == outcome
+        child, main_out = tmp_path / "child.txt", tmp_path / "main.txt"
+        proc = spawn(["-m", "quadsphere.cli", *argv, "--out", str(child)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert run(capsys, *argv, "--out", str(main_out)) == (0, "", "")
+        assert child.read_bytes() == main_out.read_bytes()
+
+    def test_input_error_exits_2(self, tmp_path, capsys):
+        argv = ["analyze", str(tmp_path / "missing.json")]
+        proc = spawn(["-m", "quadsphere.cli", *argv])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:")
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+            code, out, err)
+
+    def test_entry_freezes_and_finalizes(self, tmp_path):
+        path = write_doc(tmp_path, _PATHS["CopositiveSufficiency"])
+        proc = spawn(["-c", self.ENTRY, "analyze", path, "--format", "structured"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        report, hook = proc.stdout.decode().rsplit("}\n", 1)
+        assert json.loads(report + "}")["verdict"]["status"] == "CertifiedQuasiconvex"
+        name, count = hook.split()
+        assert name == "frozen" and int(count) > 0
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a Z-matrix that is not diagonal reaches eigh
+        path = write_doc(tmp_path, [[1.0, -1.0], [-1.0, 2.0]])
+        proc = spawn(["-c", self.FAIL + self.ENTRY, "analyze", path])
+        name, count = proc.stdout.decode().split()
+        assert name == "frozen" and int(count) > 0
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 3 and out == "" and err.startswith("numerical failure:")
+        assert (proc.returncode, proc.stderr.decode()) == (code, err)
+
+    def test_main_leaves_the_collector(self, tmp_path, capsys):
+        path = write_doc(tmp_path, _PATHS["CopositiveSufficiency"])
+        assert run(capsys, "analyze", path)[0] == 0
+        assert gc.get_freeze_count() == 0
