@@ -5,44 +5,33 @@ arithmetic, and anything undecided is an honest Unknown.
 
 As q_{tA + sI} = t q_A + s on the patch (t > 0), every tolerance is a
 multiple of sigma = ||B||_F, B = A - tau I, tau = tr A / n (linalg.centred).
-Step 2 reads A and runs first; the later steps decide B, and eigenvalue
-fields and a witness's c get tau back.  When every off-diagonal entry of B is
-exactly zero, its eigenpairs are the diagonal in stable sorted order and the
-unit vectors e_k in that order, and no eigh runs.  The chain, as it runs:
+Step 1 reads A; the later steps decide B, and eigenvalue fields and a
+witness's c get tau back.  certify runs the steps, the functions of _STEPS,
+in order on one _State, built in stages as they first read it: no eigh
+before step 1 declines or for an exactly diagonal B, and the eigenbasis of
+steps 4-6 only past step 3.
 
-2. an off-diagonal entry above tol_margin sigma: the pair (e_i, e_j), No;
-1. one eigenvalue cluster (gaps at most 1e-8 sigma): constant form, Yes;
-3. a diagonal matrix (off-diagonal entries at most 1e-12 sigma) with two
-   values, the smallest simple: Yes;
-4. two clusters with a simple smallest: Yes if its eigenvector fits the
-   orthant (steps 4-6 read one mask of orthant-fitting columns; one Yes
-   with step 3's, the rule named by diagonality); otherwise
-   steps 5-7 find nothing to build and the input is Unknown;
-6. the diagonal witness (_diag_witness) in the basis of the nonnegative
-   eigenvectors, on whose span q_A is diagonal: three or more of them over
-   more than two distinct eigenvalues, or with a repeated smallest one,
-   give a No.  A diagonal B (as in step 3) reads its sorted diagonal in the
-   sorted standard basis: its eigenpairs, exactly or to step 3's tolerance;
+1. an off-diagonal entry above tol_margin sigma: the pair (e_i, e_j), No;
+2. one eigenvalue cluster (gaps at most 1e-8 sigma): constant form, Yes;
+3. two clusters with a simple smallest, for a diagonal B (|b_ij| at most
+   1e-12 sigma) or a v0 that fits the orthant: Yes, named by diagonality;
+4. the diagonal witness (_diag_witness) over the nonnegative eigenvectors,
+   or over the sorted diagonal of a diagonal B: No;
 5. a simple lambda1 with a nonnegative eigenvector and copositive
-   lambda2 I - A: Yes,
-   decided by the diagonal rule below in O(n^2) at every n;
-7. the cap witness (_cap_witness, its candidates from quadsphere.edge): for
-   lambda2 < max a_ii, points e_k + t z on the boundary of the sublevel cone
-   of B - cI around the vertex e_k of a large diagonal entry, whose sum
-   leaves the cone, No; otherwise Unknown.
+   lambda2 I - A, decided by the diagonal rule below in O(n^2): Yes;
+6. the cap witness (quadsphere.edge) for lambda2 < max a_ii: No; else Unknown.
 
-Step 6 runs before step 5: a verified No cannot be wrong, while step 5's Yes
-rests on the floor -tol_slack sigma.  Where step 6's witness verifies over
+Step 4 runs before step 5: a verified No cannot be wrong, while step 5's Yes
+rests on the floor -tol_slack sigma.  Where step 4's witness verifies over
 values l_a <= l_b < l_c of nonnegative unit eigenvectors, lambda2 <= l_b and
 l_c <= max b_ii + (n - 1) p, so step 5's bound is at most l_b - l_c, below
 the default floor; only a looser tol_slack lets step 5 accept there.
 
-Every Yes is built by _certified, and every cone witness (steps 6 and 7) by
-_refuted, which returns a No only if verify_witness accepts.  Step 2's pair
-has margin a_ij, the comparison verify_witness would make.  certify samples
-nothing: every No is built, and every other input is Unknown.
+Every Yes is built by _certified, and every cone witness (steps 4 and 6) by
+_refuted, which returns a No only if verify_witness accepts.  certify
+samples nothing: every No is built, and every other input is Unknown.
 
-After step 2 the matrix is a Z-matrix up to tol_margin sigma: every
+After step 1 the matrix is a Z-matrix up to tol_margin sigma: every
 off-diagonal entry is at most p = max(a_ij, 0) <= tol_margin sigma.  For a
 Z-matrix the off-diagonal entries of lambda2 I - A are nonnegative, so it is
 copositive iff lambda2 >= max a_ii, and its least Pareto value is
@@ -59,7 +48,7 @@ pareto_min is then its least Pareto value times sigma.
 That lambda2 >= max a_ii is also necessary is a conjecture.  Two cases are
 proved (README): a reducible input, by the split pair, and a vertex without
 neighbours; that the cap points around a vertex with neighbours leave the
-cone is not, and on seeded corpora step 7 leaves a few such inputs with
+cone is not, and on seeded corpora step 6 leaves a few such inputs with
 lambda2 just below max a_ii Unknown.  Soundness does not rest on the
 conjecture.
 """
@@ -74,27 +63,13 @@ import numpy as np
 
 from .config import Config, DEFAULT
 from .cones import enumeration_cap, pareto_spectrum
-from .linalg import (
-    EigenSystem,
-    SymMatrix,
-    as_sym_matrix,
-    centred,
-    cluster_eigenvalues,
-    eigen_decompose,
-)
+from .linalg import (EigenSystem, SymMatrix, as_sym_matrix, centred,
+                     cluster_eigenvalues, eigen_decompose)
 
-__all__ = [
-    "Rule",
-    "WitnessKind",
-    "Status",
-    "Certificate",
-    "Witness",
-    "Verdict",
-    "certify",
-    "verify_witness",
-]
+__all__ = ["Rule", "WitnessKind", "Status", "Certificate", "Witness", "Verdict",
+           "certify", "verify_witness"]
 
-# relative to sigma: the eigenvalue gap steps 1-6 take as a tie, and the
+# relative to sigma: the eigenvalue gap steps 2-5 take as a tie, and the
 # off-diagonal magnitude step 3 takes as zero
 _CLUSTER_RTOL = 1e-8
 _DIAGONAL_RTOL = 1e-12
@@ -134,7 +109,7 @@ class Witness:
         <Ax, y> - <x, y> max{q(x), q(y)} = margin > 0.
     ConeNonconvexity: data has ``c``, ``x``, ``y`` in the orthant with
         q(x) - c||x||^2 <= 0, q(y) - c||y||^2 <= 0 (up to round-off) but
-        q(x + y) - c||x + y||^2 = margin > 0; the cap witness of step 7
+        q(x + y) - c||x + y||^2 = margin > 0; the cap witness of step 6
         also records the ``vertex`` k, both points being e_k + t z for some
         t > 0 and z >= 0 with z_k = 0, before normalization.
     """
@@ -253,96 +228,128 @@ def _diag_witness(s, basis, tol: float):
 
 
 def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
-    """Decide spherical quasi-convexity of q_A on the orthant patch.
-
-    Returns at the first decisive step; see the module docstring for the
-    ordering rationale.
-    """
+    """Decide spherical quasi-convexity of q_A on the orthant patch: the
+    verdict of the first step of _STEPS that decides, else Unknown."""
     A = as_sym_matrix(A)
     if A.n < 2:
         raise ValueError("dimension must be at least 2")
-    C = tau, B, sigma = centred(A)
-    b, n = B.a, A.n
+    state = _State(A, config)
+    for step in _STEPS:
+        if verdict := step(state):
+            return verdict
+    return Verdict(status=Status.UNKNOWN)
 
-    # 2. Z-pattern necessity, before any eigh: the pair (e_i, e_j) has
-    # margin a_ij exactly, and verify_witness makes the same comparison
-    off = b.copy()
-    off.reshape(-1)[:: n + 1] = 0.0
-    i, j = divmod(int(off.argmax()), n)
-    p = float(off[i, j])
-    if p > _refutation_limit(n, sigma, 1.0, config):
-        x, y = pair = np.zeros((2, n))
-        pair[0, i] = pair[1, j] = 1.0
-        data = {"x": x, "y": y, "entry": (i, j)}
-        witness = Witness(WitnessKind.PAIR_VIOLATION, data, p)
+
+class _State:
+    """What the steps read: C = (tau, B, sigma), n, tol and the off-diagonal
+    part of B with its largest entry p = off[i, j].  A step builds the later
+    fields it reads by _spectrum or _eigenbasis, each of which runs once."""
+
+    def __init__(self, A: SymMatrix, config: Config):
+        self.config, self.n, self.staged = config, A.n, 0
+        self.C = self.tau, self.B, self.sigma = centred(A)
+        self.tol = _CLUSTER_RTOL * self.sigma
+        self.off = off = self.B.a.copy()
+        off.reshape(-1)[:: self.n + 1] = 0.0
+        self.i, self.j = divmod(int(off.argmax()), self.n)
+        self.p = float(off[self.i, self.j])
+
+
+def _spectrum(s: _State) -> None:
+    """For steps 2-3: whether B is diagonal, its ascending eigenvalues w,
+    first column v0 and their clusters.  An exactly diagonal B's eigenpairs
+    are its stably sorted diagonal and the e_k in that order: no eigh."""
+    if s.staged:
+        return
+    s.staged = 1
+    largest = max(s.p, -float(s.off.reshape(-1)[s.off.argmin()]))  # max |b_ij|
+    s.diagonal = largest <= _DIAGONAL_RTOL * s.sigma
+    if s.diagonal:
+        s.order = s.B.a.diagonal().argsort(kind="stable")
+        s.sorted = s.B.a.diagonal()[s.order]
+    if largest == 0.0:
+        s.eigh, s.w, s.v0 = None, s.sorted, np.zeros(s.n)
+        s.v0[s.order[0]] = 1.0  # the first least entry, as argmin finds it
+    else:
+        s.eigh = eigen_decompose(s.B)
+        s.w, s.v0 = s.eigh.eigenvalues, s.eigh.vectors[:, 0].copy()
+    s.clusters = cluster_eigenvalues(s.w, s.tol)
+
+
+def _eigenbasis(s: _State) -> None:
+    """For steps 4-6: B's eigensystem E, the mask ``fits`` of its columns
+    that fit the orthant, and step 4's values and basis: the nonnegative
+    eigenpairs, or the sorted diagonal and standard basis of a diagonal B."""
+    if s.staged == 2:
+        return
+    _spectrum(s)
+    s.staged = 2
+    if s.diagonal:
+        s.values, s.basis = s.sorted, np.eye(s.n)[:, s.order]
+    s.E = s.eigh if s.eigh is not None else EigenSystem(s.w, s.basis)
+    # -v fits only where v does (see EigenSystem), so v is the only sign to test
+    s.fits = s.E.vectors.min(axis=0) >= -s.config.tol_sign
+    if not s.diagonal:
+        nonneg = s.fits.nonzero()[0]
+        s.values, s.basis = s.E.eigenvalues[nonneg], s.E.vectors[:, nonneg]
+
+
+def _pair(s: _State) -> Verdict | None:
+    """1. Z-pattern necessity, before any eigh: the pair (e_i, e_j) has
+    margin a_ij exactly, and verify_witness makes the same comparison."""
+    if s.p > _refutation_limit(s.n, s.sigma, 1.0, s.config):
+        x, y = pair = np.zeros((2, s.n))
+        pair[0, s.i] = pair[1, s.j] = 1.0
+        data = {"x": x, "y": y, "entry": (s.i, s.j)}
+        witness = Witness(WitnessKind.PAIR_VIOLATION, data, s.p)
         return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
 
-    # steps 1, 3 and 4 read the ascending eigenvalues w and the first column
-    # v0, for an exactly diagonal B from its diagonal: no eigh runs for it
-    tol = _CLUSTER_RTOL * sigma
-    largest = max(p, -float(off.reshape(-1)[off.argmin()]))  # max |b_ij|, i != j
-    diagonal = largest <= _DIAGONAL_RTOL * sigma
-    if diagonal:
-        order = b.diagonal().argsort(kind="stable")
-        values = b.diagonal()[order]
-    if largest == 0.0:
-        w, v0 = values, np.zeros(n)
-        v0[order[0]] = 1.0  # the first least entry, as argmin finds it
-    else:
-        E = eigen_decompose(B)
-        w, v0 = E.eigenvalues, E.vectors[:, 0].copy()
-    clusters = cluster_eigenvalues(w, tol)
-    two_simple = len(clusters) == 2 and clusters[0][1] == 1
 
-    # 1. constant form: a single eigenvalue makes q_A constant on the sphere
-    if len(clusters) == 1:
-        return _certified(Rule.CONSTANT_FORM, eigenvalue=clusters[0][0] + tau)
+def _constant_form(s: _State) -> Verdict | None:
+    """2. A single eigenvalue makes q_A constant on the sphere."""
+    _spectrum(s)
+    if len(s.clusters) == 1:
+        return _certified(Rule.CONSTANT_FORM, eigenvalue=s.clusters[0][0] + s.tau)
 
-    # 3-4. two eigenvalue clusters with a simple smallest: Yes for a diagonal
-    # matrix, otherwise decided by whether the smallest eigenvector fits in
-    # the orthant.  When it does not, steps 5-7 have nothing to build (no
-    # nonnegative lambda1 vector, one value over the nonnegative
-    # eigenvectors, and a_ii = lam2 - (lam2 - lam1) v_i^2 <= lam2), so the
-    # input ends Unknown.
-    if two_simple and (diagonal or float(v0.min()) >= -config.tol_sign):
+
+def _two_values(s: _State) -> Verdict | None:
+    """3. Two clusters with a simple smallest: Yes for a diagonal B or a v0
+    that fits.  Otherwise steps 4-6 have nothing to build (no nonnegative
+    lambda1 vector, one value over the nonnegative eigenvectors, a_ii =
+    lam2 - (lam2 - lam1) v_i^2 <= lam2), and the input ends Unknown."""
+    _spectrum(s)
+    clusters, diagonal = s.clusters, s.diagonal
+    if len(clusters) == 2 and clusters[0][1] == 1 and (
+            diagonal or float(s.v0.min()) >= -s.config.tol_sign):
         rule = (Rule.DIAGONAL_CHARACTERIZATION if diagonal
                 else Rule.TWO_EIGENVALUE_CHARACTERIZATION)
-        clusters = [(value + tau, mult) for value, mult in clusters]
-        return _certified(rule, clusters=clusters, eigenvector=v0)
+        clusters = [(value + s.tau, mult) for value, mult in clusters]
+        return _certified(rule, clusters=clusters, eigenvector=s.v0)
 
-    # the sorted standard basis, built past step 4: B's eigenvectors if exact
-    if diagonal:
-        basis = np.eye(n)[:, order]
-        if largest == 0.0:
-            E = EigenSystem(w, basis)
-    # steps 4-6 read which eigenvectors fit the orthant; -v fits only where
-    # v does (see EigenSystem), so v is the only sign to test
-    fits = E.vectors.min(axis=0) >= -config.tol_sign
 
-    # 6. the diagonal obstruction over the nonnegative eigenvectors, or over
-    # the sorted diagonal of a diagonal B, whose near ties eigh may mix out of
-    # the orthant; at the tolerance edge it may not verify.  Before step 5:
-    # see the module docstring
-    if not diagonal:
-        nonneg = fits.nonzero()[0]
-        values, basis = E.eigenvalues[nonneg], E.vectors[:, nonneg]
-    if values.size >= 3:
-        if verdict := _refuted(C, _diag_witness(values, basis, tol), config):
-            return verdict
+def _diagonal_obstruction(s: _State) -> Verdict | None:
+    """4. The diagonal witness; a diagonal B reads its sorted diagonal, whose
+    near ties eigh may mix out of the orthant; it may not verify at the edge."""
+    _eigenbasis(s)
+    if s.values.size >= 3:
+        return _refuted(s.C, _diag_witness(s.values, s.basis, s.tol), s.config)
 
-    # 5. copositivity sufficiency by the bound of the module docstring, for a
-    # simple lambda1 whose eigenvector (v0) fits, p = off[i, j].  A repeated
-    # lambda1 gets no Yes, and by default none is lost: it has lam2 <= lam1 +
-    # 1e-8 sigma, and a Yes needs max b_ii <= lam2 + tol_slack sigma (the
-    # bound and the enumeration's value are at most lam2 - max b_ii), so
-    # every b_ii lies in [lam1, lam1 + D], D = (1e-8 + tol_slack) sigma.  With
-    # tr B = 0 then lam1 >= -D, every eigenvalue lies in [-D, (n - 1) D] and
-    # sigma < n D: false for n below 1 / (1e-8 + tol_slack), about 9e7 by
-    # default.  For an exact Z-matrix a repeated lambda1 means components
-    # sharing it, which the split lemma (README) refutes once there is an
-    # edge: under a looser tol_slack the bound would pass such wrong Yeses
-    if clusters[0][1] == 1 and fits[0]:
-        lam2 = float(E.eigenvalues[1])
+
+def _copositive(s: _State) -> Verdict | None:
+    """5. Copositivity sufficiency by the module docstring's bound."""
+    # A repeated lambda1 gets no Yes, and by default none is lost: it has
+    # lam2 <= lam1 + 1e-8 sigma, and a Yes needs max b_ii <= lam2 + tol_slack
+    # sigma (the bound and the enumeration's value are at most lam2 - max
+    # b_ii), so every b_ii lies in [lam1, lam1 + D], D = (1e-8 + tol_slack)
+    # sigma.  With tr B = 0 then lam1 >= -D, every eigenvalue lies in
+    # [-D, (n - 1) D] and sigma < n D: false for n below 1 / (1e-8 +
+    # tol_slack), about 9e7 by default.  For an exact Z-matrix a repeated
+    # lambda1 means components sharing it, which the split lemma (README)
+    # refutes once there is an edge: a looser tol_slack would pass such Yeses
+    _eigenbasis(s)
+    if s.clusters[0][1] == 1 and s.fits[0]:
+        b, n, p, sigma, config = s.B.a, s.n, s.p, s.sigma, s.config
+        lam2 = float(s.E.eigenvalues[1])
         pareto_min = lam2 - float(b.diagonal().max()) - (n - 1) * p
         floor = -config.tol_slack * sigma
         if pareto_min < floor and p > 0.0 and n <= enumeration_cap(config):
@@ -350,16 +357,22 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
             shifted = SymMatrix((lam2 * np.eye(n) - b) / sigma)
             pareto_min = sigma * pareto_spectrum(shifted, config).min_value
         if pareto_min >= floor:
-            return _certified(
-                Rule.COPOSITIVE_SUFFICIENCY,
-                eigenvector=v0, lambda2=lam2 + tau, pareto_min=pareto_min,
-            )
+            return _certified(Rule.COPOSITIVE_SUFFICIENCY, eigenvector=s.v0,
+                              lambda2=lam2 + s.tau, pareto_min=pareto_min)
 
-    # 7. the cap witness: a Z-matrix with lam2 < max a_ii, refuted by a pair
-    # of cone boundary points around the vertex of a large diagonal entry;
-    # nothing else is left to build, so the input is otherwise Unknown
-    verdict = _cap_witness(C, float(E.eigenvalues[1]), config)
-    return verdict or Verdict(status=Status.UNKNOWN)
+
+def _cap(s: _State) -> Verdict | None:
+    """6. The cap witness: the first pair of quadsphere.edge.cap_pairs that
+    verifies.  edge is imported here: an input decided earlier never loads it."""
+    from .edge import cap_pairs
+    _eigenbasis(s)
+    for c, k, x, y, margin in cap_pairs(s.B.a, float(s.E.eigenvalues[1])):
+        if verdict := _refuted(s.C, (c, x, y, margin), s.config, vertex=k):
+            return verdict
+
+
+# the chain in run order, numbered as in the module docstring
+_STEPS = (_pair, _constant_form, _two_values, _diagonal_obstruction, _copositive, _cap)
 
 
 def _certified(rule: Rule, **data) -> Verdict:
@@ -377,17 +390,4 @@ def _refuted(C, found, config: Config, **extra) -> Verdict | None:
         witness = Witness(WitnessKind.CONE_NONCONVEXITY, data, margin)
         if _verifies(C, witness, config):
             return Verdict(status=Status.CERTIFIED_NOT_QUASICONVEX, witness=witness)
-    return None
-
-
-def _cap_witness(C, lam2: float, config: Config) -> Verdict | None:
-    """Step 7: the first pair of quadsphere.edge.cap_pairs, built on B of
-    C = (tau, B, sigma) with second eigenvalue ``lam2``, that verifies, as a
-    No through _refuted; None when none does or lam2 >= max b_ii.  edge is
-    imported here: no input decided by steps 1-6 compiles it."""
-    from .edge import cap_pairs
-
-    for c, k, x, y, margin in cap_pairs(C[1].a, lam2):
-        if verdict := _refuted(C, (c, x, y, margin), config, vertex=k):
-            return verdict
     return None

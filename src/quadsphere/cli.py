@@ -10,7 +10,7 @@ Every run starts a fresh interpreter, so a command loads only what it runs:
 ``generate`` imports quadsphere.genex and ``minimize`` and ``probe`` import
 quadsphere.probe when they run, and the parser builds the arguments of the
 one matrix command being run.  ``analyze`` loads the decision chain and
-quadsphere.matrixdoc, and quadsphere.edge only when step 7 is reached.
+quadsphere.matrixdoc, and quadsphere.edge only when step 6 is reached.
 
 entry, the console script and ``python -m quadsphere.cli``, freezes the
 collector's heap (gc.freeze) before main runs.  What the imports created

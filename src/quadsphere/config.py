@@ -14,9 +14,9 @@ class Config:
 
     tol_margin   -- a violation counts only beyond tol_margin * sigma
                     (plus round-off), sigma = ||A - (tr A / n) I||_F; also
-                    the Z-pattern threshold of certify step 2
+                    the Z-pattern threshold of certify step 1
     tol_sign     -- slack for orthant-membership tests of eigenvectors
-                    (certify steps 4-6, the Perron screen)
+                    (certify steps 3-5, the Perron screen)
     tol_slack    -- certify step 5's floor, -tol_slack * sigma; in cones,
                     times ||A||_F, which a shift moves: the
                     complementarity slack of Pareto eigenpairs off the

@@ -1,4 +1,4 @@
-"""The candidates behind certify step 7, the cap witness: for
+"""The candidates behind certify step 6, the cap witness: for
 lambda2 < max b_ii, pairs of points on the boundary of a shifted sublevel
 cone, next to the vertex of a large diagonal entry, whose sum may leave it.
 
@@ -17,7 +17,7 @@ orthogonal to g.  The directions tried are:
   split lemma's x, where |w| misses k's component;
 - z = e_i for every i in J: the edge points e_i + t e_k of a diagonal entry
   below c, which for a diagonal B are the points of the diagonal witness
-  (certify step 6 in the standard basis), and the split lemma's y.
+  (certify step 4 in the standard basis), and the split lemma's y.
 
 Every positive root gives a point, so no direction is tested for g^T z = 0.
 All pairs of one vertex's unit points are scored by one product P B_c P^T,

@@ -15,6 +15,9 @@ __all__ = ["ConvergenceError", "SymMatrix"]
 
 # asymmetry SymMatrix symmetrizes away, relative to max(1, ||A||_F)
 _SYMMETRY_RTOL = 1e-9
+# a sum of squares at or above this lost at most n^2 2^-1075 to squares that
+# underflow, far below its last bit; below it _frobenius rescales first
+_NORMAL_SUM = 1e-290
 
 
 class ConvergenceError(RuntimeError):
@@ -64,8 +67,7 @@ class SymMatrix:
         return self.a.shape[0]
 
     def norm_fro(self) -> float:
-        flat = self.a.ravel(order="K")  # np.linalg.norm's arithmetic
-        return math.sqrt(float(flat.dot(flat)))
+        return _frobenius(self.a.ravel(order="K"))
 
     def quad(self, x: np.ndarray) -> float:
         """The quadratic form <Ax, x>."""
@@ -100,7 +102,21 @@ def centred(A: SymMatrix) -> tuple[float, SymMatrix, float]:
     b.setflags(write=False)
     B = object.__new__(SymMatrix)
     object.__setattr__(B, "a", b)
-    return tau, B, math.sqrt(float(flat.dot(flat)))  # np.linalg.norm's arithmetic
+    return tau, B, _frobenius(flat)
+
+
+def _frobenius(flat: np.ndarray) -> float:
+    """The 2-norm of the 1-d ``flat``: np.linalg.norm's arithmetic while the
+    sum of squares is at least _NORMAL_SUM, or when every entry is zero.
+    Below it squares underflow (all of them at 2^-700 A), so the entries are
+    first scaled by the power of two of their largest magnitude, which is
+    exact."""
+    ss = float(flat.dot(flat))
+    if ss >= _NORMAL_SUM or not np.count_nonzero(flat):
+        return math.sqrt(ss)
+    e = math.frexp(float(abs(flat).max()))[1]
+    scaled = np.ldexp(flat, -e)
+    return math.ldexp(math.sqrt(float(scaled.dot(scaled))), e)
 
 
 class EigenSystem:

@@ -4,7 +4,7 @@ These deliberately avoid the code paths they check: brute-force grids for
 orthant minima, the closed-form 2x2 eigenproblem, finite differences for
 derivatives along geodesics, a one-support-at-a-time Pareto enumeration, a
 one-start-at-a-time descent, the loop forms of the eigenvector sign step and
-the eigenvalue clustering, certify's steps 1, 3 and 6 on a diagonal input as
+the eigenvalue clustering, certify's steps 2, 3 and 4 on a diagonal input as
 they ran through the eigendecomposition with the one-value-at-a-time
 diagonal witness in the standard basis, and the intrinsic sphere geometry
 (distances, minimal geodesic segments, the spherical gradient of q_A) that
@@ -237,11 +237,11 @@ def reference_diag_witness(values, basis, tol: float) -> Witness | None:
 
 
 def reference_diagonal_route(A: SymMatrix, config: Config = DEFAULT) -> Verdict | None:
-    """certify's steps 1, 3 and 6 on a diagonal A (step 2 declines there),
-    steps 1 and 3 read from the full eigendecomposition of B = A - tau I and
-    step 6's witness built on the unsorted diagonal in the standard basis:
+    """certify's steps 2, 3 and 4 on a diagonal A (step 1 declines there),
+    steps 2 and 3 read from the full eigendecomposition of B = A - tau I and
+    step 4's witness built on the unsorted diagonal in the standard basis:
     the Verdict they return, or None where the witness does not verify and
-    the chain goes on to steps 5 and 7."""
+    the chain goes on to steps 5 and 6."""
     A = as_sym_matrix(A)
     tau, B, sigma = centred(A)
     b, n = B.a, A.n

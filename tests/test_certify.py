@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from quadsphere.certify import (
     certify,
     pair_violation_margin,
     verify_witness,
-    _cap_witness,
+    _STEPS,
+    _State,
+    _cap,
     _diag_witness,
+    _eigenbasis,
 )
 from quadsphere.config import DEFAULT, Config
 from quadsphere.cones import pareto_spectrum
@@ -29,7 +33,8 @@ from quadsphere.genex import (
 from quadsphere.linalg import SymMatrix, centred, cluster_eigenvalues, eigen_decompose
 
 from oracles import reference_best_pair, reference_diag_witness, reference_diagonal_route
-from test_metamorphic import assert_unknowns_at_threshold
+from test_cli import _PATHS
+from test_metamorphic import assert_unknowns_at_threshold, corpus as metamorphic_corpus
 from test_zmatrix_corpus import census, corpus as zmatrix_corpus, tied
 
 CFG = Config()
@@ -128,7 +133,7 @@ class TestGoldenVerdicts:
         assert verify_witness(A, v.witness)
 
     def test_far_shifted_positive_entry(self):
-        # step 2 runs before the eigenvalue clusters: the pair (e_1, e_2) has
+        # step 1 runs before the eigenvalue clusters: the pair (e_1, e_2) has
         # margin 0.5 whatever the shift
         a = 1e8 * np.eye(3)
         a[0, 1] = a[1, 0] = 0.5
@@ -313,13 +318,13 @@ def _band_corpus(seed=2027):
 
 def _step5_inputs(corpus):
     """(B, lambda2 of B, sigma, certify verdict) for the inputs that pass
-    step 2 and reach step 5, with B = A - tau I as certify decides it, under
+    step 1 and reach step 5, with B = A - tau I as certify decides it, under
     the default Config."""
     config = Config()
     for A in corpus:
         _, B, sigma = centred(A)
         if float((A.a - np.diag(np.diag(A.a))).max()) > config.tol_margin * sigma:
-            continue  # step 2's pair
+            continue  # step 1's pair
         E = eigen_decompose(B)
         clusters = cluster_eigenvalues(E.eigenvalues, 1e-8 * sigma)
         two = len(clusters) == 2 and clusters[0][1] == 1
@@ -393,10 +398,63 @@ class TestStep5Oracle:
                 assert verify_witness(A, v.witness)
 
 
+class TestStepChain:
+    """certify runs the steps of _STEPS in tuple order on one _State and
+    stops at the first that decides; step 1 runs before the spectrum is
+    built, and an input decided by steps 1-3 never builds the eigenbasis
+    (E, fits, step 4's values and basis) that steps 4-6 read."""
+
+    # test_cli._PATHS, one document per outcome -> the step that decides it
+    DECIDED_BY = {
+        "PairViolation": 1,
+        "ConstantForm": 2,
+        "DiagonalCharacterization": 3,
+        "TwoEigenvalueCharacterization": 3,
+        "ConeNonconvexity": 4,
+        "CopositiveSufficiency": 5,
+        "ConeNonconvexity vertex": 6,
+        "Unknown": None,
+    }
+
+    @staticmethod
+    def outcome(v):
+        if v.certificate is not None:
+            return v.certificate.rule.value
+        if v.witness is not None:
+            return v.witness.kind.value + (" vertex" if "vertex" in v.witness.data else "")
+        return v.status.value
+
+    def test_runs_in_order_and_stops_at_the_deciding_step(self, monkeypatch):
+        ran = []
+
+        def recorder(number, step):
+            def recorded(state):
+                ran.append((number, state, set(vars(state))))
+                return step(state)
+            return recorded
+
+        steps = tuple(recorder(k, step) for k, step in enumerate(_STEPS, 1))
+        monkeypatch.setattr(sys.modules["quadsphere.certify"], "_STEPS", steps)
+        assert self.DECIDED_BY.keys() == _PATHS.keys()
+        for outcome, decider in self.DECIDED_BY.items():
+            ran.clear()
+            v = certify(SymMatrix(_PATHS[outcome]), CFG)
+            assert self.outcome(v) == outcome
+            assert [k for k, _, _ in ran] == list(range(1, (decider or 6) + 1)), outcome
+            state = ran[0][1]
+            assert all(s is state for _, s, _ in ran)
+            assert "clusters" not in ran[0][2]  # step 1 runs before any eigh
+            built = set(vars(state))
+            staged = {"E", "fits", "values", "basis"}
+            if decider is not None and decider <= 3:
+                assert not staged & built, outcome
+            else:
+                assert staged <= built and not staged & ran[3][2], outcome
+
+
 def cap(A, config=CFG):
-    """certify step 7 on A alone: the cap witness that verifies, or None."""
-    C = centred(A)
-    verdict = _cap_witness(C, float(eigen_decompose(C[1]).eigenvalues[1]), config)
+    """certify step 6 on A alone: the cap witness that verifies, or None."""
+    verdict = _cap(_State(A, config))
     return None if verdict is None else verdict.witness
 
 
@@ -428,7 +486,7 @@ class TestEdgeWitness:
         assert declined >= 8
 
     def test_diagonal_case(self):
-        # for a diagonal matrix the points e_k + t e_i are those of step 6's
+        # for a diagonal matrix the points e_k + t e_i are those of step 4's
         # diagonal witness: e_i + t e_k below and above c
         A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
         w = cap(A)
@@ -441,7 +499,7 @@ class TestEdgeWitness:
             assert p[2] > 0.0
 
     def test_refutes_open_z_matrix(self):
-        # weakly coupled spread diagonal: steps 1-6 decide nothing, and the
+        # weakly coupled spread diagonal: steps 1-5 decide nothing, and the
         # sampling falsifier used to be the only No path
         A = sym([
             [-1.0, -0.05, -0.02, -0.04],
@@ -481,7 +539,7 @@ class TestEdgeWitness:
 
 
 def witness_bytes(w):
-    """The fields of a step-7 witness, as bytes, for byte-for-byte equality."""
+    """The fields of a step-6 witness, as bytes, for byte-for-byte equality."""
     if w is None:
         return None
     data = w.data
@@ -498,15 +556,15 @@ def spread_z(rng, n):
 
 
 class TestEdgeWitnessBytes:
-    """On the corpora that the edge scan of step 7 refuted before the cap
+    """On the corpora that the edge scan of step 6 refuted before the cap
     witness replaced it: every input with lambda2 < max a_ii still ends in
-    a verified No, and a step-7 No is, byte for byte, the first pair of
+    a verified No, and a step-6 No is, byte for byte, the first pair of
     edge.cap_pairs that verifies."""
 
     @staticmethod
     def compare(mats):
         """certify on each A and on its centred B; returns the number of
-        step-7 Nos."""
+        step-6 Nos."""
         witnesses = 0
         for A in mats:
             for M in (A, SymMatrix(centred(A)[1].a)):
@@ -556,7 +614,7 @@ class TestEdgeWitnessBytes:
         assert self.compare(mats) > 100
 
     def test_diagonal_matrices(self):
-        # step 6 decides these; step 7 alone refutes every one with
+        # step 4 decides these; step 6 alone refutes every one with
         # lambda2 < max a_ii at the vertex of its first largest entry
         rng = np.random.default_rng(43)
         mats = [SymMatrix(np.diag(rng.standard_normal(int(n)))) for n in rng.integers(3, 9, 60)]
@@ -620,12 +678,11 @@ class TestEdgeWitnessBytes:
     def test_memory_bounded(self):
         # at n = 256 the witness holds B - cI, one eigh of order 255 and the
         # score matrix of its points (about 300 per side)
-        A = SymMatrix(spread_z(np.random.default_rng(46), 256))
-        C = centred(A)
-        lam2 = float(eigen_decompose(C[1]).eigenvalues[1])
+        state = _State(SymMatrix(spread_z(np.random.default_rng(46), 256)), CFG)
+        _eigenbasis(state)  # eigh before tracing
         tracemalloc.start()
         try:
-            assert _cap_witness(C, lam2, CFG) is not None
+            assert _cap(state) is not None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -782,7 +839,7 @@ def cone(found):
 
 
 class TestDiagonalRoute:
-    """On an exactly diagonal B steps 1, 3, 4 and 6 read the sorted
+    """On an exactly diagonal B steps 2, 3 and 4 read the sorted
     diagonal, and eigen_decompose never runs."""
 
     @staticmethod
@@ -815,8 +872,8 @@ class TestDiagonalRoute:
             v = certify(A)
             if ref is None:
                 # the diagonal witness does not verify (gaps at the
-                # tolerance): steps 5 and 7 refute
-                key = "past step 6"
+                # tolerance): steps 5 and 6 refute
+                key = "past step 4"
                 assert verify_witness(A, v.witness), A
             else:
                 key = ref.certificate.rule if ref.certificate else ref.witness.kind
@@ -851,9 +908,9 @@ class TestDiagonalRoute:
         assert built > 1000
 
     def test_witness_at_the_tolerance_edge_falls_through(self, monkeypatch):
-        # clusters {0, 0.9 tol} and {1.95 tol} below 1: step 6's witness has
+        # clusters {0, 0.9 tol} and {1.95 tol} below 1: step 4's witness has
         # margin 2 sqrt(0.975 * 0.075) tol = 0.54 tol < tol_margin sigma and
-        # does not verify, step 5 declines, and step 7 refutes, all without
+        # does not verify, step 5 declines, and step 6 refutes, all without
         # eigen_decompose
         sigma = centred(SymMatrix(np.diag([0.0, 0.0, 0.0, 1.0])))[2]
         tol = _CLUSTER_RTOL * sigma
@@ -875,7 +932,7 @@ class TestDiagonalRoute:
 
 
 def diag_witness(d):
-    """The witness certify returns for diag(d): step 6's diagonal witness on
+    """The witness certify returns for diag(d): step 4's diagonal witness on
     the sorted diagonal."""
     return certify(SymMatrix(np.diag(d))).witness
 
@@ -925,7 +982,7 @@ class TestConstructDiagWitness:
 
 class TestConstructThreevecWitness:
     # the diagonal obstruction over three orthonormal nonnegative vectors,
-    # the form step 6 uses on nonnegative eigenvectors
+    # the form step 4 uses on nonnegative eigenvectors
     TOL = 1e-8
 
     def test_canonical_distinct(self):
@@ -962,7 +1019,7 @@ class TestConstructThreevecWitness:
 class TestNonnegativeEigenbasisWitness:
     def test_permuted_three_block_z_matrix(self):
         # each irreducible Z-block gives one nonnegative (Perron) eigenvector;
-        # q_A is diagonal in that basis, so step 6 is the diagonal witness
+        # q_A is diagonal in that basis, so step 4 is the diagonal witness
         # v_i + t_i v_k, v_j + t_j v_k over the block Perron vectors
         blocks = [
             np.array([[0.0, -0.5, -0.2], [-0.5, 0.3, -0.4], [-0.2, -0.4, 0.1]]),
@@ -990,7 +1047,7 @@ class TestNonnegativeEigenbasisWitness:
         assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
         w = v.witness
         assert w.kind is WitnessKind.CONE_NONCONVEXITY
-        assert "vertex" not in w.data  # not the cap witness of step 7
+        assert "vertex" not in w.data  # not the cap witness of step 6
         c = w.data["c"]
         assert lj < c < lk
         ti = np.sqrt((c - li) / (lk - c))
@@ -1002,7 +1059,7 @@ class TestNonnegativeEigenbasisWitness:
 
     def test_verified_no_wins_over_a_loose_slack(self):
         # three blocks [[a, -1e-3], [-1e-3, a]], a in {0, 1, 1.01}: the block
-        # Perron vectors carry -1e-3, 0.999 and 1.009, so step 6 refutes.
+        # Perron vectors carry -1e-3, 0.999 and 1.009, so step 4 refutes.
         # Step 5's bound, lambda2 - max a_ii = 0.001 - 1.01, clears the floor
         # -tol_slack sigma at tol_slack = 1 (sigma = 1.16), and a step 5 that
         # ran first returned a wrong CopositiveSufficiency Yes there
@@ -1014,14 +1071,14 @@ class TestNonnegativeEigenbasisWitness:
             v = certify(A, config)
             assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
             assert v.witness.kind is WitnessKind.CONE_NONCONVEXITY
-            assert "vertex" not in v.witness.data  # step 6, not step 7
+            assert "vertex" not in v.witness.data  # step 4, not step 6
             assert verify_witness(A, v.witness, config)
 
     def test_near_diagonal_reads_the_sorted_diagonal(self):
         # diag(-1, 0, 0, 1e-5) with b_13 = -5e-13, inside step 3's 1e-12 sigma:
         # the coupling tilts eigh's top column out of the orthant (by about
         # 5e-8, past tol_sign), so the nonnegative eigenvectors hold at most
-        # two values.  Step 6 reads the sorted diagonal instead and refutes;
+        # two values.  Step 4 reads the sorted diagonal instead and refutes;
         # in eigh's basis the input would reach step 5, whose bound -1e-5
         # clears the floor at tol_slack = 1e-3
         a = np.diag([-1.0, 0.0, 0.0, 1e-5])
@@ -1032,7 +1089,7 @@ class TestNonnegativeEigenbasisWitness:
         for config in (CFG, Config(tol_slack=1e-3)):
             v = certify(A, config)
             assert v.status is Status.CERTIFIED_NOT_QUASICONVEX
-            assert "vertex" not in v.witness.data  # step 6, not step 7
+            assert "vertex" not in v.witness.data  # step 4, not step 6
             np.testing.assert_array_equal(v.witness.data["x"] > 0, [True, False, False, True])
             np.testing.assert_array_equal(v.witness.data["y"] > 0, [False, True, False, True])
             assert verify_witness(A, v.witness, config)
@@ -1207,6 +1264,45 @@ class TestInvariances:
             base = certify(A, CFG).status
             for s in (1e-9, 1e-12):
                 assert certify(SymMatrix(s * A.a), CFG).status is base
+
+    def test_below_the_normal_range(self):
+        # at 2^-700 (exact) the square of every entry underflows: sigma, and
+        # with it every tolerance and the refutation limit, must not read 0.
+        # Each status is the unscaled one, or Unknown where a witness's own
+        # arithmetic underflows; every Yes stays, every No verifies, and no
+        # RuntimeWarning is raised
+        t = 2.0**-700
+        mats = ([A for _, A in metamorphic_corpus(2031, 60)]
+                + zmatrix_corpus()[:300] + census()[::5])
+        kept = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for A in mats:
+                base = certify(A, CFG).status
+                T = SymMatrix(t * A.a)
+                v = certify(T, CFG)
+                if base is Status.CERTIFIED_QUASICONVEX:
+                    assert v.status is base, A.a
+                assert v.status in (base, Status.UNKNOWN), A.a
+                if v.status is Status.CERTIFIED_NOT_QUASICONVEX:
+                    assert verify_witness(T, v.witness, CFG), A.a
+                kept += v.status is base
+        assert len(mats) == 1395 and kept >= 500
+
+    def test_round_off_witnesses_at_tiny_scale(self):
+        # near-parallel points x, y = x + 1e-15 u on a Householder matrix
+        # (quasi-convex): the cone margin is round-off, which only a
+        # refutation limit of 0 would accept
+        rng = np.random.default_rng(43)
+        for _ in range(2000):
+            n = int(rng.integers(3, 9))
+            H = make_householder(rng.random(n) + 0.1)
+            x = rng.random(n)
+            x /= np.linalg.norm(x)
+            y = x + 1e-15 * rng.random(n)
+            w = Witness(WitnessKind.CONE_NONCONVEXITY, {"c": -10.0, "x": x, "y": y}, 0.0)
+            for t in (1.0, 2.0**-700):
+                assert not verify_witness(SymMatrix(t * H.a), w, CFG), (t, H.a)
 
     def test_tiny_diagonal_not_yes(self):
         # diag(1, 2, 3) is refuted at scale 1; at 1e-9 its eigenvalue gaps

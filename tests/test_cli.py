@@ -667,7 +667,7 @@ class TestFreshProcess:
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'quadsphere'))\n"
         "raise SystemExit(code)\n"
     )
-    # what an analyze process decided before step 7 loads
+    # what an analyze process decided before step 6 loads
     CHAIN = {
         "quadsphere", "quadsphere.certify", "quadsphere.cli", "quadsphere.cones",
         "quadsphere.config", "quadsphere.linalg", "quadsphere.matrixdoc",
@@ -689,7 +689,7 @@ class TestFreshProcess:
         assert minimize == self.CHAIN | {"quadsphere.probe"}
         generate = self.loaded("generate", "householder", "--v", "1,1", "--out", out)
         assert "quadsphere.genex" in generate and "quadsphere.probe" not in generate
-        # a step-7 No: only the cap witness loads edge
+        # a step-6 No: only the cap witness loads edge
         path.write_text(dumps(SymMatrix([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0],
                                          [0.0, -1.0, 3.0]])))
         assert self.loaded(*analyze) == self.CHAIN | {"quadsphere.edge"}

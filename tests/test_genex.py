@@ -190,7 +190,7 @@ class TestNegativePositive:
                 v = certify(A, CFG)
                 assert v.status is Status.CERTIFIED_QUASICONVEX, (n, seed)
                 if n > 2:
-                    # two eigenvalues at n = 2 are step 4's; from n = 3 the
+                    # two eigenvalues at n = 2 are step 3's; from n = 3 the
                     # diagonal rule decides step 5, past the enumeration cap
                     # too: lambda2 > 0 > max a_ii
                     assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY

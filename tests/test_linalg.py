@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from quadsphere.linalg import (
     EigenSystem,
     SymMatrix,
+    _frobenius,
     centred,
     cluster_eigenvalues,
     eigen_decompose,
@@ -193,6 +196,26 @@ class TestArrayFormsMatchLoops:
             negzero += bool(np.signbit(A.a[A.a == 0.0]).any())
             flipped += not np.array_equal(expected, v[:, order])
         assert multi >= 800 and negzero >= 150 and flipped >= 1200
+
+
+class TestScaleSafeNorm:
+    """Where the squares of the entries underflow (entries below about
+    1e-154), sigma and ||A||_F come from the entries scaled by a power of
+    two, so at 2^k A they are exactly 2^k times A's."""
+
+    def test_power_of_two_scales(self):
+        rng = np.random.default_rng(4300)
+        for A in _mixed_inputs(rng, 200) + _edge_inputs(rng, 100):
+            sigma, norm = centred(A)[2], A.norm_fro()
+            for k in (-700, -900):
+                T = SymMatrix(2.0**k * A.a)
+                assert centred(T)[2] == math.ldexp(sigma, k), (k, A)
+                assert T.norm_fro() == math.ldexp(norm, k), (k, A)
+
+    def test_small_entries(self):
+        # 3^2 + 4^2 = 5^2 with every square below the smallest float; and 0
+        assert _frobenius(2.0**-700 * np.array([3.0, 4.0])) == 5.0 * 2.0**-700
+        assert _frobenius(np.array([0.0, -0.0])) == 0.0
 
 
 class TestContract:

@@ -2,7 +2,7 @@
 
 For a Z-matrix the paper's sufficient condition (copositivity of
 lambda2 I - A) reduces to lambda2 >= max a_ii; its necessity is conjectured,
-and the cap witness of certify step 7 supplies the No side.  Whatever the
+and the cap witness of certify step 6 supplies the No side.  Whatever the
 conjecture's fate, every Yes here must satisfy the condition, every No must
 carry a witness that verify_witness accepts, and no input may be left
 Unknown.  The corpora: 600 random Z-matrices, every integer Z-matrix of
@@ -83,7 +83,7 @@ def test_sound_and_decided(verdicts):
 
 
 def test_cap_witness_decides_the_rest(verdicts):
-    # every input left open by steps 1-6 is refuted by the cap witness, at a
+    # every input left open by steps 1-5 is refuted by the cap witness, at a
     # shift between lambda2 and the largest diagonal entry
     cap = [(A, v) for A, v in verdicts if v.witness and "vertex" in v.witness.data]
     assert len(cap) > 100
