@@ -17,17 +17,15 @@ steps 4-6 only past step 3.
    1e-12 sigma) or a v0 that fits the orthant: Yes, named by diagonality;
 4. the diagonal witness (_diag_witness) over the nonnegative eigenvectors,
    or over the sorted diagonal of a diagonal B: No;
-5. a simple lambda1 with a nonnegative eigenvector and copositive
-   lambda2 I - A, decided by the diagonal rule below in O(n^2): Yes;
-6. the cap witness (quadsphere.edge) for lambda2 < max a_ii: No; else Unknown.
+5. the cap witness (quadsphere.edge) for max b_ii - lambda2 > 1e-8 sigma: No;
+6. a simple lambda1 with a nonnegative eigenvector and copositive
+   lambda2 I - A, decided by the diagonal rule below in O(n^2): Yes.
 
-Step 4 runs before step 5: a verified No cannot be wrong, while step 5's Yes
-rests on the floor -tol_slack sigma.  Where step 4's witness verifies over
-values l_a <= l_b < l_c of nonnegative unit eigenvectors, lambda2 <= l_b and
-l_c <= max b_ii + (n - 1) p, so step 5's bound is at most l_b - l_c, below
-the default floor; only a looser tol_slack lets step 5 accept there.
+Witnesses first, ties are ties: every No comes before step 6's Yes, the one
+that rests on a floor (-tol_slack sigma), so a No that verifies is never
+overruled, and a gap of at most 1e-8 sigma is a tie to every step.
 
-Every Yes is built by _certified, and every cone witness (steps 4 and 6) by
+Every Yes is built by _certified, and every cone witness (steps 4 and 5) by
 _refuted, which returns a No only if verify_witness accepts.  certify
 samples nothing: every No is built, and every other input is Unknown.
 
@@ -35,7 +33,7 @@ After step 1 the matrix is a Z-matrix up to tol_margin sigma: every
 off-diagonal entry is at most p = max(a_ij, 0) <= tol_margin sigma.  For a
 Z-matrix the off-diagonal entries of lambda2 I - A are nonnegative, so it is
 copositive iff lambda2 >= max a_ii, and its least Pareto value is
-lambda2 - max a_ii (Perron-Frobenius).  Step 5 therefore accepts when
+lambda2 - max a_ii (Perron-Frobenius).  Step 6 therefore accepts when
 bound = lambda2 - max a_ii - (n - 1) p >= -tol_slack sigma, and the
 certificate stores the bound as pareto_min; the (n - 1) p term is the most
 the tolerance band (0 < a_ij <= tol_margin sigma) can cost on the unit
@@ -48,7 +46,7 @@ pareto_min is then its least Pareto value times sigma.
 That lambda2 >= max a_ii is also necessary is a conjecture.  Two cases are
 proved (README): a reducible input, by the split pair, and a vertex without
 neighbours; that the cap points around a vertex with neighbours leave the
-cone is not, and on seeded corpora step 6 leaves a few such inputs with
+cone is not, and on seeded corpora step 5 leaves a few such inputs with
 lambda2 just below max a_ii Unknown.  Soundness does not rest on the
 conjecture.
 """
@@ -69,7 +67,7 @@ from .linalg import (EigenSystem, SymMatrix, as_sym_matrix, centred,
 __all__ = ["Rule", "WitnessKind", "Status", "Certificate", "Witness", "Verdict",
            "certify", "verify_witness"]
 
-# relative to sigma: the eigenvalue gap steps 2-5 take as a tie, and the
+# relative to sigma: the eigenvalue gap steps 2-6 take as a tie, and the
 # off-diagonal magnitude step 3 takes as zero
 _CLUSTER_RTOL = 1e-8
 _DIAGONAL_RTOL = 1e-12
@@ -109,7 +107,7 @@ class Witness:
         <Ax, y> - <x, y> max{q(x), q(y)} = margin > 0.
     ConeNonconvexity: data has ``c``, ``x``, ``y`` in the orthant with
         q(x) - c||x||^2 <= 0, q(y) - c||y||^2 <= 0 (up to round-off) but
-        q(x + y) - c||x + y||^2 = margin > 0; the cap witness of step 6
+        q(x + y) - c||x + y||^2 = margin > 0; the cap witness of step 5
         also records the ``vertex`` k, both points being e_k + t z for some
         t > 0 and z >= 0 with z_k = 0, before normalization.
     """
@@ -277,9 +275,9 @@ def _spectrum(s: _State) -> None:
 
 
 def _eigenbasis(s: _State) -> None:
-    """For steps 4-6: B's eigensystem E, the mask ``fits`` of its columns
-    that fit the orthant, and step 4's values and basis: the nonnegative
-    eigenpairs, or the sorted diagonal and standard basis of a diagonal B."""
+    """For steps 4-6: B's eigensystem E with lam2 and top = max b_ii, the
+    mask ``fits`` of its columns that fit the orthant, and step 4's values and
+    basis: the nonnegative eigenpairs, or a diagonal B's sorted diagonal and e_k."""
     if s.staged == 2:
         return
     _spectrum(s)
@@ -289,6 +287,7 @@ def _eigenbasis(s: _State) -> None:
     s.E = s.eigh if s.eigh is not None else EigenSystem(s.w, s.basis)
     # -v fits only where v does (see EigenSystem), so v is the only sign to test
     s.fits = s.E.vectors.min(axis=0) >= -s.config.tol_sign
+    s.lam2, s.top = float(s.E.eigenvalues[1]), float(s.B.a.diagonal().max())
     if not s.diagonal:
         nonneg = s.fits.nonzero()[0]
         s.values, s.basis = s.E.eigenvalues[nonneg], s.E.vectors[:, nonneg]
@@ -335,22 +334,33 @@ def _diagonal_obstruction(s: _State) -> Verdict | None:
         return _refuted(s.C, _diag_witness(s.values, s.basis, s.tol), s.config)
 
 
+def _cap(s: _State) -> Verdict | None:
+    """5. Past a tie (max b_ii - lam2 > tol), the first pair of edge.cap_pairs
+    that verifies; edge loads only then, and reads B / 2^e, sigma = f 2^e."""
+    _eigenbasis(s)
+    if s.top - s.lam2 > s.tol:
+        from .edge import cap_pairs
+        e = math.frexp(s.sigma)[1]  # exact, and 1/2 <= f < 1: no square underflows
+        for c, k, x, y, margin in cap_pairs(np.ldexp(s.B.a, -e), math.ldexp(s.lam2, -e)):
+            found = math.ldexp(c, e), x, y, math.ldexp(margin, e)
+            if verdict := _refuted(s.C, found, s.config, vertex=k):
+                return verdict
+
+
 def _copositive(s: _State) -> Verdict | None:
-    """5. Copositivity sufficiency by the module docstring's bound."""
-    # A repeated lambda1 gets no Yes, and by default none is lost: it has
-    # lam2 <= lam1 + 1e-8 sigma, and a Yes needs max b_ii <= lam2 + tol_slack
-    # sigma (the bound and the enumeration's value are at most lam2 - max
-    # b_ii), so every b_ii lies in [lam1, lam1 + D], D = (1e-8 + tol_slack)
-    # sigma.  With tr B = 0 then lam1 >= -D, every eigenvalue lies in
-    # [-D, (n - 1) D] and sigma < n D: false for n below 1 / (1e-8 +
-    # tol_slack), about 9e7 by default.  For an exact Z-matrix a repeated
-    # lambda1 means components sharing it, which the split lemma (README)
-    # refutes once there is an edge: a looser tol_slack would pass such Yeses
+    """6. Copositivity sufficiency by the module docstring's bound."""
+    # A repeated lambda1 gets no Yes, and by default none is lost: it has lam2
+    # <= lam1 + 1e-8 sigma, and a Yes needs max b_ii <= lam2 + tol_slack sigma
+    # (the bound and the enumeration's value are at most lam2 - max b_ii), so
+    # every b_ii lies in [lam1, lam1 + D], D = (1e-8 + tol_slack) sigma.  With
+    # tr B = 0 then lam1 >= -D, every eigenvalue lies in [-D, (n - 1) D] and
+    # sigma < n D: false for n below 1 / (1e-8 + tol_slack), about 9e7 by
+    # default.  For an exact Z-matrix a repeated lambda1 means components
+    # sharing it, which the split lemma (README) refutes once there is an edge
     _eigenbasis(s)
     if s.clusters[0][1] == 1 and s.fits[0]:
-        b, n, p, sigma, config = s.B.a, s.n, s.p, s.sigma, s.config
-        lam2 = float(s.E.eigenvalues[1])
-        pareto_min = lam2 - float(b.diagonal().max()) - (n - 1) * p
+        b, n, p, sigma, config, lam2 = s.B.a, s.n, s.p, s.sigma, s.config, s.lam2
+        pareto_min = lam2 - s.top - (n - 1) * p
         floor = -config.tol_slack * sigma
         if pareto_min < floor and p > 0.0 and n <= enumeration_cap(config):
             # in units of sigma, as the floor is (unscaled, a floor tie moved)
@@ -361,18 +371,8 @@ def _copositive(s: _State) -> Verdict | None:
                               lambda2=lam2 + s.tau, pareto_min=pareto_min)
 
 
-def _cap(s: _State) -> Verdict | None:
-    """6. The cap witness: the first pair of quadsphere.edge.cap_pairs that
-    verifies.  edge is imported here: an input decided earlier never loads it."""
-    from .edge import cap_pairs
-    _eigenbasis(s)
-    for c, k, x, y, margin in cap_pairs(s.B.a, float(s.E.eigenvalues[1])):
-        if verdict := _refuted(s.C, (c, x, y, margin), s.config, vertex=k):
-            return verdict
-
-
 # the chain in run order, numbered as in the module docstring
-_STEPS = (_pair, _constant_form, _two_values, _diagonal_obstruction, _copositive, _cap)
+_STEPS = (_pair, _constant_form, _two_values, _diagonal_obstruction, _cap, _copositive)
 
 
 def _certified(rule: Rule, **data) -> Verdict:

@@ -10,7 +10,8 @@ Every run starts a fresh interpreter, so a command loads only what it runs:
 ``generate`` imports quadsphere.genex and ``minimize`` and ``probe`` import
 quadsphere.probe when they run, and the parser builds the arguments of the
 one matrix command being run.  ``analyze`` loads the decision chain and
-quadsphere.matrixdoc, and quadsphere.edge only when step 6 is reached.
+quadsphere.matrixdoc, and quadsphere.edge only when step 5 finds
+max b_ii above lambda2 by more than the tie tolerance.
 
 entry, the console script and ``python -m quadsphere.cli``, freezes the
 collector's heap (gc.freeze) before main runs.  What the imports created

@@ -16,8 +16,9 @@ class Config:
                     (plus round-off), sigma = ||A - (tr A / n) I||_F; also
                     the Z-pattern threshold of certify step 1
     tol_sign     -- slack for orthant-membership tests of eigenvectors
-                    (certify steps 3-5, the Perron screen)
-    tol_slack    -- certify step 5's floor, -tol_slack * sigma; in cones,
+                    (certify steps 3, 4 and 6, the Perron screen)
+    tol_slack    -- certify step 6's floor, -tol_slack * sigma, reached
+                    only when no witness verifies; in cones,
                     times ||A||_F, which a shift moves: the
                     complementarity slack of Pareto eigenpairs off the
                     support, the copositivity threshold on the least Pareto
@@ -25,7 +26,7 @@ class Config:
                     clipped point may lie (plus n eps of round-off)
     max_exact_dim -- largest dimension for exhaustive support enumeration
                      (the CLI pareto and copositive commands,
-                     minimize_orthant, and certify step 5 inside the
+                     minimize_orthant, and certify step 6 inside the
                      tolerance band); the enumeration never runs above
                      n = 18, whatever this says.  The screens are not
                      capped: minimize_orthant runs the Perron screen at

@@ -1,4 +1,4 @@
-"""The candidates behind certify step 6, the cap witness: for
+"""The candidates behind certify step 5, the cap witness: for
 lambda2 < max b_ii, pairs of points on the boundary of a shifted sublevel
 cone, next to the vertex of a large diagonal entry, whose sum may leave it.
 
@@ -23,9 +23,9 @@ Every positive root gives a point, so no direction is tested for g^T z = 0.
 All pairs of one vertex's unit points are scored by one product P B_c P^T,
 and only the best pair is built.  The candidates come vertex by vertex at
 the midpoint c = (lambda2 + max b_ii) / 2, in descending b_kk (stable),
-then at each shift of _EDGE_STEPS with the vertex of the largest b_kk; the
-caller verifies them and stops at the first that verifies, and the shifts
-past the midpoint are computed only when it asks for one.
+then at each shift of _EDGE_STEPS with the vertex of the largest b_kk.
+certify asks for them past a tie only, on B scaled by a power of two, and
+stops at the first that verifies; later shifts are computed only if asked.
 """
 
 from __future__ import annotations

@@ -667,7 +667,7 @@ class TestFreshProcess:
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'quadsphere'))\n"
         "raise SystemExit(code)\n"
     )
-    # what an analyze process decided before step 6 loads
+    # what an analyze process that never passes step 5's tie check loads
     CHAIN = {
         "quadsphere", "quadsphere.certify", "quadsphere.cli", "quadsphere.cones",
         "quadsphere.config", "quadsphere.linalg", "quadsphere.matrixdoc",
@@ -680,7 +680,7 @@ class TestFreshProcess:
     def test_commands_load_only_what_they_run(self, tmp_path):
         path = tmp_path / "m.json"
         out = str(tmp_path / "out")
-        path.write_text(dumps(make_negative_positive(6, 0)))  # a step-5 Yes
+        path.write_text(dumps(make_negative_positive(6, 0)))  # a step-6 Yes
         analyze = ("analyze", str(path), "--format", "structured", "--out", out)
         assert self.loaded(*analyze) == self.CHAIN
         status = json.loads(Path(out).read_text())["verdict"]["status"]
@@ -689,7 +689,7 @@ class TestFreshProcess:
         assert minimize == self.CHAIN | {"quadsphere.probe"}
         generate = self.loaded("generate", "householder", "--v", "1,1", "--out", out)
         assert "quadsphere.genex" in generate and "quadsphere.probe" not in generate
-        # a step-6 No: only the cap witness loads edge
+        # a step-5 No: only the cap witness loads edge
         path.write_text(dumps(SymMatrix([[0.0, -1.0, 0.0], [-1.0, 0.0, -1.0],
                                          [0.0, -1.0, 3.0]])))
         assert self.loaded(*analyze) == self.CHAIN | {"quadsphere.edge"}

@@ -137,7 +137,7 @@ class TestCopositive:
 
 
 def _shifted(A):
-    """lambda2 I - A: the matrix whose copositivity certify step 5 decides."""
+    """lambda2 I - A: the matrix whose copositivity certify step 6 decides."""
     lam2 = float(np.linalg.eigvalsh(A.a)[1])
     return lam2 * np.eye(A.n) - A.a
 

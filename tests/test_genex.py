@@ -191,7 +191,7 @@ class TestNegativePositive:
                 assert v.status is Status.CERTIFIED_QUASICONVEX, (n, seed)
                 if n > 2:
                     # two eigenvalues at n = 2 are step 3's; from n = 3 the
-                    # diagonal rule decides step 5, past the enumeration cap
+                    # diagonal rule decides step 6, past the enumeration cap
                     # too: lambda2 > 0 > max a_ii
                     assert v.certificate.rule is Rule.COPOSITIVE_SUFFICIENCY
                     assert v.certificate.data["pareto_min"] > 0.0, (n, seed)

@@ -202,7 +202,7 @@ def test_status_under_permutation(runs):
 
 def _cone_inputs():
     """The corpus and, for each input, lambda2 I - A, the matrix whose
-    copositivity step 5 decides."""
+    copositivity step 6 decides."""
     for kind, A in corpus():
         yield kind, A
         lam2 = float(np.linalg.eigvalsh(A.a)[1])

@@ -2,7 +2,7 @@
 
 For a Z-matrix the paper's sufficient condition (copositivity of
 lambda2 I - A) reduces to lambda2 >= max a_ii; its necessity is conjectured,
-and the cap witness of certify step 6 supplies the No side.  Whatever the
+and the cap witness of certify step 5 supplies the No side.  Whatever the
 conjecture's fate, every Yes here must satisfy the condition, every No must
 carry a witness that verify_witness accepts, and no input may be left
 Unknown.  The corpora: 600 random Z-matrices, every integer Z-matrix of
