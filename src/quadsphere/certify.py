@@ -6,10 +6,10 @@ arithmetic, and anything undecided is an honest Unknown.
 As q_{tA + sI} = t q_A + s on the patch (t > 0), every tolerance is a
 multiple of sigma = ||B||_F, B = A - tau I, tau = tr A / n (linalg.centred).
 Step 1 reads A; the later steps decide B, and eigenvalue fields and a
-witness's c get tau back.  certify runs the steps, the functions of _STEPS,
-in order on one _State, built in stages as they first read it: no eigh
-before step 1 declines or for an exactly diagonal B, and the eigenbasis of
-steps 4-6 only past step 3.
+witness's c get tau back.  certify runs _STEPS in order on one _State: six
+steps that only read it, and two stages that build what later steps read,
+_spectrum past step 1 and _eigenbasis past step 3, so no eigh runs before
+step 1 declines or for an exactly diagonal B, nor the eigenbasis before step 4.
 
 1. an off-diagonal entry above tol_margin sigma: the pair (e_i, e_j), No;
 2. one eigenvalue cluster (gaps at most 1e-8 sigma): constant form, Yes;
@@ -239,12 +239,12 @@ def certify(A: SymMatrix, config: Config = DEFAULT) -> Verdict:
 
 
 class _State:
-    """What the steps read: C = (tau, B, sigma), n, tol and the off-diagonal
-    part of B with its largest entry p = off[i, j].  A step builds the later
-    fields it reads by _spectrum or _eigenbasis, each of which runs once."""
+    """C = (tau, B, sigma), n, tol and the off-diagonal part of B with its
+    largest entry p = off[i, j], from the start; the stages of _STEPS add
+    what the steps after them read."""
 
     def __init__(self, A: SymMatrix, config: Config):
-        self.config, self.n, self.staged = config, A.n, 0
+        self.config, self.n = config, A.n
         self.C = self.tau, self.B, self.sigma = centred(A)
         self.tol = _CLUSTER_RTOL * self.sigma
         self.off = off = self.B.a.copy()
@@ -254,12 +254,9 @@ class _State:
 
 
 def _spectrum(s: _State) -> None:
-    """For steps 2-3: whether B is diagonal, its ascending eigenvalues w,
-    first column v0 and their clusters.  An exactly diagonal B's eigenpairs
-    are its stably sorted diagonal and the e_k in that order: no eigh."""
-    if s.staged:
-        return
-    s.staged = 1
+    """Stage 1: whether B is diagonal, its ascending eigenvalues w, first
+    column v0 and their clusters.  An exactly diagonal B's eigenpairs are
+    its stably sorted diagonal and the e_k in that order: no eigh."""
     largest = max(s.p, -float(s.off.reshape(-1)[s.off.argmin()]))  # max |b_ij|
     s.diagonal = largest <= _DIAGONAL_RTOL * s.sigma
     if s.diagonal:
@@ -275,13 +272,9 @@ def _spectrum(s: _State) -> None:
 
 
 def _eigenbasis(s: _State) -> None:
-    """For steps 4-6: B's eigensystem E with lam2 and top = max b_ii, the
-    mask ``fits`` of its columns that fit the orthant, and step 4's values and
+    """Stage 2: B's eigensystem E with lam2 and top = max b_ii, the mask
+    ``fits`` of its columns that fit the orthant, and step 4's values and
     basis: the nonnegative eigenpairs, or a diagonal B's sorted diagonal and e_k."""
-    if s.staged == 2:
-        return
-    _spectrum(s)
-    s.staged = 2
     if s.diagonal:
         s.values, s.basis = s.sorted, np.eye(s.n)[:, s.order]
     s.E = s.eigh if s.eigh is not None else EigenSystem(s.w, s.basis)
@@ -306,7 +299,6 @@ def _pair(s: _State) -> Verdict | None:
 
 def _constant_form(s: _State) -> Verdict | None:
     """2. A single eigenvalue makes q_A constant on the sphere."""
-    _spectrum(s)
     if len(s.clusters) == 1:
         return _certified(Rule.CONSTANT_FORM, eigenvalue=s.clusters[0][0] + s.tau)
 
@@ -316,7 +308,6 @@ def _two_values(s: _State) -> Verdict | None:
     that fits.  Otherwise steps 4-6 have nothing to build (no nonnegative
     lambda1 vector, one value over the nonnegative eigenvectors, a_ii =
     lam2 - (lam2 - lam1) v_i^2 <= lam2), and the input ends Unknown."""
-    _spectrum(s)
     clusters, diagonal = s.clusters, s.diagonal
     if len(clusters) == 2 and clusters[0][1] == 1 and (
             diagonal or float(s.v0.min()) >= -s.config.tol_sign):
@@ -329,7 +320,6 @@ def _two_values(s: _State) -> Verdict | None:
 def _diagonal_obstruction(s: _State) -> Verdict | None:
     """4. The diagonal witness; a diagonal B reads its sorted diagonal, whose
     near ties eigh may mix out of the orthant; it may not verify at the edge."""
-    _eigenbasis(s)
     if s.values.size >= 3:
         return _refuted(s.C, _diag_witness(s.values, s.basis, s.tol), s.config)
 
@@ -337,7 +327,6 @@ def _diagonal_obstruction(s: _State) -> Verdict | None:
 def _cap(s: _State) -> Verdict | None:
     """5. Past a tie (max b_ii - lam2 > tol), the first pair of edge.cap_pairs
     that verifies; edge loads only then, and reads B / 2^e, sigma = f 2^e."""
-    _eigenbasis(s)
     if s.top - s.lam2 > s.tol:
         from .edge import cap_pairs
         e = math.frexp(s.sigma)[1]  # exact, and 1/2 <= f < 1: no square underflows
@@ -357,7 +346,6 @@ def _copositive(s: _State) -> Verdict | None:
     # sigma < n D: false for n below 1 / (1e-8 + tol_slack), about 9e7 by
     # default.  For an exact Z-matrix a repeated lambda1 means components
     # sharing it, which the split lemma (README) refutes once there is an edge
-    _eigenbasis(s)
     if s.clusters[0][1] == 1 and s.fits[0]:
         b, n, p, sigma, config, lam2 = s.B.a, s.n, s.p, s.sigma, s.config, s.lam2
         pareto_min = lam2 - s.top - (n - 1) * p
@@ -371,8 +359,9 @@ def _copositive(s: _State) -> Verdict | None:
                               lambda2=lam2 + s.tau, pareto_min=pareto_min)
 
 
-# the chain in run order, numbered as in the module docstring
-_STEPS = (_pair, _constant_form, _two_values, _diagonal_obstruction, _cap, _copositive)
+# the chain in run order: the steps, numbered as in the module docstring, and stages
+_STEPS = (_pair, _spectrum, _constant_form, _two_values,
+          _eigenbasis, _diagonal_obstruction, _cap, _copositive)
 
 
 def _certified(rule: Rule, **data) -> Verdict:

@@ -13,7 +13,7 @@ import numpy as np
 
 __all__ = ["ConvergenceError", "SymMatrix"]
 
-# asymmetry SymMatrix symmetrizes away, relative to max(1, ||A||_F)
+# asymmetry SymMatrix symmetrizes away, relative to ||A||_F at every scale
 _SYMMETRY_RTOL = 1e-9
 # a sum of squares at or above this lost at most n^2 2^-1075 to squares that
 # underflow, far below its last bit; below it _frobenius rescales first
@@ -28,7 +28,7 @@ class SymMatrix:
     """Dense symmetric n-by-n real matrix.
 
     Entries are symmetrized as (A + A^T)/2 on construction; asymmetry beyond
-    _SYMMETRY_RTOL * max(1, ||A||_F) is rejected as an input error, as are
+    _SYMMETRY_RTOL * ||A||_F is rejected as an input error, as are
     entries so large that the norm or the symmetrization overflows.
     The stored array is read-only.
     """
@@ -42,14 +42,13 @@ class SymMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(a))
+            norm = _frobenius(a.ravel(order="K"))
         if not np.isfinite(norm):
             raise ValueError(
                 "matrix entries are too large: the Frobenius norm overflows"
             )
-        scale = max(1.0, norm)
-        skew = float(np.abs(a - a.T).max()) if a.size else 0.0
-        if skew > _SYMMETRY_RTOL * scale:
+        skew = float(np.abs(a - a.T).max())
+        if skew > _SYMMETRY_RTOL * norm:
             raise ValueError(
                 f"matrix is not symmetric (max |a_ij - a_ji| = {skew:g})"
             )

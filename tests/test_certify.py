@@ -18,8 +18,14 @@ from quadsphere.certify import (
     _STEPS,
     _State,
     _cap,
+    _constant_form,
+    _copositive,
     _diag_witness,
+    _diagonal_obstruction,
     _eigenbasis,
+    _pair,
+    _spectrum,
+    _two_values,
 )
 from quadsphere.config import DEFAULT, Config
 from quadsphere.cones import pareto_spectrum
@@ -399,20 +405,23 @@ class TestStep5Oracle:
 
 
 class TestStepChain:
-    """certify runs the steps of _STEPS in tuple order on one _State and
-    stops at the first that decides; step 1 runs before the spectrum is
+    """certify runs the entries of _STEPS in run order on one _State and
+    stops at the first step that decides; step 1 runs before the spectrum is
     built, and an input decided by steps 1-3 never builds the eigenbasis
     (E, fits, step 4's values and basis) that steps 4-6 read."""
 
+    RUN_ORDER = (_pair, _spectrum, _constant_form, _two_values,
+                 _eigenbasis, _diagonal_obstruction, _cap, _copositive)
+
     # test_cli._PATHS, one document per outcome -> the step that decides it
     DECIDED_BY = {
-        "PairViolation": 1,
-        "ConstantForm": 2,
-        "DiagonalCharacterization": 3,
-        "TwoEigenvalueCharacterization": 3,
-        "ConeNonconvexity": 4,
-        "ConeNonconvexity vertex": 5,
-        "CopositiveSufficiency": 6,
+        "PairViolation": _pair,
+        "ConstantForm": _constant_form,
+        "DiagonalCharacterization": _two_values,
+        "TwoEigenvalueCharacterization": _two_values,
+        "ConeNonconvexity": _diagonal_obstruction,
+        "ConeNonconvexity vertex": _cap,
+        "CopositiveSufficiency": _copositive,
         "Unknown": None,
     }
 
@@ -427,29 +436,72 @@ class TestStepChain:
     def test_runs_in_order_and_stops_at_the_deciding_step(self, monkeypatch):
         ran = []
 
-        def recorder(number, step):
+        def recorder(entry):
             def recorded(state):
-                ran.append((number, state, set(vars(state))))
-                return step(state)
+                ran.append((entry, state, set(vars(state))))
+                return entry(state)
             return recorded
 
-        steps = tuple(recorder(k, step) for k, step in enumerate(_STEPS, 1))
+        assert _STEPS == self.RUN_ORDER
+        steps = tuple(map(recorder, _STEPS))
         monkeypatch.setattr(sys.modules["quadsphere.certify"], "_STEPS", steps)
         assert self.DECIDED_BY.keys() == _PATHS.keys()
         for outcome, decider in self.DECIDED_BY.items():
             ran.clear()
             v = certify(SymMatrix(_PATHS[outcome]), CFG)
             assert self.outcome(v) == outcome
-            assert [k for k, _, _ in ran] == list(range(1, (decider or 6) + 1)), outcome
+            last = len(_STEPS) if decider is None else _STEPS.index(decider) + 1
+            assert [entry for entry, _, _ in ran] == list(_STEPS[:last]), outcome
             state = ran[0][1]
             assert all(s is state for _, s, _ in ran)
             assert "clusters" not in ran[0][2]  # step 1 runs before any eigh
             built = set(vars(state))
             staged = {"E", "fits", "values", "basis"}
-            if decider is not None and decider <= 3:
+            if decider in (_pair, _constant_form, _two_values):
                 assert not staged & built, outcome
             else:
-                assert staged <= built and not staged & ran[3][2], outcome
+                seen = {entry: fields for entry, _, fields in ran}
+                assert not staged & seen[_eigenbasis], outcome
+                assert staged <= seen[_diagonal_obstruction], outcome
+
+    def test_stages_run_once_and_only_from_the_chain(self, monkeypatch):
+        # each stage is wrapped to count its calls, and each step to mark
+        # the calls made from inside it, under the module's names and in
+        # _STEPS alike
+        module = sys.modules["quadsphere.certify"]
+        calls, inside = [], []
+
+        def counted(stage):
+            def run(state):
+                calls.append((stage, bool(inside)))
+                return stage(state)
+            return run
+
+        def marked(step):
+            def run(state):
+                inside.append(step)
+                try:
+                    return step(state)
+                finally:
+                    inside.pop()
+            return run
+
+        stages = {stage: counted(stage) for stage in (_spectrum, _eigenbasis)}
+        for stage, wrapped in stages.items():
+            monkeypatch.setattr(module, stage.__name__, wrapped)
+        monkeypatch.setattr(module, "_STEPS",
+                            tuple(stages.get(entry) or marked(entry) for entry in _STEPS))
+        mats = ([SymMatrix(doc) for doc in _PATHS.values()]
+                + zmatrix_corpus()[:100] + census()[::20] + _band_corpus())
+        shapes = set()
+        for A in mats:
+            calls.clear()
+            certify(A, CFG)
+            assert not any(nested for _, nested in calls), A.a
+            shape = tuple(stage for stage, _ in calls)
+            assert shape in ((), (_spectrum,), (_spectrum, _eigenbasis)), A.a
+            shapes.add(shape)
+        assert len(shapes) == 3
 
 
 def multipartite(rng, n):
@@ -506,7 +558,10 @@ class TestWitnessesFirst:
 
 def cap(A, config=CFG):
     """certify step 5 on A alone: the cap witness that verifies, or None."""
-    verdict = _cap(_State(A, config))
+    state = _State(A, config)
+    _spectrum(state)
+    _eigenbasis(state)
+    verdict = _cap(state)
     return None if verdict is None else verdict.witness
 
 
@@ -731,7 +786,8 @@ class TestEdgeWitnessBytes:
         # at n = 256 the witness holds B - cI, one eigh of order 255 and the
         # score matrix of its points (about 300 per side)
         state = _State(SymMatrix(spread_z(np.random.default_rng(46), 256)), CFG)
-        _eigenbasis(state)  # eigh before tracing
+        _spectrum(state)  # eigh before tracing
+        _eigenbasis(state)
         tracemalloc.start()
         try:
             assert _cap(state) is not None
@@ -1334,7 +1390,7 @@ class TestInvariances:
                 assert TestStepChain.outcome(v) == TestStepChain.outcome(base), A.a
                 if v.status is Status.CERTIFIED_NOT_QUASICONVEX:
                     assert verify_witness(T, v.witness, CFG), A.a
-        assert len(mats) == 1395
+        assert len(mats) == 1455
 
     def test_round_off_witnesses_at_tiny_scale(self):
         # near-parallel points x, y = x + 1e-15 u on a Householder matrix

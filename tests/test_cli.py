@@ -458,6 +458,16 @@ class TestExitCodes:
         assert out == ""
         assert "too large" in err
 
+    def test_asymmetry_below_unit_norm(self, tmp_path, capsys):
+        # symmetry is tested relative to ||A||_F at every scale: the matrix
+        # that exits 2 at scale 1 exits 2 at 2^-40 too
+        rows = [[2.0**-40 * v for v in row] for row in [[1, 2, 0], [0, 1, -1], [0, -1, 0]]]
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps({"n": 3, "rows": rows}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert "not symmetric" in err
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -29,6 +29,15 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             SymMatrix([[1.0, 0.5], [0.4, 2.0]])
 
+    @pytest.mark.parametrize("k", [-40, -700])
+    def test_asymmetry_is_relative_at_every_scale(self, k):
+        # the skew is measured against ||A||_F, not max(1, ||A||_F): what is
+        # rejected or symmetrized at scale 1 is so at 2^k too
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymMatrix(np.ldexp([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 0.0]], k))
+        A = SymMatrix(np.ldexp([[1.0, 0.5 + 1e-12], [0.5, 2.0]], k))
+        assert A.a[0, 1] == A.a[1, 0]
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             SymMatrix([[np.inf, 0.0], [0.0, 1.0]])

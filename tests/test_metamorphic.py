@@ -4,12 +4,13 @@ On the orthant patch q_{tA + sI} = t q_A + s for t > 0, and a simultaneous
 permutation of the coordinates maps the patch onto itself, so certify(A),
 certify(tA + sI) and certify(P A P^T) must not contradict each other.  The
 corpus mixes seeded dense, Z, tied-maximum, tolerance-band, three-eigenvalue,
-negative-positive and exactly diagonal inputs of size 2-7.  For every
-transform:
+negative-positive, exactly diagonal and constant-diagonal Z inputs of size
+2-7.  For every transform:
 
 - no transform of an input refuted at unit scale gets a Yes;
 - every No carries a witness that verify_witness accepts on its own matrix;
-- under t and s, Z, dense and diagonal inputs keep their unit-scale status;
+- under t and s, Z, dense, diagonal and constant-diagonal inputs keep their
+  unit-scale status;
 - under the permutation, every input keeps its status;
 - every Unknown has lambda2 - max b_ii above -1e-6 sigma.
 
@@ -96,6 +97,13 @@ def _diagonal(rng, n):
     return np.diag(d)
 
 
+def _constant_diagonal(rng, n):
+    """A Z-matrix, sparse for half of the inputs, with one diagonal value."""
+    a = _z(rng, n)
+    np.fill_diagonal(a, rng.standard_normal())
+    return a
+
+
 # new kinds go last: the inputs and permutations of the earlier ones stay
 KINDS = {
     "z": _z,
@@ -105,6 +113,7 @@ KINDS = {
     "three-eigenvalue": _three_eigenvalue,
     "negative-positive": _negative_positive,
     "diagonal": _diagonal,
+    "constant-diagonal": _constant_diagonal,
 }
 
 
@@ -188,7 +197,7 @@ def test_every_no_verifies_on_its_own_matrix(runs):
 
 def test_z_dense_and_diagonal_status_under_scale_and_shift(runs):
     for kind, A, base, variants in runs:
-        if kind in ("z", "dense", "diagonal"):
+        if kind in ("z", "dense", "diagonal", "constant-diagonal"):
             for name, _, v in variants:
                 if name != "permuted":
                     assert v.status is base, (kind, name, A)
